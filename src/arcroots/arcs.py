@@ -36,6 +36,7 @@ from .words import (
     Word,
     canonical_reflection,
     comparable,
+    conjugate,
     mul,
     reduce_word,
 )
@@ -131,14 +132,14 @@ def tuple_verdict(arcs: Sequence[Arc], gram: GramMatrix | None = None) -> TupleV
         gram = all_weights_two_gram(n)
     elif gram.n != n:
         raise WrongArity(f"pairing rank {gram.n} != tuple length {n}")
-    refls = [arc_to_reflection(a) for a in arcs]
+    refls = tuple(arc_to_reflection(a) for a in arcs)
     bad = [i for i in range(n - 1) if comparable(refls[i], refls[i + 1])]
     product_ok = mul(*(r.word for r in refls)) == tuple(range(1, n + 1))
     roots = [reflection_to_root(r, gram) for r in refls]
     if bad:
         cut = bad[0]
         roots = roots[: cut + 1] + [tuple(-x for x in u) for u in roots[cut + 1 :]]
-    st = speyer_thomas_check(tuple(roots), gram)
+    st = speyer_thomas_check(tuple(roots), refls, gram)
     return TupleVerdict(len(bad), product_ok, st, len(bad) <= 1 and st)
 
 
@@ -187,7 +188,7 @@ def twin(gamma: Reflection, beta: Reflection) -> Reflection:
     """
     if beta.core == gamma.core:
         raise TwinEndpointClash(f"both arcs end at puncture {beta.core}")
-    return canonical_reflection(mul(gamma.word, beta.word, gamma.word))
+    return conjugate(beta, gamma.word)
 
 
 def twin_replace_walk(gammas: Sequence[Arc], beta0: Arc) -> Arc:

@@ -34,7 +34,7 @@ from .roots import (
     cartan_companion,
     initial_seed,
     mutate_seed,
-    reflection_word_of_root,
+    root_to_reflection,
 )
 from .words import canonical_reflection
 
@@ -137,7 +137,7 @@ def cmd_root2refl(args: argparse.Namespace) -> int:
             raise ValueError(f"root has {len(u)} coordinates, matrix rank is {gram.n}")
     else:
         gram = all_weights_two_gram(len(u))
-    print(json.dumps(list(reflection_word_of_root(u, gram))))
+    print(json.dumps(list(root_to_reflection(u, gram).word)))
     return 0
 
 
@@ -260,7 +260,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ArcrootsError, ValueError, OSError, KeyError, TypeError, IndexError) as exc:
+    except (ArcrootsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

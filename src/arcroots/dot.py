@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .errors import CapExceeded
 from .explore import iter_seeds
-from .roots import Sign, YSeed, positive_form, root_sign, root_to_reflection
+from .roots import Sign, YSeed, root_sign
 from .words import Word
 
 NODE_CAP = 5000
@@ -70,8 +70,7 @@ def cayley_fragment_dot(seed: YSeed, node_cap: int = NODE_CAP) -> str:
     marked: dict[tuple[Word, Word], Sign] = {}
     vertices: set[Word] = {()}
     edges: set[tuple[Word, Word]] = set()
-    for c in seed.cvectors:
-        r = root_to_reflection(positive_form(c), seed.gram)
+    for c, r in zip(seed.cvectors, seed.reflections):
         marked[r.edge()] = root_sign(c)
         stem = r.prefix + (r.core,)
         for cut in range(len(stem)):

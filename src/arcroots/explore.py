@@ -35,7 +35,6 @@ from .roots import (
     positive_form,
     reflection_to_root,
     root_sign,
-    root_to_reflection,
     sign_run_count,
     speyer_thomas_check,
 )
@@ -72,10 +71,6 @@ def seed_digest(seed: YSeed) -> str:
 @dataclass(frozen=True)
 class ExploreContext:
     initial: ExchangeMatrix
-
-
-def _node_reflections(seed: YSeed) -> list[Reflection]:
-    return [root_to_reflection(c, seed.gram) for c in seed.cvectors]
 
 
 def _two_complete(seed: YSeed, ctx: ExploreContext) -> list[str]:
@@ -120,7 +115,8 @@ def _sign_coherence(seed: YSeed, ctx: ExploreContext) -> list[str]:
 
 
 def _st(seed: YSeed, ctx: ExploreContext) -> list[str]:
-    return [] if speyer_thomas_check(seed.cvectors, seed.gram) else ["st"]
+    ok = speyer_thomas_check(seed.cvectors, seed.reflections, seed.gram)
+    return [] if ok else ["st"]
 
 
 def _coxeter_product(seed: YSeed, ctx: ExploreContext) -> list[str]:
@@ -151,7 +147,7 @@ def _bad_pairs(seed: YSeed, ctx: ExploreContext) -> list[str]:
 def _sep_dichotomy(seed: YSeed, ctx: ExploreContext) -> list[str]:
     # acyclic seeds have no separating node; non-acyclic ones have exactly
     # one, at the position of the unique decreasing direction
-    seps = separating_nodes(_node_reflections(seed))
+    seps = separating_nodes(seed.reflections)
     if seed.matrix.is_acyclic():
         return [] if not seps else ["sep_dichotomy"]
     dec = decreasing_directions(seed.matrix)
@@ -162,7 +158,7 @@ def _sep_dichotomy(seed: YSeed, ctx: ExploreContext) -> list[str]:
 def _one_star(seed: YSeed, ctx: ExploreContext) -> list[str]:
     if not seed.matrix.is_acyclic():
         return []
-    return [] if in_one_star(_node_reflections(seed)) else ["one_star"]
+    return [] if in_one_star(seed.reflections) else ["one_star"]
 
 
 CHECKS: dict[str, Callable[[YSeed, ExploreContext], list[str]]] = {

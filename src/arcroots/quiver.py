@@ -47,8 +47,21 @@ class ExchangeMatrix:
                     raise ValueError("matrix must be skew-symmetric")
 
     @classmethod
-    def from_rows(cls, rows) -> ExchangeMatrix:
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
+    def from_rows(cls, rows: list[list[int]]) -> ExchangeMatrix:
+        """Matrix from a list of rows of ints, the shape JSON gives.
+
+        Entries are never coerced: a bool, float or string entry raises
+        ValueError naming it, so a weight of 2.9 cannot load as 2.
+        """
+        if not isinstance(rows, list):
+            raise ValueError(f"b must be a list of rows, got {type(rows).__name__}")
+        for i, row in enumerate(rows, 1):
+            if not isinstance(row, list):
+                raise ValueError(f"row {i} of b must be a list, got {type(row).__name__}")
+            for j, x in enumerate(row, 1):
+                if isinstance(x, bool) or not isinstance(x, int):
+                    raise ValueError(f"b[{i}][{j}] = {x!r} is not an integer")
+        return cls(tuple(tuple(row) for row in rows))
 
     @property
     def n(self) -> int:
@@ -118,26 +131,6 @@ class ExchangeMatrix:
             for j in range(i + 1, self.n)
         )
 
-    def sinks_and_sources(self) -> tuple[frozenset[Vertex], frozenset[Vertex]]:
-        """Pair (sinks, sources): vertices with no outgoing / no incoming
-        arrows."""
-        sinks = frozenset(
-            i + 1
-            for i in range(self.n)
-            if all(self.rows[i][j] <= 0 for j in range(self.n))
-        )
-        sources = frozenset(
-            i + 1
-            for i in range(self.n)
-            if all(self.rows[i][j] >= 0 for j in range(self.n))
-        )
-        return sinks, sources
-
-    def total_weight(self) -> int:
-        return sum(
-            abs(self.rows[i][j]) for i in range(self.n) for j in range(i + 1, self.n)
-        )
-
     def max_weight(self) -> int:
         if self.n < 2:
             return 0
@@ -150,6 +143,8 @@ class ExchangeMatrix:
 
     @classmethod
     def from_json(cls, data: dict) -> ExchangeMatrix:
+        if not isinstance(data, dict) or "b" not in data:
+            raise ValueError('a quiver must be a JSON object with a "b" field')
         mat = cls.from_rows(data["b"])
         if "n" in data and data["n"] != mat.n:
             raise ValueError("field n disagrees with matrix size")

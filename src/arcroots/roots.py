@@ -23,6 +23,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import permutations
 
 from .errors import (
@@ -34,7 +35,7 @@ from .errors import (
     SignIncoherent,
 )
 from .quiver import ExchangeMatrix, Vertex, natural_order
-from .words import Reflection, Word, mul, reduce_word
+from .words import Reflection, mul, reduce_word
 
 log = logging.getLogger(__name__)
 
@@ -142,6 +143,13 @@ class YSeed:
     @property
     def n(self) -> int:
         return self.matrix.n
+
+    @cached_property
+    def reflections(self) -> tuple[Reflection, ...]:
+        """The reflection of each c-vector, in vertex order, derived by
+        descent on first access.  A seed is immutable, so every check and
+        view of it shares this one derivation."""
+        return tuple(root_to_reflection(c, self.gram) for c in self.cvectors)
 
     def to_json(self) -> dict:
         return {
@@ -269,12 +277,11 @@ def reflection_to_root(r: Reflection, gram: GramMatrix) -> Root:
     return u
 
 
-def reflection_word_of_root(u: Root, gram: GramMatrix) -> Word:
-    return root_to_reflection(positive_form(u), gram).word
-
-
-def speyer_thomas_check(roots: tuple[Root, ...], gram: GramMatrix) -> bool:
-    """Ordering criterion for a tuple of n sign-coherent real roots.
+def speyer_thomas_check(
+    roots: tuple[Root, ...], reflections: tuple[Reflection, ...], gram: GramMatrix
+) -> bool:
+    """Ordering criterion for a tuple of n sign-coherent real roots, given
+    with their reflections (entry i is the reflection of roots[i]).
 
     Passes when (1) every same-sign pair pairs non-positively, and (2)
     some ordering with all positive roots before all negative roots has
@@ -284,14 +291,14 @@ def speyer_thomas_check(roots: tuple[Root, ...], gram: GramMatrix) -> bool:
     n = gram.n
     if n > 8:
         raise RankTooLarge(f"ordering search is factorial; rank {n} > 8")
-    if len(roots) != n:
-        raise ValueError(f"expected {n} roots, got {len(roots)}")
+    if len(roots) != n or len(reflections) != n:
+        raise ValueError(f"expected {n} roots and {n} reflections")
     signs = [root_sign(u) for u in roots]
     for i in range(n):
         for j in range(i + 1, n):
             if signs[i] is signs[j] and inner(roots[i], roots[j], gram) > 0:
                 return False
-    words = [reflection_word_of_root(u, gram) for u in roots]
+    words = [r.word for r in reflections]
     positives = [words[i] for i in range(n) if signs[i] is Sign.POSITIVE]
     negatives = [words[i] for i in range(n) if signs[i] is Sign.NEGATIVE]
     target = tuple(range(1, n + 1))
@@ -327,10 +334,9 @@ def fan_rotation(roots: tuple[Root, ...]) -> int:
 def natural_fan(seed: YSeed) -> tuple[Reflection, ...]:
     """Natural-order reflections of the c-vectors, rotated to the first
     positive root."""
-    roots = natural_roots(seed)
-    start = fan_rotation(roots)
-    rotated = roots[start:] + roots[:start]
-    return tuple(root_to_reflection(positive_form(u), seed.gram) for u in rotated)
+    order = natural_order(seed.matrix)
+    start = fan_rotation(tuple(seed.cvectors[v - 1] for v in order))
+    return tuple(seed.reflections[v - 1] for v in order[start:] + order[:start])
 
 
 @dataclass(frozen=True)
@@ -349,8 +355,9 @@ def natural_coxeter_product(seed: YSeed) -> CoxeterProductReport:
     reported with fallback_used set (and logged); ok is False when no
     rotation works.
     """
-    roots = natural_roots(seed)
-    words = [reflection_word_of_root(u, gram=seed.gram) for u in roots]
+    order = natural_order(seed.matrix)
+    roots = tuple(seed.cvectors[v - 1] for v in order)
+    words = [seed.reflections[v - 1].word for v in order]
     n = seed.n
     target = tuple(range(1, n + 1))
     start = fan_rotation(roots)

@@ -104,14 +104,6 @@ def canonical_reflection(word: Iterable[int]) -> Reflection:
     return Reflection(w[:half], w[half])
 
 
-def is_reflection_word(word: Iterable[int]) -> bool:
-    try:
-        canonical_reflection(word)
-    except NotAReflection:
-        return False
-    return True
-
-
 def conjugate(r: Reflection, by: Sequence[int]) -> Reflection:
     """The reflection (by) r (by)^(-1)."""
     return canonical_reflection(mul(by, r.word, inv(by)))

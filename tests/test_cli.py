@@ -156,6 +156,37 @@ def test_explore_rejects_cyclic(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('{"b": [[0, 2.9, 2], [-2.9, 0, 2], [-2, -2, 0]]}', "b[1][2] = 2.9"),
+        ('{"b": [[0, "2", 2], ["-2", 0, 2], [-2, -2, 0]]}', "b[1][2] = '2'"),
+        ('{"b": [[0, true], [-1, 0]]}', "b[1][2] = True"),
+        ('{"b": [[0, 2], 5]}', "row 2"),
+        ('{"b": 5}', "list of rows"),
+        ("{}", '"b" field'),
+        ("null", '"b" field'),
+        ("[[0, 2], [-2, 0]]", '"b" field'),
+    ],
+)
+def test_malformed_quiver_exits_two(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "explore", "--quiver", str(path), "--depth", "1")
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_internal_type_error_is_not_reported_as_bad_input(monkeypatch, quiver_file):
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+
+    monkeypatch.setattr("arcroots.cli.explore", broken)
+    with pytest.raises(TypeError, match="bug"):
+        main(["explore", "--quiver", quiver_file, "--depth", "1"])
+
+
 def test_missing_quiver_file(capsys):
     code, _, err = run(capsys, "explore", "--quiver", "/no/such/file.json", "--depth", "1")
     assert code == 2

@@ -33,7 +33,7 @@ from arcroots.roots import (
     speyer_thomas_check,
     unit_vector,
 )
-from arcroots.words import Reflection, canonical_reflection
+from arcroots.words import Reflection, canonical_reflection, conjugate
 
 B3 = ExchangeMatrix.from_rows([[0, 2, 2], [-2, 0, 2], [-2, -2, 0]])
 GRAM3 = cartan_companion(B3)
@@ -208,19 +208,53 @@ def test_root_round_trip_on_seed_cvectors_fuzz():
             assert reflection_to_root(r, seed.gram) == positive_form(c)
 
 
+def _st(roots, gram=GRAM3):
+    reflections = tuple(root_to_reflection(u, gram) for u in roots)
+    return speyer_thomas_check(roots, reflections, gram)
+
+
+def test_cached_reflections_follow_the_conjugation_rule():
+    # mutating at k conjugates by r_k exactly the reflections whose
+    # c-vectors the partial reflection rule moves, which derives the
+    # cached reflections a second way without descent
+    rng = random.Random(1709)
+    moved = 0
+    for _ in range(60):
+        n = rng.randint(3, 5)
+        s = initial_seed(random_acyclic_two_complete(n, rng))
+        for _ in range(rng.randint(1, 6)):
+            k = rng.randint(1, n)
+            t = mutate_seed(s, k)
+            positive = root_sign(s.cvectors[k - 1]) is Sign.POSITIVE
+            rk = s.reflections[k - 1]
+            for j in s.matrix.vertices():
+                bjk = s.matrix.b(j, k)
+                if j != k and (bjk < 0 if positive else bjk > 0):
+                    moved += 1
+                    assert t.reflections[j - 1] == conjugate(s.reflections[j - 1], rk.word)
+                else:
+                    assert t.reflections[j - 1] == s.reflections[j - 1]
+            assert mutate_seed_matrix(s, k).reflections == t.reflections
+            data = t.to_json()
+            assert t.to_json() == data
+            assert t == seed_from_json(data, t.gram)
+            s = t
+    assert moved > 0
+
+
 def test_speyer_thomas_examples():
     good = ((-1, 0, 0), (2, 1, 0), (2, 0, 1))
-    assert speyer_thomas_check(good, GRAM3)
+    assert _st(good)
     repeated = ((1, 0, 0), (1, 0, 0), (0, 0, 1))
-    assert not speyer_thomas_check(repeated, GRAM3)
-    assert speyer_thomas_check(((1, 0, 0), (0, 1, 0), (0, 0, 1)), GRAM3)
+    assert not _st(repeated)
+    assert _st(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 def test_speyer_thomas_rank_guard():
     with pytest.raises(RankTooLarge):
-        speyer_thomas_check((), all_weights_two_gram(9))
+        _st((), all_weights_two_gram(9))
     with pytest.raises(ValueError):
-        speyer_thomas_check(((1, 0, 0),), GRAM3)
+        _st(((1, 0, 0),))
 
 
 def test_natural_coxeter_product_on_initial_and_mutations():

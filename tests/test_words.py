@@ -10,7 +10,6 @@ from arcroots.words import (
     generator,
     in_one_star,
     inv,
-    is_reflection_word,
     mul,
     node_path,
     precedes,
@@ -72,8 +71,6 @@ def test_canonical_reflection_rejects_non_reflections():
         canonical_reflection((1, 2))
     with pytest.raises(NotAReflection):
         canonical_reflection((1, 2, 3))
-    assert not is_reflection_word((1, 2))
-    assert is_reflection_word((1, 2, 1))
 
 
 def test_reflection_validation():
