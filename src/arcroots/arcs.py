@@ -29,6 +29,7 @@ from .errors import (
     TwinEndpointClash,
     UnreducedArc,
     WrongArity,
+    require_int,
 )
 from .roots import GramMatrix, all_weights_two_gram, reflection_to_root, speyer_thomas_check
 from .words import (
@@ -71,7 +72,20 @@ class Arc:
 
     @classmethod
     def from_json(cls, data: dict) -> Arc:
-        return cls(tuple(int(x) for x in data["crossings"]), int(data["endpoint"]))
+        """Arc from the dict that to_json gives.
+
+        Entries are never coerced: a bool, float or string raises
+        ValueError naming it, so an endpoint of 3.7 cannot load as 3.
+        """
+        if not isinstance(data, dict) or "crossings" not in data or "endpoint" not in data:
+            raise ValueError('an arc must be a JSON object with "crossings" and "endpoint"')
+        crossings = data["crossings"]
+        if not isinstance(crossings, list):
+            raise ValueError(f"crossings must be a list, got {type(crossings).__name__}")
+        return cls(
+            tuple(require_int(x, f"crossings[{i}]") for i, x in enumerate(crossings)),
+            require_int(data["endpoint"], "endpoint"),
+        )
 
 
 def canonicalize_arc(crossings: Sequence[int], endpoint: int) -> Arc:

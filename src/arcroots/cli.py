@@ -2,7 +2,9 @@
 
 Every subcommand prints a single JSON value on standard output, except
 export-dot which prints DOT text.  Exit codes: 0 on success, 1 on a
-negative verdict under --strict, 2 on bad input of any kind.
+negative verdict under --strict, 2 on bad input of any kind.  Log
+messages go to standard error from the level that the global --log-level
+option sets, WARNING by default.
 
 Quivers are read from JSON files of the shape {"b": [[...], ...]} and
 normalized before use, so the vertex numbering seen in paths and reports
@@ -187,6 +189,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="arcroots",
         description="exchange trees, reflections, arcs, and real Schur roots",
     )
+    parser.add_argument(
+        "--log-level",
+        default="WARNING",
+        type=str.upper,
+        choices=("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"),
+        help="log messages of this level and above to standard error (default WARNING)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("explore", help="enumerate the exchange tree, verifying seeds")
@@ -258,6 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
+    logging.getLogger("arcroots").setLevel(args.log_level)
     try:
         return args.func(args)
     except (ArcrootsError, ValueError, OSError) as exc:

@@ -24,7 +24,7 @@ from math import factorial
 from typing import Iterator
 
 from .arcs import Arc
-from .errors import CapExceeded
+from .errors import CapExceeded, require_int
 
 log = logging.getLogger(__name__)
 
@@ -55,13 +55,32 @@ class EmbeddingWitness:
 
     @classmethod
     def from_json(cls, data: dict) -> EmbeddingWitness:
-        heights = tuple(
-            sorted(
-                (int(ray), tuple(int(j) for j in order))
-                for ray, order in data["heights"].items()
-            )
-        )
-        return cls(tuple(str(s) for s in data["sides"]), heights)
+        """Witness from the dict that to_json gives.
+
+        Ray keys are decimal strings, as JSON object keys must be; every
+        other entry must already have its type.  Nothing is coerced: a
+        bool, float or string index raises ValueError naming it.  Whether
+        the witness is valid for an arc is witness_is_valid's question.
+        """
+        if not isinstance(data, dict) or "sides" not in data or "heights" not in data:
+            raise ValueError('a witness must be a JSON object with "sides" and "heights"')
+        sides, raw = data["sides"], data["heights"]
+        if not isinstance(sides, list):
+            raise ValueError(f"sides must be a list, got {type(sides).__name__}")
+        for i, s in enumerate(sides):
+            if not isinstance(s, str):
+                raise ValueError(f"sides[{i}] = {s!r} is not a string")
+        if not isinstance(raw, dict):
+            raise ValueError(f"heights must be an object, got {type(raw).__name__}")
+        heights = []
+        for ray, order in raw.items():
+            if not (isinstance(ray, str) and ray.isdecimal()):
+                raise ValueError(f"heights key {ray!r} is not a decimal ray index")
+            if not isinstance(order, list):
+                raise ValueError(f"heights[{ray!r}] must be a list, got {type(order).__name__}")
+            order = tuple(require_int(j, f"heights[{ray!r}][{i}]") for i, j in enumerate(order))
+            heights.append((int(ray), order))
+        return cls(tuple(sides), tuple(sorted(heights)))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 Every error raised on bad input or on a violated precondition derives from
 ArcrootsError, so callers can catch one type at the boundary.  Exceptions
 that signal an internal invariant breaking (rather than bad input) say so
-in their docstring.
+in their docstring.  Malformed JSON fields raise ValueError instead, and
+require_int is the one rule for what counts as an integer there.
 """
 
 from __future__ import annotations
@@ -11,6 +12,14 @@ from __future__ import annotations
 
 class ArcrootsError(Exception):
     """Base class for all errors raised by this package."""
+
+
+def require_int(value: object, name: str) -> int:
+    """Return value if it is an int other than a bool, else raise
+    ValueError naming it, so that 2.9, "2" or true never load as 2 or 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} = {value!r} is not an integer")
+    return value
 
 
 class NoDecreasingMutation(ArcrootsError):

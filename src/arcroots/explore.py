@@ -43,15 +43,23 @@ from .words import Reflection, in_one_star, separating_nodes
 log = logging.getLogger(__name__)
 
 
-def iter_seeds(root: YSeed, depth: int) -> Iterator[YSeed]:
-    """Breadth-first seeds of the exchange tree out to mutation distance depth."""
+def iter_seeds(
+    root: YSeed, depth: int, expand: Callable[[YSeed], bool] | None = None
+) -> Iterator[YSeed]:
+    """Breadth-first seeds of the exchange tree out to mutation distance depth.
+
+    When expand is given it is asked, after a seed is yielded, about each
+    seed short of the depth limit, and that seed's children are queued
+    only when it returns true.  Order among the seeds still walked is the
+    unpruned breadth-first order.
+    """
     if depth < 0:
         raise ValueError(f"depth {depth} must be >= 0")
     queue = deque([root])
     while queue:
         seed = queue.popleft()
         yield seed
-        if len(seed.path) < depth + len(root.path):
+        if len(seed.path) < depth + len(root.path) and (expand is None or expand(seed)):
             last = seed.path[-1] if seed.path else 0
             for k in seed.matrix.vertices():
                 if k != last:
@@ -243,14 +251,36 @@ class SearchOutcome:
         return {"found": self.found, "path": None if self.path is None else list(self.path)}
 
 
+def _height(v: Root) -> int:
+    """Sum of the absolute values of the entries."""
+    return sum(abs(x) for x in v)
+
+
 def schur_by_search(
     target: Root | Reflection, initial: ExchangeMatrix, depth: int
 ) -> SearchOutcome:
     """Breadth-first hunt for a seed carrying the target as a c-vector.
 
     The target may be a root vector or a reflection; either way the
-    positive form is searched for.  Found paths are shortest because the
+    positive form u is searched for.  Found paths are shortest because the
     walk is breadth first.
+
+    Subtrees that cannot carry u are not walked.  Along every tree edge
+    away from the root, the mutated position c_k becomes -c_k and keeps
+    its height, and every reflected position c_j grows in height
+    strictly.  So a position already higher than u never becomes u, and
+    one exactly as high can only flip sign on the way down.  A seed is
+    expanded only while some c-vector is -u or lower than u.
+
+    Half of that invariant follows from checks this package runs on every
+    explored seed.  If c_j has the same sign as c_k, the st check gives
+    <c_j, c_k> <= 0, and the seven and two_complete checks give
+    |<c_j, c_k>| = |b_jk| >= 2, so the new vector is c_j + |b_jk| c_k, a
+    sum of two vectors of one sign, and its height grows.  For a c_j of
+    the opposite sign no proof is given here: the strict growth is
+    measured, not derived (on B3 to depth 10 these are 1,545 of the 3,083
+    moves).  Tests check the invariant on B3, B4 and random trees, and
+    compare this search with the unpruned walk of iter_seeds.
     """
     if depth <= 0:
         raise ValueError(f"depth {depth} must be positive")
@@ -260,10 +290,42 @@ def schur_by_search(
     else:
         u = tuple(int(x) for x in target)
     u = positive_form(u)
-    for seed in iter_seeds(root, depth):
+    minus_u = tuple(-x for x in u)
+    h = _height(u)
+
+    def live(seed: YSeed) -> bool:
+        return any(c == minus_u or _height(c) < h for c in seed.cvectors)
+
+    pruned = 0
+
+    def expand(seed: YSeed) -> bool:
+        nonlocal pruned
+        if live(seed):
+            return True
+        pruned += 1
+        return False
+
+    visited = 0
+    truncated = False
+    outcome = SearchOutcome(False, None)
+    for seed in iter_seeds(root, depth, expand):
+        visited += 1
         if u in seed.cvectors:
-            return SearchOutcome(True, seed.path)
-    return SearchOutcome(False, None)
+            outcome = SearchOutcome(True, seed.path)
+            break
+        if len(seed.path) == depth and not truncated:
+            truncated = live(seed)
+    if outcome.found:
+        verdict = f"found at path {outcome.path}"
+    elif truncated:
+        verdict = "not found; live seeds remain at the depth limit"
+    else:
+        verdict = "not found; tree exhausted"
+    log.debug(
+        "schur search for %s to depth %d: %s; %d seeds visited, %d pruned",
+        u, depth, verdict, visited, pruned,
+    )
+    return outcome
 
 
 def complete_arc(a: Arc, initial: ExchangeMatrix, depth: int, cap: int = 12) -> YSeed:

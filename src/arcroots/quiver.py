@@ -25,6 +25,7 @@ from .errors import (
     NoDecreasingMutation,
     NotAcyclic,
     NotMutationAcyclic,
+    require_int,
 )
 
 Vertex = int
@@ -59,8 +60,7 @@ class ExchangeMatrix:
             if not isinstance(row, list):
                 raise ValueError(f"row {i} of b must be a list, got {type(row).__name__}")
             for j, x in enumerate(row, 1):
-                if isinstance(x, bool) or not isinstance(x, int):
-                    raise ValueError(f"b[{i}][{j}] = {x!r} is not an integer")
+                require_int(x, f"b[{i}][{j}]")
         return cls(tuple(tuple(row) for row in rows))
 
     @property

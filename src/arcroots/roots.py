@@ -33,6 +33,7 @@ from .errors import (
     NotUnitRoot,
     RankTooLarge,
     SignIncoherent,
+    require_int,
 )
 from .quiver import ExchangeMatrix, Vertex, natural_order
 from .words import Reflection, mul, reduce_word
@@ -169,16 +170,32 @@ def initial_seed(matrix: ExchangeMatrix) -> YSeed:
 
 
 def seed_from_json(data: dict, gram: GramMatrix | None = None) -> YSeed:
+    """Seed from the dict that YSeed.to_json gives.
+
+    Entries are never coerced: a bool, float or string c-vector entry or
+    path step raises ValueError naming it, as ExchangeMatrix.from_rows
+    does for the matrix.
+    """
+    if not isinstance(data, dict) or not {"b", "c", "path"} <= data.keys():
+        raise ValueError('a seed must be a JSON object with "b", "c" and "path"')
     matrix = ExchangeMatrix.from_rows(data["b"])
-    if gram is None:
-        initial = matrix.mutate_path(tuple(reversed(data["path"])))
-        gram = cartan_companion(initial)
-    return YSeed(
-        matrix,
-        tuple(tuple(int(x) for x in c) for c in data["c"]),
-        gram,
-        tuple(data["path"]),
+    cvecs, path = data["c"], data["path"]
+    if not isinstance(cvecs, list):
+        raise ValueError(f"c must be a list of vectors, got {type(cvecs).__name__}")
+    for i, c in enumerate(cvecs, 1):
+        if not isinstance(c, list) or len(c) != matrix.n:
+            raise ValueError(f"c-vector {i} must be a list of {matrix.n} integers, got {c!r}")
+    if not isinstance(path, list):
+        raise ValueError(f"path must be a list, got {type(path).__name__}")
+    cvectors = tuple(
+        tuple(require_int(x, f"c[{i}][{j}]") for j, x in enumerate(c, 1))
+        for i, c in enumerate(cvecs, 1)
     )
+    path = tuple(require_int(k, f"path[{i}]") for i, k in enumerate(path))
+    if gram is None:
+        initial = matrix.mutate_path(tuple(reversed(path)))
+        gram = cartan_companion(initial)
+    return YSeed(matrix, cvectors, gram, path)
 
 
 def mutate_seed(seed: YSeed, k: Vertex) -> YSeed:

@@ -1,6 +1,8 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from arcroots.arcs import (
     Arc,
@@ -286,3 +288,39 @@ def test_twin_replace_walk_fuzz_on_embeddable_fans():
             replacements += 1
         assert not is_bad_pair(out, fan_arcs[-1])
     assert replacements > 0
+
+
+@st.composite
+def arcs(draw):
+    n = draw(st.integers(2, 6))
+    crossings: list[int] = []
+    for _ in range(draw(st.integers(0, 8))):
+        crossings.append(draw(st.sampled_from(
+            [c for c in range(1, n + 1) if not crossings or c != crossings[-1]]
+        )))
+    ends = [e for e in range(1, n + 2) if not crossings or e != crossings[-1]]
+    return Arc(tuple(crossings), draw(st.sampled_from(ends)))
+
+
+@given(arcs())
+def test_arc_json_round_trip(a):
+    assert Arc.from_json(json.loads(json.dumps(a.to_json()))) == a
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"crossings": [2.9], "endpoint": 3.7},
+        {"crossings": [2], "endpoint": 3.0},
+        {"crossings": ["2"], "endpoint": 3},
+        {"crossings": [True], "endpoint": 3},
+        {"crossings": [2], "endpoint": True},
+        {"crossings": [2], "endpoint": "3"},
+        {"crossings": 2, "endpoint": 3},
+        {"crossings": [2]},
+        [[2], 3],
+    ],
+)
+def test_arc_from_json_rejects_non_integers(data):
+    with pytest.raises(ValueError):
+        Arc.from_json(data)

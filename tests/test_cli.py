@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import arcroots
 from arcroots.cli import main
 
 B3_ROWS = [[0, 2, 2], [-2, 0, 2], [-2, -2, 0]]
@@ -272,4 +277,37 @@ def test_complete_arc_depth_exhausted(capsys, quiver_file):
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["schur", "--quiver", "x.json"])
+    assert exc.value.code == 2
+
+
+def _cli_process(*argv):
+    # a fresh interpreter, so the handler that main installs on the root
+    # logger writes to the real standard error
+    src = str(Path(arcroots.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-m", "arcroots.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_log_level_debug_shows_schur_search_work(quiver_file):
+    argv = ("schur", "--word", "2,1,3,1,2", "--quiver", quiver_file, "--depth", "6")
+    quiet = _cli_process(*argv)
+    loud = _cli_process("--log-level", "DEBUG", *argv)
+    assert quiet.returncode == loud.returncode == 0
+    assert quiet.stdout == loud.stdout
+    assert json.loads(loud.stdout)["search"] == {"found": False, "path": None}
+    assert "schur search" not in quiet.stderr
+    assert "DEBUG" not in quiet.stderr
+    line = next(ln for ln in loud.stderr.splitlines() if "schur search" in ln)
+    assert line.startswith("DEBUG arcroots.explore:")
+    assert "seeds visited" in line and "pruned" in line
+    assert "live seeds remain at the depth limit" in line
+
+
+def test_log_level_rejects_unknown_level(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--log-level", "LOUD", "arc2refl", "--endpoint", "1"])
     assert exc.value.code == 2

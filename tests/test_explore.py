@@ -1,3 +1,6 @@
+import logging
+import random
+
 import pytest
 
 from arcroots.arcs import Arc, reflection_to_arc
@@ -13,8 +16,16 @@ from arcroots.explore import (
     schur_by_search,
     seed_digest,
 )
-from arcroots.quiver import ExchangeMatrix
-from arcroots.roots import initial_seed, mutate_seed, root_to_reflection, seed_from_json
+from arcroots.quiver import ExchangeMatrix, random_acyclic_two_complete
+from arcroots.roots import (
+    initial_seed,
+    mutate_seed,
+    positive_form,
+    reflection_to_root,
+    root_to_reflection,
+    seed_from_json,
+)
+from arcroots.words import canonical_reflection
 
 B3 = ExchangeMatrix(((0, 2, 2), (-2, 0, 2), (-2, -2, 0)))
 B4 = ExchangeMatrix(
@@ -148,3 +159,102 @@ def test_report_json_shape():
         "violations": [],
         "depth": 1,
     }
+
+
+def _height(v):
+    return sum(abs(x) for x in v)
+
+
+def _height_trees():
+    rng = random.Random(20260)
+    yield initial_seed(B3), 11
+    yield initial_seed(B4), 7
+    for n, depth in ((3, 10), (4, 6), (5, 5), (6, 4)):
+        yield initial_seed(random_acyclic_two_complete(n, rng)), depth
+
+
+def test_heights_never_shrink_along_tree_edges():
+    # the invariant that lets schur_by_search prune: the mutated position
+    # keeps its height, every other position that changes grows strictly
+    compared = 0
+    for root, depth in _height_trees():
+        for seed in iter_seeds(root, depth):
+            if not seed.path:
+                continue
+            k = seed.path[-1]
+            parent = mutate_seed(seed, k)  # mutation at k is an involution
+            for j, (before, after) in enumerate(zip(parent.cvectors, seed.cvectors), 1):
+                if j == k:
+                    assert _height(after) == _height(before), seed.path
+                elif after != before:
+                    assert _height(after) > _height(before), (seed.path, j)
+                    compared += 1
+    assert compared > 20_000
+
+
+def rank3_reflections_up_to_length_7():
+    # the 45 reflections of acceptance criterion 5: every reduced prefix
+    # over 1..3 of length <= 3, every core not equal to the prefix tail
+    out = []
+    level = [()]
+    for _ in range(4):
+        for p in level:
+            out += [
+                canonical_reflection(p + (core,) + tuple(reversed(p)))
+                for core in (1, 2, 3)
+                if not p or p[-1] != core
+            ]
+        level = [p + (s,) for p in level for s in (1, 2, 3) if not p or p[-1] != s]
+    return out
+
+
+def _unpruned(u, initial, depth):
+    root = initial_seed(initial)
+    return next((s.path for s in iter_seeds(root, depth) if u in s.cvectors), None)
+
+
+def _assert_matches_unpruned(target, initial, depth):
+    want = _unpruned(positive_form(target), initial, depth)
+    assert schur_by_search(target, initial, depth) == SearchOutcome(want is not None, want)
+    return want is not None
+
+
+def test_schur_by_search_matches_unpruned_walk_on_rank3_reflections():
+    gram = initial_seed(B3).gram
+    found = 0
+    for r in rank3_reflections_up_to_length_7():
+        found += _assert_matches_unpruned(reflection_to_root(r, gram), B3, 10)
+    assert found == 35
+
+
+def test_schur_by_search_matches_unpruned_walk_on_random_matrices():
+    rng = random.Random(4051)
+    found = 0
+    for n, deep, depth in ((4, 5, 5), (5, 4, 4), (4, 5, 4), (5, 4, 3)):
+        initial = random_acyclic_two_complete(n, rng)
+        seed = initial_seed(initial)
+        last = 0
+        for _ in range(deep):
+            last = rng.choice([k for k in initial.vertices() if k != last])
+            seed = mutate_seed(seed, last)
+        for c in seed.cvectors:
+            found += _assert_matches_unpruned(c, initial, depth)
+    assert 0 < found < 18  # both answers occur among the 18 targets
+
+
+def test_schur_by_search_matches_unpruned_walk_on_non_cvectors():
+    for target in ((2, 6, 1), (1, 1, 1), (-2, -6, -1), (5, 2, 0)):
+        assert not _assert_matches_unpruned(target, B3, 7)
+
+
+def test_schur_by_search_logs_its_work(caplog):
+    caplog.set_level(logging.DEBUG, logger="arcroots.explore")
+    b2 = ExchangeMatrix(((0, 2), (-2, 0)))
+    assert not schur_by_search((1, 1), b2, 30).found
+    assert "not found; tree exhausted; 7 seeds visited, 2 pruned" in caplog.text
+    caplog.clear()
+    assert not schur_by_search((2, 6, 1), B3, 6).found
+    assert "not found; live seeds remain at the depth limit" in caplog.text
+    caplog.clear()
+    assert schur_by_search((2, 1, 0), B3, 5).found
+    assert "found at path (1,)" in caplog.text

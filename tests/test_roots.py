@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -298,3 +299,50 @@ def test_seed_json_round_trip():
 def test_yseed_rank_mismatch():
     with pytest.raises(ValueError):
         YSeed(B3, ((1, 0, 0),), GRAM3, ())
+
+
+@st.composite
+def seeds(draw):
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 5))
+    seed = initial_seed(random_acyclic_two_complete(n, rng))
+    for k in draw(st.lists(st.integers(1, n), max_size=6)):
+        seed = mutate_seed(seed, k)
+    return seed
+
+
+@given(seeds())
+def test_seed_json_round_trip_any_seed(seed):
+    data = json.loads(json.dumps(seed.to_json()))
+    assert seed_from_json(data) == seed
+    assert seed_from_json(data, seed.gram) == seed
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("c", [[-1.0, 0, 0], [2, 1, 0], [2, 0, 1]]),
+        ("c", [[-1, 0, 0], [2, True, 0], [2, 0, 1]]),
+        ("c", [[-1, 0, 0], [2, 1, 0], [2, 0, "1"]]),
+        ("c", [[-1, 0, 0], [2, 1, 0], [2, 0]]),
+        ("c", [[-1, 0, 0], [2, 1, 0], 7]),
+        ("c", {"1": [-1, 0, 0]}),
+        ("path", [1.0]),
+        ("path", [True]),
+        ("path", ["1"]),
+        ("path", 1),
+    ],
+)
+def test_seed_from_json_rejects_non_integers(field, value):
+    data = {**mutate_seed(S0, 1).to_json(), field: value}
+    with pytest.raises(ValueError):
+        seed_from_json(data)
+    with pytest.raises(ValueError):
+        seed_from_json(data, GRAM3)
+
+
+def test_seed_from_json_rejects_missing_fields():
+    data = S0.to_json()
+    for key in data:
+        with pytest.raises(ValueError):
+            seed_from_json({k: v for k, v in data.items() if k != key})
