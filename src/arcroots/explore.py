@@ -22,7 +22,7 @@ from typing import Callable, Iterator, Sequence
 
 from .arcs import Arc, arc_to_reflection, reflection_to_arc, tuple_verdict
 from .embedding import is_embeddable
-from .errors import DepthExhausted, NotEmbeddable, SignIncoherent
+from .errors import DepthExhausted, NotEmbeddable, SignIncoherent, require_int
 from .quiver import ExchangeMatrix, decreasing_directions
 from .roots import (
     Root,
@@ -76,19 +76,14 @@ def seed_digest(seed: YSeed) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-@dataclass(frozen=True)
-class ExploreContext:
-    initial: ExchangeMatrix
-
-
-def _two_complete(seed: YSeed, ctx: ExploreContext) -> list[str]:
+def _two_complete(seed: YSeed, initial: ExchangeMatrix) -> list[str]:
     return [] if seed.matrix.is_two_complete() else ["two_complete"]
 
 
-def _weight_monotone(seed: YSeed, ctx: ExploreContext) -> list[str]:
+def _weight_monotone(seed: YSeed, initial: ExchangeMatrix) -> list[str]:
     m = seed.matrix
     ok = all(
-        abs(m.b(i, j)) >= abs(ctx.initial.b(i, j))
+        abs(m.b(i, j)) >= abs(initial.b(i, j))
         for i in m.vertices()
         for j in m.vertices()
         if i < j
@@ -96,13 +91,13 @@ def _weight_monotone(seed: YSeed, ctx: ExploreContext) -> list[str]:
     return [] if ok else ["weight_monotone"]
 
 
-def _decreasing_unique(seed: YSeed, ctx: ExploreContext) -> list[str]:
+def _decreasing_unique(seed: YSeed, initial: ExchangeMatrix) -> list[str]:
     want = 0 if seed.matrix.is_acyclic() else 1
     ok = len(decreasing_directions(seed.matrix)) == want
     return [] if ok else ["decreasing_unique"]
 
 
-def _seven(seed: YSeed, ctx: ExploreContext) -> list[str]:
+def _seven(seed: YSeed, initial: ExchangeMatrix) -> list[str]:
     m = seed.matrix
     ok = all(
         abs(inner(seed.cvectors[i - 1], seed.cvectors[j - 1], seed.gram)) == abs(m.b(i, j))
@@ -113,7 +108,7 @@ def _seven(seed: YSeed, ctx: ExploreContext) -> list[str]:
     return [] if ok else ["seven"]
 
 
-def _sign_coherence(seed: YSeed, ctx: ExploreContext) -> list[str]:
+def _sign_coherence(seed: YSeed, initial: ExchangeMatrix) -> list[str]:
     try:
         for c in seed.cvectors:
             root_sign(c)
@@ -122,12 +117,12 @@ def _sign_coherence(seed: YSeed, ctx: ExploreContext) -> list[str]:
     return []
 
 
-def _st(seed: YSeed, ctx: ExploreContext) -> list[str]:
+def _st(seed: YSeed, initial: ExchangeMatrix) -> list[str]:
     ok = speyer_thomas_check(seed.cvectors, seed.reflections, seed.gram)
     return [] if ok else ["st"]
 
 
-def _coxeter_product(seed: YSeed, ctx: ExploreContext) -> list[str]:
+def _coxeter_product(seed: YSeed, initial: ExchangeMatrix) -> list[str]:
     report = natural_coxeter_product(seed)
     out = []
     if not report.ok:
@@ -137,11 +132,11 @@ def _coxeter_product(seed: YSeed, ctx: ExploreContext) -> list[str]:
     return out
 
 
-def _sign_runs(seed: YSeed, ctx: ExploreContext) -> list[str]:
+def _sign_runs(seed: YSeed, initial: ExchangeMatrix) -> list[str]:
     return [] if sign_run_count(seed) <= 2 else ["sign_runs"]
 
 
-def _bad_pairs(seed: YSeed, ctx: ExploreContext) -> list[str]:
+def _bad_pairs(seed: YSeed, initial: ExchangeMatrix) -> list[str]:
     arcs = tuple(reflection_to_arc(r) for r in natural_fan(seed))
     verdict = tuple_verdict(arcs, seed.gram)
     out = []
@@ -152,7 +147,7 @@ def _bad_pairs(seed: YSeed, ctx: ExploreContext) -> list[str]:
     return out
 
 
-def _sep_dichotomy(seed: YSeed, ctx: ExploreContext) -> list[str]:
+def _sep_dichotomy(seed: YSeed, initial: ExchangeMatrix) -> list[str]:
     # acyclic seeds have no separating node; non-acyclic ones have exactly
     # one, at the position of the unique decreasing direction
     seps = separating_nodes(seed.reflections)
@@ -163,13 +158,13 @@ def _sep_dichotomy(seed: YSeed, ctx: ExploreContext) -> list[str]:
     return [] if ok else ["sep_dichotomy"]
 
 
-def _one_star(seed: YSeed, ctx: ExploreContext) -> list[str]:
+def _one_star(seed: YSeed, initial: ExchangeMatrix) -> list[str]:
     if not seed.matrix.is_acyclic():
         return []
     return [] if in_one_star(seed.reflections) else ["one_star"]
 
 
-CHECKS: dict[str, Callable[[YSeed, ExploreContext], list[str]]] = {
+CHECKS: dict[str, Callable[[YSeed, ExchangeMatrix], list[str]]] = {
     "two_complete": _two_complete,
     "weight_monotone": _weight_monotone,
     "decreasing_unique": _decreasing_unique,
@@ -218,7 +213,6 @@ def explore(
     unknown = sorted(set(checks) - set(ALL_CHECKS))
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(unknown)}")
-    ctx = ExploreContext(initial)
     digests: set[str] = set()
     violations: list[tuple[tuple[int, ...], str]] = []
     visited = 0
@@ -235,7 +229,7 @@ def explore(
                     violations.append((seed.path, "tree"))
                 digests.add(digest)
             else:
-                for label in CHECKS[name](seed, ctx):
+                for label in CHECKS[name](seed, initial):
                     violations.append((seed.path, label))
     if violations:
         log.warning("exploration found %d violations", len(violations))
@@ -262,8 +256,10 @@ def schur_by_search(
     """Breadth-first hunt for a seed carrying the target as a c-vector.
 
     The target may be a root vector or a reflection; either way the
-    positive form u is searched for.  Found paths are shortest because the
-    walk is breadth first.
+    positive form u is searched for.  A root target is never coerced: an
+    entry that is not an int, or a length other than the rank, raises
+    ValueError.  Found paths are shortest because the walk is breadth
+    first.
 
     Subtrees that cannot carry u are not walked.  Along every tree edge
     away from the root, the mutated position c_k becomes -c_k and keeps
@@ -288,7 +284,9 @@ def schur_by_search(
     if isinstance(target, Reflection):
         u = reflection_to_root(target, root.gram)
     else:
-        u = tuple(int(x) for x in target)
+        u = tuple(require_int(x, f"target[{i}]") for i, x in enumerate(target))
+        if len(u) != root.n:
+            raise ValueError(f"target has {len(u)} entries, the rank is {root.n}")
     u = positive_form(u)
     minus_u = tuple(-x for x in u)
     h = _height(u)

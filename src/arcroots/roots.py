@@ -21,6 +21,7 @@ the simple generators by repeated descent.
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -36,7 +37,7 @@ from .errors import (
     require_int,
 )
 from .quiver import ExchangeMatrix, Vertex, natural_order
-from .words import Reflection, mul, reduce_word
+from .words import Reflection, mul
 
 log = logging.getLogger(__name__)
 
@@ -251,35 +252,35 @@ def root_to_reflection(u: Root, gram: GramMatrix) -> Reflection:
     """Write the reflection in a real root as a word in the generators.
 
     Greedy descent: repeatedly reflect in the smallest-index simple root
-    with <u, e_i> > 0; the indices picked, in order, form the prefix and
-    the surviving simple root is the core.  Negative roots are negated
-    first.  Raises NotARealRoot when <u, u> != 2 or the descent stalls.
+    e_i with u_i > 0 and <u, e_i> > 0, which lowers u_i alone by <u, e_i>;
+    the indices picked, in order, form the prefix and the surviving simple
+    root is the core.  Negative roots are negated first.  Raises
+    NotARealRoot when <u, u> != 2 or the descent stalls.
     """
     if inner(u, u, gram) != 2:
         raise NotARealRoot(f"<u, u> = {inner(u, u, gram)} for u = {u}")
     try:
-        u = positive_form(u)
+        v = list(positive_form(u))
     except SignIncoherent as exc:
         raise NotARealRoot(f"{u} is not sign-coherent") from exc
     picked: list[int] = []
     while True:
-        nonzero = [x for x in u if x != 0]
+        nonzero = [x for x in v if x != 0]
         if len(nonzero) == 1 and nonzero[0] == 1:
-            core = next(i + 1 for i, x in enumerate(u) if x != 0)
+            core = next(i + 1 for i, x in enumerate(v) if x != 0)
             break
-        descent = None
-        for i in range(1, gram.n + 1):
-            if u[i - 1] > 0 and inner(u, unit_vector(gram.n, i), gram) > 0:
-                descent = i
-                break
-        if descent is None:
-            raise NotARealRoot(f"descent stalls at {u}")
-        reflected = reflect(u, unit_vector(gram.n, descent), gram)
-        if sum(reflected) >= sum(u):
-            raise NotARealRoot(f"descent does not shrink at {u}")
-        picked.append(descent)
-        u = reflected
-    return Reflection(reduce_word(picked), core)
+        for i, row in enumerate(gram.rows):
+            if v[i] > 0:
+                p = sum(map(operator.mul, row, v))
+                if p > 0:
+                    break
+        else:
+            raise NotARealRoot(f"descent stalls at {tuple(v)}")
+        v[i] -= p
+        picked.append(i + 1)
+    # a letter is never picked twice running, since the step at i turns
+    # <u, e_i> from p to -p, so the picks are already a reduced word
+    return Reflection(tuple(picked), core)
 
 
 def reflection_to_root(r: Reflection, gram: GramMatrix) -> Root:
@@ -288,10 +289,10 @@ def reflection_to_root(r: Reflection, gram: GramMatrix) -> Root:
     for s in r.letters():
         if not 1 <= s <= gram.n:
             raise ValueError(f"generator {s} out of range 1..{gram.n}")
-    u = unit_vector(gram.n, r.core)
+    u = list(unit_vector(gram.n, r.core))
     for i in reversed(r.prefix):
-        u = reflect(u, unit_vector(gram.n, i), gram)
-    return u
+        u[i - 1] -= sum(map(operator.mul, gram.rows[i - 1], u))
+    return tuple(u)
 
 
 def speyer_thomas_check(

@@ -18,25 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import NotAReflection
+from .errors import NotAReflection, require_int
 
 Word = tuple[int, ...]
 
 IDENTITY: Word = ()
-
-
-def reduce_word(letters: Iterable[int]) -> Word:
-    """Cancel adjacent equal letters until none remain."""
-    stack: list[int] = []
-    for s in letters:
-        s = int(s)
-        if s < 1:
-            raise ValueError(f"generator index {s} must be >= 1")
-        if stack and stack[-1] == s:
-            stack.pop()
-        else:
-            stack.append(s)
-    return tuple(stack)
 
 
 def mul(*words: Iterable[int]) -> Word:
@@ -48,6 +34,16 @@ def mul(*words: Iterable[int]) -> Word:
             else:
                 out.append(s)
     return tuple(out)
+
+
+def reduce_word(letters: Iterable[int]) -> Word:
+    """Cancel adjacent equal letters until none remain.  A letter that is
+    not an int >= 1 raises ValueError; none is coerced."""
+    letters = tuple(letters)
+    for s in letters:
+        if require_int(s, "generator index") < 1:
+            raise ValueError(f"generator index {s} must be >= 1")
+    return mul(letters)
 
 
 def inv(word: Sequence[int]) -> Word:
@@ -63,7 +59,7 @@ class Reflection:
     core: int
 
     def __post_init__(self) -> None:
-        if self.core < 1:
+        if require_int(self.core, "core") < 1:
             raise NotAReflection(f"core {self.core} must be >= 1")
         if reduce_word(self.prefix) != tuple(self.prefix):
             raise NotAReflection(f"prefix {self.prefix} is not reduced")
@@ -157,12 +153,12 @@ def node_path(a: Reflection, b: Reflection) -> tuple[Word, ...]:
 
 def separates(node: Reflection, a: Reflection, b: Reflection) -> bool:
     """True when the geodesic between the nodes of a and b traverses the
-    whole edge of node."""
-    walk = node_path(a, b)
-    target = set(node.edge())
-    return any(
-        {walk[i], walk[i + 1]} == target for i in range(len(walk) - 1)
-    )
+    whole edge of node.
+
+    Cutting node's edge splits the tree in two, and node precedes exactly
+    the other reflections whose nodes lie on the far side of the cut.
+    """
+    return node != a and node != b and precedes(node, a) != precedes(node, b)
 
 
 def separating_nodes(reflections: Sequence[Reflection]) -> frozenset[int]:

@@ -53,6 +53,13 @@ def test_canonicalize_arc():
     assert canonicalize_arc((1, 2, 2, 1, 3, 3), 1) == arc([], 1)
 
 
+def test_canonicalize_arc_never_coerces_crossings():
+    with pytest.raises(ValueError):
+        canonicalize_arc([2.9], 3)
+    with pytest.raises(ValueError):
+        canonicalize_arc([True, 2], 3)
+
+
 def test_arc_reflection_conversion_worked_examples():
     assert arc_to_reflection(arc([2], 3)).word == (2, 3, 2)
     long = arc([3, 1, 2, 3], 4)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import logging
 import random
 
@@ -8,7 +10,6 @@ from arcroots.errors import DepthExhausted, NotEmbeddable
 from arcroots.explore import (
     ALL_CHECKS,
     CHECKS,
-    ExploreContext,
     SearchOutcome,
     complete_arc,
     explore,
@@ -25,7 +26,7 @@ from arcroots.roots import (
     root_to_reflection,
     seed_from_json,
 )
-from arcroots.words import canonical_reflection
+from arcroots.words import canonical_reflection, separating_nodes
 
 B3 = ExchangeMatrix(((0, 2, 2), (-2, 0, 2), (-2, -2, 0)))
 B4 = ExchangeMatrix(
@@ -91,15 +92,13 @@ def test_seed_digest_separates_seeds():
 
 
 def test_sep_dichotomy_check_on_known_seeds():
-    ctx = ExploreContext(B3)
     check = CHECKS["sep_dichotomy"]
-    assert check(initial_seed(B3), ctx) == []
-    assert check(mutate_seed(initial_seed(B3), 2), ctx) == []
+    assert check(initial_seed(B3), B3) == []
+    assert check(mutate_seed(initial_seed(B3), 2), B3) == []
 
 
 def test_one_star_check_on_acyclic_seed():
-    ctx = ExploreContext(B3)
-    assert CHECKS["one_star"](initial_seed(B3), ctx) == []
+    assert CHECKS["one_star"](initial_seed(B3), B3) == []
 
 
 def test_schur_by_search_finds_unit_vectors_at_the_root():
@@ -127,6 +126,33 @@ def test_schur_by_search_misses_non_schur_root():
     # root of the non-embeddable fixture arc ((2,1),3)
     out = schur_by_search((2, 6, 1), B3, 6)
     assert out == SearchOutcome(False, None)
+
+
+@pytest.mark.parametrize("target", [(2.9, 1, 0), (True, 0, 0), ("1", 0, 0), (2, 1)])
+def test_schur_by_search_never_coerces_its_target(target):
+    with pytest.raises(ValueError, match="target"):
+        schur_by_search(target, B3, 5)
+
+
+def _reflection_digest(initial, depth):
+    # every seed's reflections, separating nodes and ascended roots, in
+    # walk order: pins descent, separation and ascent bit for bit
+    h = hashlib.sha256()
+    for s in iter_seeds(initial_seed(initial), depth):
+        h.update(json.dumps([
+            [[list(r.prefix), r.core] for r in s.reflections],
+            sorted(separating_nodes(s.reflections)),
+            [list(reflection_to_root(r, s.gram)) for r in s.reflections],
+        ]).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("initial,depth,digest", [
+    (B3, 8, "ab7725587a862e513c2e5a575855f0aa27f697440624b844c93cf477998490bc"),
+    (B4, 5, "b40c184aa53f8daae1a63f7caacd7c4c3ccae06becd65bb7ff702924e4e1efa6"),
+])
+def test_reflection_digests_are_pinned(initial, depth, digest):
+    assert _reflection_digest(initial, depth) == digest
 
 
 def test_complete_arc_trivial_and_depth_one():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from arcroots.errors import (
+    ArcrootsError,
     NotAcyclic,
     NotARealRoot,
     NotNormalized,
@@ -207,6 +208,76 @@ def test_root_round_trip_on_seed_cvectors_fuzz():
         for c in seed.cvectors:
             r = root_to_reflection(c, seed.gram)
             assert reflection_to_root(r, seed.gram) == positive_form(c)
+
+
+def _descent_by_reflect(u, gram):
+    # the descent written out with reflect and unit vectors, one whole
+    # reflection per step: the oracle for root_to_reflection
+    if inner(u, u, gram) != 2:
+        raise NotARealRoot(u)
+    try:
+        u = positive_form(u)
+    except SignIncoherent as exc:
+        raise NotARealRoot(u) from exc
+    picked = []
+    while sorted(u) != [0] * (gram.n - 1) + [1]:
+        descents = [
+            i
+            for i in range(1, gram.n + 1)
+            if u[i - 1] > 0 and inner(u, unit_vector(gram.n, i), gram) > 0
+        ]
+        if not descents:
+            raise NotARealRoot(u)
+        i = descents[0]
+        picked.append(i)
+        u = reflect(u, unit_vector(gram.n, i), gram)
+    return Reflection(tuple(picked), u.index(1) + 1)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ArcrootsError as exc:  # compared by class with the oracle's
+        return type(exc)
+
+
+def _random_reflection(n, rng):
+    prefix = []
+    for _ in range(rng.randint(0, 8)):
+        prefix.append(rng.choice([s for s in range(1, n + 1) if not prefix or s != prefix[-1]]))
+    core = rng.choice([s for s in range(1, n + 1) if not prefix or s != prefix[-1]])
+    return Reflection(tuple(prefix), core)
+
+
+def test_descent_matches_reflect_oracle():
+    rng = random.Random(1214)
+    cvectors = junk = 0
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        seed = initial_seed(random_acyclic_two_complete(n, rng))
+        for _ in range(rng.randint(0, 6)):
+            seed = mutate_seed(seed, rng.randint(1, n))
+        for c in seed.cvectors:
+            assert root_to_reflection(c, seed.gram) == _descent_by_reflect(c, seed.gram)
+            cvectors += 1
+        for _ in range(40):
+            v = tuple(rng.randint(-3, 3) for _ in range(n))
+            want = _outcome(_descent_by_reflect, v, seed.gram)
+            assert _outcome(root_to_reflection, v, seed.gram) == want, v
+            junk += want is NotARealRoot
+    assert cvectors > 200 and junk > 1000
+
+
+def test_ascent_matches_reflect_oracle():
+    rng = random.Random(1709)
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        gram = cartan_companion(random_acyclic_two_complete(n, rng))
+        r = _random_reflection(n, rng)
+        u = unit_vector(n, r.core)
+        for i in reversed(r.prefix):
+            u = reflect(u, unit_vector(n, i), gram)
+        assert reflection_to_root(r, gram) == u
 
 
 def _st(roots, gram=GRAM3):

@@ -42,8 +42,26 @@ def test_reduce_word():
     assert reduce_word((1, 1)) == ()
     assert reduce_word(()) == ()
     assert reduce_word((1, 2, 1, 1, 2, 1)) == ()
+    assert reduce_word(iter([3, 1, 1])) == (3,)
     with pytest.raises(ValueError):
         reduce_word((0, 1))
+
+
+@pytest.mark.parametrize("letters", [[2.9, 1], [True, 2], ["3", 1], [1, 2.0]])
+def test_reduce_word_never_coerces(letters):
+    with pytest.raises(ValueError, match="generator index"):
+        reduce_word(letters)
+
+
+def test_reflections_never_coerce_letters():
+    with pytest.raises(ValueError):
+        canonical_reflection((1.5,))
+    with pytest.raises(ValueError):
+        Reflection((2.0,), 1)
+    with pytest.raises(ValueError):
+        Reflection((), 1.0)
+    with pytest.raises(ValueError):
+        Reflection((2,), True)
 
 
 @given(words, words)
@@ -181,6 +199,41 @@ def test_separates_examples():
 @given(reflections, reflections, reflections)
 def test_separates_is_symmetric_in_the_pair(n, a, b):
     assert separates(n, a, b) == separates(n, b, a)
+
+
+def _walk_crosses_edge(node, a, b):
+    # the geodesic definition of separation, the oracle for separates
+    walk = node_path(a, b)
+    edge = set(node.edge())
+    return any({walk[i], walk[i + 1]} == edge for i in range(len(walk) - 1))
+
+
+def rank3_reflections_with_short_prefix():
+    # every reduced prefix over 1..3 of length <= 3, every core other than
+    # the prefix's last letter
+    prefixes = [()]
+    for p in prefixes:
+        if len(p) < 3:
+            prefixes += [p + (s,) for s in (1, 2, 3) if not p or p[-1] != s]
+    return [Reflection(p, c) for p in prefixes for c in (1, 2, 3) if not p or p[-1] != c]
+
+
+def test_separates_matches_geodesic_walk_on_all_rank3_triples():
+    refls = rank3_reflections_with_short_prefix()
+    assert len(refls) == 45
+    hits = 0
+    for node in refls:
+        for a in refls:
+            for b in refls:
+                want = _walk_crosses_edge(node, a, b)
+                assert separates(node, a, b) == want, (node, a, b)
+                hits += want
+    assert 0 < hits < 45**3
+
+
+@given(reflections, reflections, reflections)
+def test_separates_matches_geodesic_walk(n, a, b):
+    assert separates(n, a, b) == _walk_crosses_edge(n, a, b)
 
 
 def test_separating_nodes():
