@@ -53,16 +53,20 @@ class Arc:
     endpoint: int
 
     def __post_init__(self) -> None:
-        if self.endpoint < 1:
+        # ints only, never coerced, and a list of crossings is kept as the
+        # tuple it spells
+        if require_int(self.endpoint, "endpoint") < 1:
             raise ValueError(f"endpoint {self.endpoint} must be >= 1")
-        for s in self.crossings:
-            if s < 1:
+        crossings = tuple(self.crossings)
+        for s in crossings:
+            if require_int(s, "ray index") < 1:
                 raise ValueError(f"ray index {s} must be >= 1")
-        for a, b in zip(self.crossings, self.crossings[1:]):
+        for a, b in zip(crossings, crossings[1:]):
             if a == b:
-                raise UnreducedArc(f"adjacent repeat in {self.crossings}")
-        if self.crossings and self.crossings[-1] == self.endpoint:
+                raise UnreducedArc(f"adjacent repeat in {crossings}")
+        if crossings and crossings[-1] == self.endpoint:
             raise UnreducedArc("last crossing equals the endpoint ray")
+        object.__setattr__(self, "crossings", crossings)
 
     def word_length(self) -> int:
         return 2 * len(self.crossings) + 1

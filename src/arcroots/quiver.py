@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import (
     IncompleteTournament,
@@ -38,13 +39,15 @@ class ExchangeMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        n = len(self.rows)
-        for row in self.rows:
+        rows = self.rows
+        n = len(rows)
+        for row in rows:
             if len(row) != n:
                 raise ValueError("matrix must be square")
-        for i in range(n):
-            for j in range(n):
-                if self.rows[i][j] != -self.rows[j][i]:
+        # the diagonal and the upper triangle against the lower one
+        for i, row in enumerate(rows):
+            for j in range(i, n):
+                if row[j] != -rows[j][i]:
                     raise ValueError("matrix must be skew-symmetric")
 
     @classmethod
@@ -85,18 +88,50 @@ class ExchangeMatrix:
         if not 1 <= k <= self.n:
             raise ValueError(f"vertex {k} out of range 1..{self.n}")
         ki = k - 1
+        row_k = self.rows[ki]
         new = []
-        for i in range(self.n):
-            row = []
-            for j in range(self.n):
-                if i == ki or j == ki:
-                    row.append(-self.rows[i][j])
-                else:
-                    bik = self.rows[i][ki]
-                    bkj = self.rows[ki][j]
-                    row.append(self.rows[i][j] + (abs(bik) * bkj + bik * abs(bkj)) // 2)
+        # the correction is |b_ik| b_kj when b_kj has the sign of b_ik, else 0
+        for i, row_i in enumerate(self.rows):
+            bik = row_i[ki]
+            if i == ki:
+                new.append(tuple([-x for x in row_i]))
+                continue
+            if bik > 0:
+                row = [x + bik * y if y > 0 else x for x, y in zip(row_i, row_k)]
+            elif bik < 0:
+                row = [x - bik * y if y < 0 else x for x, y in zip(row_i, row_k)]
+            else:
+                new.append(tuple(row_i))
+                continue
+            row[ki] = -bik
             new.append(tuple(row))
         return ExchangeMatrix(tuple(new))
+
+    # A matrix is immutable, so it classifies its directions and finds its
+    # natural order once; decreasing_directions, separating_vertex and
+    # natural_order read these.
+
+    @cached_property
+    def _decreasing(self) -> tuple[Vertex, ...]:
+        return tuple(
+            k for k in self.vertices()
+            if classify_mutation(self, k) is MutationKind.DECREASING
+        )
+
+    @cached_property
+    def _natural_order(self) -> tuple[Vertex, ...]:
+        if self.is_acyclic():
+            return _tournament_order(self)
+        _, side_i, side_j = separating_vertex(self)
+        rows = [list(row) for row in self.rows]
+        for i in side_i:
+            for j in side_j:
+                rows[i - 1][j - 1] = -rows[i - 1][j - 1]
+                rows[j - 1][i - 1] = -rows[j - 1][i - 1]
+        flipped = ExchangeMatrix.from_rows(rows)
+        if not flipped.is_acyclic():
+            raise NotAcyclic("arrow reversal did not produce an acyclic matrix")
+        return _tournament_order(flipped)
 
     def mutate_path(self, path) -> ExchangeMatrix:
         out = self
@@ -162,18 +197,29 @@ class MutationKind(Enum):
 
 
 def classify_mutation(matrix: ExchangeMatrix, k: Vertex) -> MutationKind:
-    """Compare |b| before and after mutating at k.
+    """Compare |b| before and after mutating at k, without mutating.
 
     Increasing: some weight grows, none shrinks.  Decreasing: some weight
     shrinks, none grows.  Neutral: all weights equal.  Mixed: both.
-    Sink and source mutations only flip signs, so they are neutral.
+
+    Entries in row or column k only flip sign, and the correction term
+    (|b_ik| b_kj + b_ik |b_kj|) / 2 vanishes unless b_ik and b_kj have one
+    sign.  Up to transposing the pair, that is an arrow i -> k and an arrow
+    k -> j, and then b_ij picks up b_ik b_kj.  So only those weights are
+    compared, in place.  Sink and source mutations are neutral.
     """
-    mutated = matrix.mutate(k)
+    if not 1 <= k <= matrix.n:
+        raise ValueError(f"vertex {k} out of range 1..{matrix.n}")
+    row_k = matrix.rows[k - 1]
+    heads = [j for j, bkj in enumerate(row_k) if bkj > 0]
     grew = shrank = False
-    for i in range(matrix.n):
-        for j in range(i + 1, matrix.n):
-            before = abs(matrix.rows[i][j])
-            after = abs(mutated.rows[i][j])
+    for i, bki in enumerate(row_k):
+        if bki >= 0:
+            continue
+        row_i = matrix.rows[i]
+        for j in heads:
+            before = abs(row_i[j])
+            after = abs(row_i[j] - bki * row_k[j])
             if after > before:
                 grew = True
             elif after < before:
@@ -188,11 +234,9 @@ def classify_mutation(matrix: ExchangeMatrix, k: Vertex) -> MutationKind:
 
 
 def decreasing_directions(matrix: ExchangeMatrix) -> list[Vertex]:
-    return [
-        k
-        for k in matrix.vertices()
-        if classify_mutation(matrix, k) is MutationKind.DECREASING
-    ]
+    """Directions whose mutation decreases the weights.  A matrix
+    classifies its directions once, on first use, and keeps the answer."""
+    return list(matrix._decreasing)
 
 
 def separating_vertex(
@@ -264,20 +308,10 @@ def natural_order(matrix: ExchangeMatrix) -> tuple[Vertex, ...]:
     For an acyclic 2-complete matrix this is the topological order of the
     arrow tournament.  For a non-acyclic matrix in a mutation-acyclic
     class, reversing the arrows between the two sides of the separating
-    vertex yields an acyclic matrix, whose order is used.
+    vertex yields an acyclic matrix, whose order is used.  A matrix
+    computes its order once, on first use, and keeps it.
     """
-    if matrix.is_acyclic():
-        return _tournament_order(matrix)
-    _, side_i, side_j = separating_vertex(matrix)
-    rows = [list(row) for row in matrix.rows]
-    for i in side_i:
-        for j in side_j:
-            rows[i - 1][j - 1] = -rows[i - 1][j - 1]
-            rows[j - 1][i - 1] = -rows[j - 1][i - 1]
-    flipped = ExchangeMatrix.from_rows(rows)
-    if not flipped.is_acyclic():
-        raise NotAcyclic("arrow reversal did not produce an acyclic matrix")
-    return _tournament_order(flipped)
+    return matrix._natural_order
 
 
 def normalized(matrix: ExchangeMatrix) -> tuple[ExchangeMatrix, tuple[Vertex, ...]]:

@@ -91,9 +91,7 @@ def all_weights_two_gram(n: int) -> GramMatrix:
 def inner(u: Root, v: Root, gram: GramMatrix) -> int:
     if len(u) != gram.n or len(v) != gram.n:
         raise ValueError("vector length must match the pairing rank")
-    return sum(
-        u[i] * gram.rows[i][j] * v[j] for i in range(gram.n) for j in range(gram.n)
-    )
+    return sum(x * sum(map(operator.mul, row, v)) for x, row in zip(u, gram.rows))
 
 
 def reflect(u: Root, v: Root, gram: GramMatrix) -> Root:
@@ -139,7 +137,12 @@ class YSeed:
     path: tuple[Vertex, ...]
 
     def __post_init__(self) -> None:
-        if len(self.cvectors) != self.matrix.n or self.gram.n != self.matrix.n:
+        n = self.matrix.n
+        if (
+            len(self.cvectors) != n
+            or self.gram.n != n
+            or any(len(c) != n for c in self.cvectors)
+        ):
             raise ValueError("rank mismatch between matrix, c-vectors, and pairing")
 
     @property
@@ -204,21 +207,29 @@ def mutate_seed(seed: YSeed, k: Vertex) -> YSeed:
 
     With c_k positive, reflect exactly the c_j with b[j][k] < 0; with c_k
     negative, exactly those with b[j][k] > 0.  Then negate c_k and mutate
-    the matrix.  Raises SignIncoherent if c_k mixes signs.
+    the matrix.  Raises SignIncoherent if c_k mixes signs, and NotUnitRoot
+    if some c_j is to be reflected while <c_k, c_k> != 2.
+
+    The reflection of c_j in v = positive_form(c_k) is c_j - <c_j, v> v,
+    so M v is computed once and each <c_j, v> is one dot product with it.
     """
     if not 1 <= k <= seed.n:
         raise ValueError(f"vertex {k} out of range 1..{seed.n}")
     ck = seed.cvectors[k - 1]
     positive = root_sign(ck) is Sign.POSITIVE
+    v = ck if positive else tuple(-x for x in ck)
+    mv = [sum(map(operator.mul, row, v)) for row in seed.gram.rows]
+    vv = sum(map(operator.mul, v, mv))
     new_cvecs = []
-    for j in range(1, seed.n + 1):
-        cj = seed.cvectors[j - 1]
+    for j, (cj, row) in enumerate(zip(seed.cvectors, seed.matrix.rows), 1):
+        bjk = row[k - 1]
         if j == k:
             new_cvecs.append(tuple(-x for x in cj))
-            continue
-        bjk = seed.matrix.b(j, k)
-        if (positive and bjk < 0) or (not positive and bjk > 0):
-            new_cvecs.append(reflect(cj, positive_form(ck), seed.gram))
+        elif (bjk < 0) if positive else (bjk > 0):
+            if vv != 2:
+                raise NotUnitRoot(f"<v, v> = {vv} for v = {v}")
+            coef = sum(map(operator.mul, cj, mv))
+            new_cvecs.append(tuple([x - coef * y for x, y in zip(cj, v)]))
         else:
             new_cvecs.append(cj)
     return YSeed(seed.matrix.mutate(k), tuple(new_cvecs), seed.gram, seed.path + (k,))

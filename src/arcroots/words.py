@@ -61,10 +61,14 @@ class Reflection:
     def __post_init__(self) -> None:
         if require_int(self.core, "core") < 1:
             raise NotAReflection(f"core {self.core} must be >= 1")
-        if reduce_word(self.prefix) != tuple(self.prefix):
-            raise NotAReflection(f"prefix {self.prefix} is not reduced")
-        if self.prefix and self.prefix[-1] == self.core:
+        # a list prefix is kept as the tuple it spells, so that equality,
+        # hashing and the prefix order never compare a list with a tuple
+        prefix = tuple(self.prefix)
+        if reduce_word(prefix) != prefix:
+            raise NotAReflection(f"prefix {prefix} is not reduced")
+        if prefix and prefix[-1] == self.core:
             raise NotAReflection("prefix ending in the core is not canonical")
+        object.__setattr__(self, "prefix", prefix)
 
     @property
     def word(self) -> Word:

@@ -60,6 +60,23 @@ def test_canonicalize_arc_never_coerces_crossings():
         canonicalize_arc([True, 2], 3)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Arc((2,), 3.0),
+    lambda: canonicalize_arc([2], 3.0),
+    lambda: Arc((True,), 2),
+    lambda: Arc((2.0,), 3),
+    lambda: Arc((), "3"),
+], ids=["float endpoint", "canonicalize float endpoint", "bool crossing", "float crossing", "str endpoint"])
+def test_arc_fields_are_never_coerced(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_arc_keeps_a_list_of_crossings_as_a_tuple():
+    assert Arc([2], 3) == Arc((2,), 3)
+    assert hash(Arc([2], 3)) == hash(Arc((2,), 3))
+
+
 def test_arc_reflection_conversion_worked_examples():
     assert arc_to_reflection(arc([2], 3)).word == (2, 3, 2)
     long = arc([3, 1, 2, 3], 4)

@@ -69,6 +69,23 @@ def test_explore_runs_every_check_clean():
     assert report.max_weight >= 2
 
 
+def test_explore_mutates_each_matrix_once_per_tree_edge(monkeypatch):
+    # classifying a seed's directions must not build trial matrices
+    calls = 0
+    mutate = ExchangeMatrix.mutate
+
+    def counting(self, k):
+        nonlocal calls
+        calls += 1
+        return mutate(self, k)
+
+    monkeypatch.setattr(ExchangeMatrix, "mutate", counting)
+    report = explore(B3, 8, checks=ALL_CHECKS)
+    assert report.violations == ()
+    assert report.seeds_visited - 1 == 765
+    assert calls == 765
+
+
 def test_explore_unknown_check():
     with pytest.raises(ValueError):
         explore(B3, 1, checks=("two_complete", "nonsense"))

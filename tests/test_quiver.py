@@ -3,6 +3,7 @@ import random
 import pytest
 
 from arcroots.errors import (
+    ArcrootsError,
     IncompleteTournament,
     MultipleDecreasingMutations,
     NoDecreasingMutation,
@@ -14,6 +15,7 @@ from arcroots.quiver import (
     MutationKind,
     acyclic_representative,
     classify_mutation,
+    decreasing_directions,
     natural_order,
     normalized,
     random_acyclic_two_complete,
@@ -228,3 +230,110 @@ def test_two_completeness_preserved_under_mutation_fuzz():
         for i in range(m.n):
             for j in range(i + 1, m.n):
                 assert abs(m.rows[i][j]) >= abs(initial.rows[i][j])
+
+
+def test_rejects_nonzero_diagonal():
+    with pytest.raises(ValueError):
+        ExchangeMatrix.from_rows([[1, 0], [0, -1]])
+    with pytest.raises(ValueError):
+        ExchangeMatrix.from_rows([[0, 2, 2], [-2, 0, 2], [-2, -3, 0]])
+
+
+def _random_skew(n, rng, low, high):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = rng.randint(low, high)
+            rows[i][j] = w
+            rows[j][i] = -w
+    return ExchangeMatrix.from_rows(rows)
+
+
+def _mutate_by_formula(m, k):
+    # the exchange rule entry by entry, as written in the mutate docstring
+    ki = k - 1
+    return ExchangeMatrix(tuple(
+        tuple(
+            -m.rows[i][j] if ki in (i, j)
+            else m.rows[i][j] + (abs(m.rows[i][ki]) * m.rows[ki][j]
+                                 + m.rows[i][ki] * abs(m.rows[ki][j])) // 2
+            for j in range(m.n)
+        )
+        for i in range(m.n)
+    ))
+
+
+def _classify_by_trial(m, k):
+    # oracle: mutate, then compare |b| entrywise over unordered pairs
+    mutated = m.mutate(k)
+    pairs = [(i, j) for i in range(m.n) for j in range(i + 1, m.n)]
+    grew = any(abs(mutated.rows[i][j]) > abs(m.rows[i][j]) for i, j in pairs)
+    shrank = any(abs(mutated.rows[i][j]) < abs(m.rows[i][j]) for i, j in pairs)
+    if grew and shrank:
+        return MutationKind.MIXED
+    if grew:
+        return MutationKind.INCREASING
+    if shrank:
+        return MutationKind.DECREASING
+    return MutationKind.NEUTRAL
+
+
+def _random_matrices():
+    rng = random.Random(4711)
+    for _ in range(150):
+        m = random_acyclic_two_complete(rng.randint(2, 6), rng)
+        for _ in range(rng.randint(0, 6)):
+            m = m.mutate(rng.randint(1, m.n))
+        yield m
+    for _ in range(300):
+        # zero entries and both signs, cyclic or not
+        yield _random_skew(rng.randint(1, 6), rng, -3, 3)
+
+
+def test_mutate_matches_the_entrywise_rule():
+    for m in _random_matrices():
+        for k in m.vertices():
+            assert m.mutate(k) == _mutate_by_formula(m, k)
+
+
+def test_classify_mutation_matches_trial_mutation():
+    kinds = set()
+    for m in _random_matrices():
+        for k in m.vertices():
+            got = classify_mutation(m, k)
+            assert got is _classify_by_trial(m, k), (m.rows, k)
+            kinds.add(got)
+    assert kinds == set(MutationKind)
+
+
+def test_classify_mutation_vertex_out_of_range():
+    for m in (B3, MU2_B3, ExchangeMatrix.from_rows([[0, 2], [-2, 0]])):
+        for k in (0, m.n + 1):
+            with pytest.raises(ValueError):
+                classify_mutation(m, k)
+
+
+def test_cached_classification_keeps_identity():
+    rng = random.Random(31)
+    for m in (B3, MU2_B3, *(_random_skew(4, rng, -4, 4) for _ in range(10))):
+        twin = ExchangeMatrix(m.rows)
+        before = (hash(m), m.to_json())
+        decs = decreasing_directions(m)
+        assert decreasing_directions(m) == decs
+        try:
+            order = natural_order(m)
+        except ArcrootsError:
+            order = None
+        else:
+            assert natural_order(m) == order
+        assert (hash(m), m.to_json()) == before
+        assert m == twin and twin == m and hash(twin) == hash(m)
+        assert decreasing_directions(twin) == decs
+        # the answers are the ones the trial classification gives
+        assert decs == [k for k in m.vertices() if _classify_by_trial(m, k) is MutationKind.DECREASING]
+
+
+def test_decreasing_directions_returns_a_fresh_list():
+    decs = decreasing_directions(MU2_B3)
+    decs.append(1)
+    assert decreasing_directions(MU2_B3) == [2]

@@ -417,3 +417,31 @@ def test_seed_from_json_rejects_missing_fields():
     for key in data:
         with pytest.raises(ValueError):
             seed_from_json({k: v for k, v in data.items() if k != key})
+
+
+def test_inner_matches_the_double_sum():
+    rng = random.Random(8)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        gram = cartan_companion(random_acyclic_two_complete(n, rng)) if n > 1 else GramMatrix(((2,),))
+        u = tuple(rng.randint(-9, 9) for _ in range(n))
+        v = tuple(rng.randint(-9, 9) for _ in range(n))
+        want = sum(u[i] * gram.rows[i][j] * v[j] for i in range(n) for j in range(n))
+        assert inner(u, v, gram) == want
+    with pytest.raises(ValueError):
+        inner((1, 0), (1, 0, 0), GRAM3)
+
+
+def test_mutate_seed_checks_the_unit_root():
+    # <c_2, c_2> = 2 + 2 - 4 = 0, and mutating at 2 reflects c_3 (b_32 < 0)
+    seed = YSeed(B3, ((1, 0, 0), (1, 1, 0), (0, 0, 1)), GRAM3, ())
+    with pytest.raises(NotUnitRoot):
+        mutate_seed(seed, 2)
+    negative = YSeed(B3, ((1, 0, 0), (-1, -1, 0), (0, 0, 1)), GRAM3, ())
+    with pytest.raises(NotUnitRoot):
+        mutate_seed(negative, 2)
+
+
+def test_yseed_rejects_short_cvectors():
+    with pytest.raises(ValueError):
+        YSeed(B3, ((1, 0, 0), (0, 1), (0, 0, 1)), GRAM3, ())

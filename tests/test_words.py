@@ -64,6 +64,20 @@ def test_reflections_never_coerce_letters():
         Reflection((2,), True)
 
 
+def test_reflection_keeps_a_list_prefix_as_a_tuple():
+    listed, tupled = Reflection([1], 2), Reflection((1,), 2)
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert listed.prefix == (1,) and isinstance(listed.prefix, tuple)
+    assert precedes(generator(1), listed) is precedes(generator(1), tupled) is True
+    others = [generator(1), generator(3), Reflection((1, 2), 3), Reflection([2, 1], 3)]
+    for node in others:
+        for other in others:
+            assert separates(node, listed, other) == separates(node, tupled, other)
+            assert separates(node, other, listed) == separates(node, other, tupled)
+    with pytest.raises(NotAReflection):
+        Reflection([1, 1], 2)
+
+
 @given(words, words)
 def test_mul_matches_reduce_of_concatenation(u, v):
     assert mul(u, v) == reduce_word(u + v)
