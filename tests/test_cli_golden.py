@@ -1,0 +1,190 @@
+"""Golden outputs of the command line.
+
+Each invocation runs in-process on fixed B3 and B4 quiver files, and its
+exit code and the sha256 of its standard output and standard error are
+pinned.  A change that claims to leave the command line's output
+byte-identical must pass this file unchanged.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from arcroots.cli import main
+
+QUIVERS = {
+    "b3.json": [[0, 2, 2], [-2, 0, 2], [-2, -2, 0]],
+    "b4.json": [[0 if i == j else (2 if j > i else -2) for j in range(4)] for i in range(4)],
+}
+
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"  # sha256 of no output
+
+# (id, arguments, exit code, sha256 of stdout, sha256 of stderr)
+CASES = [
+    (
+        "explore-b3-d6",
+        "explore --quiver b3.json --depth 6 --verify all",
+        0,
+        "36da0dc806c12c774072e8590dceb224b4a9b8f6a48e0b4c1b3d069db267e966",
+        EMPTY,
+    ),
+    (
+        "explore-b4-d4",
+        "explore --quiver b4.json --depth 4 --verify all",
+        0,
+        "bc7b2d60994a5e1dc92aba09a4d90efb229e5e6c4ed63ac01afe39a9b1351456",
+        EMPTY,
+    ),
+    (
+        "schur-found",
+        "schur --word 1,2,1 --quiver b3.json",
+        0,
+        "684dfb090ddf7a728be6fdc7eb24548c8df7b4feeb5dae7917238bbd887787e8",
+        EMPTY,
+    ),
+    (
+        "schur-not-found",
+        "schur --word 2,1,3,1,2 --quiver b3.json --depth 6 --strict",
+        1,
+        "094fed78fa91776fff544f2d377e02a156cf32fa1564a938c20fa0ac5f8ca0f2",
+        EMPTY,
+    ),
+    (
+        "complete-arc-found",
+        "complete-arc --crossings 2 --endpoint 1 --quiver b3.json",
+        0,
+        "74e1bc203d22dd37ee3da990529f39e7419b65a6d7efeee78e390ee075a29b75",
+        EMPTY,
+    ),
+    (
+        "complete-arc-not-embeddable",
+        "complete-arc --crossings 2,1 --endpoint 3 --quiver b3.json --strict",
+        1,
+        "a0fde83bbb6c7e710d416bbab3bc8f0a2c98906836b22f0ecca371b116472e67",
+        EMPTY,
+    ),
+    (
+        "complete-arc-depth-exhausted",
+        "complete-arc --crossings 2 --endpoint 1 --quiver b3.json --depth 1 --strict",
+        1,
+        "f6e2e04d171264009671856207437ddd7f6caddbff4140a2bfb5142dbe83f29d",
+        EMPTY,
+    ),
+    (
+        "check-tuple-words",
+        "check-tuple --words 1,2,1 1,3,1 1",
+        0,
+        "d0846715481cec6f8feaf14b5fac4e2756dcdfd0dd4f412c64af01e89734bce9",
+        EMPTY,
+    ),
+    (
+        "check-tuple-words-b4",
+        "check-tuple --words 1 2 3 4 --quiver b4.json",
+        0,
+        "b17992c55494c8ac173d04af7d989949b2e31c851b92fa0a7064ce4e5070fa75",
+        EMPTY,
+    ),
+    (
+        "check-tuple-arcs",
+        "check-tuple --arcs 2,1:3 1:2 1",
+        0,
+        "c0623da94d6a175eeb1d609c1d9f47056e9f4f19a2024ac3c24d8dd900675ac5",
+        EMPTY,
+    ),
+    (
+        "check-tuple-arcs-yseed",
+        "check-tuple --arcs 1 2 3 4",
+        0,
+        "b17992c55494c8ac173d04af7d989949b2e31c851b92fa0a7064ce4e5070fa75",
+        EMPTY,
+    ),
+    (
+        "check-tuple-arcs-wrong-arity",
+        "check-tuple --arcs 1 2:4",
+        2,
+        EMPTY,
+        "260625eea93ead2a06164dac17d207edfc53dc5c855c42291c8f43d6a5924bed",
+    ),
+    (
+        "check-tuple-strict",
+        "check-tuple --words 1 1 --strict",
+        1,
+        "601e430334d01e9e5074cde3d5a6b4d17972b4b9ee35b8a127ae0bf3d60ab33a",
+        EMPTY,
+    ),
+    (
+        "check-tuple-wrong-arity",
+        "check-tuple --words 1 4 3",
+        2,
+        EMPTY,
+        "49063e19d115c39f236c77c4c696c7195e4711006717e8bd48063bb39a9aa913",
+    ),
+    (
+        "root2refl",
+        "root2refl --root 2,1,0",
+        0,
+        "52233266cc173d515438851ec7b1051ff19531bd8f785747c7d77e6d6dd652bf",
+        EMPTY,
+    ),
+    (
+        "root2refl-b4",
+        "root2refl --root 0,1,2,0 --quiver b4.json",
+        0,
+        "2476be22bc589c93fcd8f1869373999058a7301b17ea652ceca7f25436ad08ae",
+        EMPTY,
+    ),
+    (
+        "arc2refl",
+        "arc2refl --crossings 3,1,2,3 --endpoint 4",
+        0,
+        "e882a261d9cd7ad1626d3292b6c370dd412407c4f8f6740c39be3a9a0aa3e6d4",
+        EMPTY,
+    ),
+    (
+        "refl2arc",
+        "refl2arc --word 3,1,2,3,4,3,2,1,3",
+        0,
+        "204d701e8cafe720f027ae6f9970eb70e090932e99f86712d315e5dbf2fe154f",
+        EMPTY,
+    ),
+    (
+        "export-dot-exchange-tree",
+        "export-dot exchange-tree --quiver b3.json --depth 3",
+        0,
+        "07437c3252be3d6efe9ec8d25f12dc870aa2f04adde3f76fc35cb32c117a983b",
+        EMPTY,
+    ),
+    (
+        "export-dot-cayley-fragment",
+        "export-dot cayley-fragment --quiver b4.json --path 1,2,3",
+        0,
+        "d7e007a469f2183718da36e635d3ea62a26ced533f627643b732e08805605b56",
+        EMPTY,
+    ),
+]
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.fixture
+def quiver_dir(tmp_path, monkeypatch):
+    for name, rows in QUIVERS.items():
+        (tmp_path / name).write_text(json.dumps({"b": rows}))
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+def run(capsys, args):
+    code = main(args.split())
+    captured = capsys.readouterr()
+    return code, _sha(captured.out), _sha(captured.err)
+
+
+@pytest.mark.parametrize(
+    "args,code,out_sha,err_sha", [c[1:] for c in CASES], ids=[c[0] for c in CASES]
+)
+def test_cli_output_is_pinned(capsys, quiver_dir, args, code, out_sha, err_sha):
+    assert run(capsys, args) == (code, out_sha, err_sha)
