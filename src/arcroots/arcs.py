@@ -130,27 +130,30 @@ class TupleVerdict:
         }
 
 
-def tuple_verdict(arcs: Sequence[Arc], gram: GramMatrix | None = None) -> TupleVerdict:
+def tuple_verdict(
+    refls: Sequence[Reflection], gram: GramMatrix | None = None
+) -> TupleVerdict:
     """Decide whether an ordered arc tuple corresponds to a Y-seed.
 
-    Bad pairs are counted over consecutive pairs in the given linear
-    order.  Signs follow the reconstruction that proves the criterion:
-    all roots positive when no pair is bad, otherwise positive up to the
-    first bad pair and negative after it.  The ordering check runs
-    against the given pairing, by default the all-weights-2 one of the
-    right rank.
+    The arcs are given by their reflections, the same (prefix, core) data
+    under arc_to_reflection.  Bad pairs are counted over consecutive pairs
+    in the given linear order.  Signs follow the reconstruction that
+    proves the criterion: all roots positive when no pair is bad,
+    otherwise positive up to the first bad pair and negative after it.
+    The ordering check runs against the given pairing, by default the
+    all-weights-2 one of the right rank.
     """
-    n = len(arcs)
+    refls = tuple(refls)
+    n = len(refls)
     if n == 0:
         raise WrongArity("empty arc tuple")
-    for a in arcs:
-        if a.endpoint > n or any(s > n for s in a.crossings):
-            raise WrongArity(f"arc {a} uses rays beyond 1..{n}")
+    for r in refls:
+        if max(r.letters()) > n:
+            raise WrongArity(f"arc {reflection_to_arc(r)} uses rays beyond 1..{n}")
     if gram is None:
         gram = all_weights_two_gram(n)
     elif gram.n != n:
         raise WrongArity(f"pairing rank {gram.n} != tuple length {n}")
-    refls = tuple(arc_to_reflection(a) for a in arcs)
     bad = [i for i in range(n - 1) if comparable(refls[i], refls[i + 1])]
     product_ok = mul(*(r.word for r in refls)) == tuple(range(1, n + 1))
     roots = [reflection_to_root(r, gram) for r in refls]

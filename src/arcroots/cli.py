@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import re
 import sys
 from typing import Sequence
 
@@ -41,12 +42,23 @@ from .roots import (
 from .words import canonical_reflection
 
 
+def integer(text: str) -> int:
+    """An optionally negative run of ASCII digits, surrounding space
+    stripped.  int() alone would also take "+1", "1_0" and non-ASCII
+    digits.  Named for argparse, which calls a bad value an "invalid
+    integer value"."""
+    token = text.strip()
+    if not re.fullmatch(r"-?[0-9]+", token):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(token)
+
+
 def _ints(text: str, what: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         return ()
     try:
-        return tuple(int(tok) for tok in text.split(","))
+        return tuple(integer(tok) for tok in text.split(","))
     except ValueError:
         raise ValueError(f"{what} must be comma-separated integers, got {text!r}") from None
 
@@ -63,8 +75,8 @@ def _load_quiver(path: str) -> ExchangeMatrix:
 def _parse_arc_token(token: str) -> Arc:
     if ":" in token:
         left, right = token.split(":", 1)
-        return canonicalize_arc(_ints(left, "crossings"), int(right))
-    return canonicalize_arc((), int(token))
+        return canonicalize_arc(_ints(left, "crossings"), integer(right))
+    return canonicalize_arc((), integer(token))
 
 
 def _parse_verify(flag: str | None) -> tuple[str, ...]:
@@ -103,16 +115,13 @@ def cmd_explore(args: argparse.Namespace) -> int:
 
 def cmd_check_tuple(args: argparse.Namespace) -> int:
     if args.words is not None:
-        arcs = [
-            reflection_to_arc(canonical_reflection(_ints(w, "word")))
-            for w in args.words
-        ]
+        refls = [canonical_reflection(_ints(w, "word")) for w in args.words]
     else:
-        arcs = [_parse_arc_token(token) for token in args.arcs]
+        refls = [arc_to_reflection(_parse_arc_token(token)) for token in args.arcs]
     gram = None
     if args.quiver is not None:
         gram = cartan_companion(_load_quiver(args.quiver))
-    verdict = tuple_verdict(arcs, gram)
+    verdict = tuple_verdict(refls, gram)
     print(json.dumps(verdict.to_json()))
     return 1 if args.strict and not verdict.is_yseed else 0
 
@@ -200,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("explore", help="enumerate the exchange tree, verifying seeds")
     p.add_argument("--quiver", required=True, help="quiver JSON file")
-    p.add_argument("--depth", type=int, required=True, help="mutation tree depth")
+    p.add_argument("--depth", type=integer, required=True, help="mutation tree depth")
     p.add_argument(
         "--verify",
         default=None,
@@ -223,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("arc2refl", help="arc to reflection word")
     p.add_argument("--crossings", default="", help="comma-separated ray indices, may be empty")
-    p.add_argument("--endpoint", type=int, required=True, help="endpoint puncture")
+    p.add_argument("--endpoint", type=integer, required=True, help="endpoint puncture")
     p.set_defaults(func=cmd_arc2refl)
 
     p = sub.add_parser("refl2arc", help="reflection word to arc")
@@ -238,26 +247,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schur", help="decide real-Schur-rootness by embedding and by search")
     p.add_argument("--word", required=True, help="reflection word")
     p.add_argument("--quiver", required=True, help="quiver JSON file")
-    p.add_argument("--depth", type=int, default=8, help="mutation search depth (default 8)")
-    p.add_argument("--cap", type=int, default=12, help="embedding crossing cap (default 12)")
+    p.add_argument("--depth", type=integer, default=8, help="mutation search depth (default 8)")
+    p.add_argument("--cap", type=integer, default=12, help="embedding crossing cap (default 12)")
     p.add_argument("--strict", action="store_true", help="exit 1 when not embeddable")
     p.set_defaults(func=cmd_schur)
 
     p = sub.add_parser("complete-arc", help="complete an embeddable arc to a Y-seed")
     p.add_argument("--crossings", default="", help="comma-separated ray indices, may be empty")
-    p.add_argument("--endpoint", type=int, required=True, help="endpoint puncture")
+    p.add_argument("--endpoint", type=integer, required=True, help="endpoint puncture")
     p.add_argument("--quiver", required=True, help="quiver JSON file")
-    p.add_argument("--depth", type=int, default=8, help="mutation search depth (default 8)")
-    p.add_argument("--cap", type=int, default=12, help="embedding crossing cap (default 12)")
+    p.add_argument("--depth", type=integer, default=8, help="mutation search depth (default 8)")
+    p.add_argument("--cap", type=integer, default=12, help="embedding crossing cap (default 12)")
     p.add_argument("--strict", action="store_true", help="exit 1 when no seed is found")
     p.set_defaults(func=cmd_complete_arc)
 
     p = sub.add_parser("export-dot", help="emit DOT text")
     p.add_argument("target", choices=("exchange-tree", "cayley-fragment"))
     p.add_argument("--quiver", required=True, help="quiver JSON file")
-    p.add_argument("--depth", type=int, default=None, help="tree depth (exchange-tree)")
+    p.add_argument("--depth", type=integer, default=None, help="tree depth (exchange-tree)")
     p.add_argument("--path", default=None, help="mutation path to the drawn seed (cayley-fragment)")
-    p.add_argument("--cap", type=int, default=NODE_CAP, help=f"node cap (default {NODE_CAP})")
+    p.add_argument("--cap", type=integer, default=NODE_CAP, help=f"node cap (default {NODE_CAP})")
     p.add_argument("--out", default=None, help="write DOT here instead of stdout")
     p.set_defaults(func=cmd_export_dot)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from .errors import CapExceeded
 from .explore import iter_seeds
 from .roots import Sign, YSeed, root_sign
-from .words import Word
+from .words import Reflection, Word
 
 NODE_CAP = 5000
 
@@ -67,11 +67,11 @@ def cayley_fragment_dot(seed: YSeed, node_cap: int = NODE_CAP) -> str:
     the reflection word and colored by the sign of its c-vector.
     """
     # midnode per reflection edge; c-vectors of one seed never share an edge
-    marked: dict[tuple[Word, Word], Sign] = {}
+    marked: dict[tuple[Word, Word], tuple[Reflection, Sign]] = {}
     vertices: set[Word] = {()}
     edges: set[tuple[Word, Word]] = set()
     for c, r in zip(seed.cvectors, seed.reflections):
-        marked[r.edge()] = root_sign(c)
+        marked[r.edge()] = (r, root_sign(c))
         stem = r.prefix + (r.core,)
         for cut in range(len(stem)):
             vertices.add(stem[: cut + 1])
@@ -84,10 +84,11 @@ def cayley_fragment_dot(seed: YSeed, node_cap: int = NODE_CAP) -> str:
     lines = ["graph cayley_fragment {"]
     for w in sorted(vertices, key=lambda w: (len(w), w)):
         lines.append(f"  {_quoted('w|' + _word_label(w))} [label={_quoted(_word_label(w))}];")
-    for (u, v) in sorted(marked, key=lambda e: (len(e[1]), e[1])):
-        mid = _quoted("r|" + _word_label(u + (v[-1],) + tuple(reversed(u))))
-        label = _quoted(_word_label(u + (v[-1],) + tuple(reversed(u))))
-        if marked[(u, v)] is Sign.POSITIVE:
+    for edge in sorted(marked, key=lambda e: (len(e[1]), e[1])):
+        r, sign = marked[edge]
+        text = _word_label(r.word)
+        mid, label = _quoted("r|" + text), _quoted(text)
+        if sign is Sign.POSITIVE:
             lines.append(f"  {mid} [label={label}, style=filled, fillcolor=green];")
         else:
             lines.append(f"  {mid} [label={label}, color=red];")
@@ -96,7 +97,7 @@ def cayley_fragment_dot(seed: YSeed, node_cap: int = NODE_CAP) -> str:
         vid = _quoted("w|" + _word_label(v))
         gen = _quoted(f"s{v[-1]}")
         if (u, v) in marked:
-            mid = _quoted("r|" + _word_label(u + (v[-1],) + tuple(reversed(u))))
+            mid = _quoted("r|" + _word_label(marked[(u, v)][0].word))
             lines.append(f"  {uid} -- {mid} [label={gen}];")
             lines.append(f"  {mid} -- {vid};")
         else:

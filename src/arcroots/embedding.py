@@ -57,7 +57,7 @@ class EmbeddingWitness:
     def from_json(cls, data: dict) -> EmbeddingWitness:
         """Witness from the dict that to_json gives.
 
-        Ray keys are decimal strings, as JSON object keys must be; every
+        Ray keys are ASCII decimal strings, as JSON object keys must be; every
         other entry must already have its type.  Nothing is coerced: a
         bool, float or string index raises ValueError naming it.  Whether
         the witness is valid for an arc is witness_is_valid's question.
@@ -74,7 +74,7 @@ class EmbeddingWitness:
             raise ValueError(f"heights must be an object, got {type(raw).__name__}")
         heights = []
         for ray, order in raw.items():
-            if not (isinstance(ray, str) and ray.isdecimal()):
+            if not (isinstance(ray, str) and ray.isascii() and ray.isdecimal()):
                 raise ValueError(f"heights key {ray!r} is not a decimal ray index")
             if not isinstance(order, list):
                 raise ValueError(f"heights[{ray!r}] must be a list, got {type(order).__name__}")

@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .arcs import Arc, arc_to_reflection, reflection_to_arc, tuple_verdict
+from .arcs import Arc, arc_to_reflection, tuple_verdict
 from .embedding import is_embeddable
 from .errors import DepthExhausted, NotEmbeddable, SignIncoherent, require_int
 from .quiver import ExchangeMatrix, decreasing_directions
@@ -123,13 +123,7 @@ def _st(seed: YSeed, initial: ExchangeMatrix) -> list[str]:
 
 
 def _coxeter_product(seed: YSeed, initial: ExchangeMatrix) -> list[str]:
-    report = natural_coxeter_product(seed)
-    out = []
-    if not report.ok:
-        out.append("coxeter_product")
-    if report.fallback_used:
-        out.append("coxeter_product_fallback")
-    return out
+    return [] if natural_coxeter_product(seed) else ["coxeter_product"]
 
 
 def _sign_runs(seed: YSeed, initial: ExchangeMatrix) -> list[str]:
@@ -137,8 +131,7 @@ def _sign_runs(seed: YSeed, initial: ExchangeMatrix) -> list[str]:
 
 
 def _bad_pairs(seed: YSeed, initial: ExchangeMatrix) -> list[str]:
-    arcs = tuple(reflection_to_arc(r) for r in natural_fan(seed))
-    verdict = tuple_verdict(arcs, seed.gram)
+    verdict = tuple_verdict(natural_fan(seed), seed.gram)
     out = []
     if verdict.bad_pair_count > 1:
         out.append("bad_pairs")
@@ -335,12 +328,10 @@ def complete_arc(a: Arc, initial: ExchangeMatrix, depth: int, cap: int = 12) -> 
     ok, _ = is_embeddable(a, cap)
     if not ok:
         raise NotEmbeddable(f"{a} has no embedded representative")
-    root = initial_seed(initial)
-    u = reflection_to_root(arc_to_reflection(a), root.gram)
-    outcome = schur_by_search(u, initial, depth)
+    outcome = schur_by_search(arc_to_reflection(a), initial, depth)
     if not outcome.found:
         raise DepthExhausted(f"no seed within depth {depth}; raise the depth")
-    seed = root
+    seed = initial_seed(initial)
     for k in outcome.path:
         seed = mutate_seed(seed, k)
     return seed

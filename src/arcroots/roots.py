@@ -20,7 +20,6 @@ the simple generators by repeated descent.
 
 from __future__ import annotations
 
-import logging
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -38,8 +37,6 @@ from .errors import (
 )
 from .quiver import ExchangeMatrix, Vertex, natural_order
 from .words import Reflection, mul
-
-log = logging.getLogger(__name__)
 
 Root = tuple[int, ...]
 
@@ -338,11 +335,6 @@ def speyer_thomas_check(
     return False
 
 
-def natural_roots(seed: YSeed) -> tuple[Root, ...]:
-    """The c-vectors read in the natural order of the seed's matrix."""
-    return tuple(seed.cvectors[v - 1] for v in natural_order(seed.matrix))
-
-
 def fan_rotation(roots: tuple[Root, ...]) -> int:
     """Index of the first positive root whose cyclic predecessor is
     negative; 0 when all roots share one sign.
@@ -368,46 +360,20 @@ def natural_fan(seed: YSeed) -> tuple[Reflection, ...]:
     return tuple(seed.reflections[v - 1] for v in order[start:] + order[:start])
 
 
-@dataclass(frozen=True)
-class CoxeterProductReport:
-    ok: bool
-    rotation: int
-    fallback_used: bool
+def natural_coxeter_product(seed: YSeed) -> bool:
+    """Whether the seed's natural fan multiplies to s_1 s_2 .. s_n.
 
-
-def natural_coxeter_product(seed: YSeed) -> CoxeterProductReport:
-    """Check that the natural-order reflections of a seed multiply to
-    s_1 s_2 .. s_n after rotating the tuple to the first positive root
-    whose cyclic predecessor is negative.
-
-    When the primary rotation fails, every rotation is tried and a hit is
-    reported with fallback_used set (and logged); ok is False when no
-    rotation works.
+    The fan is the one natural_fan builds, rotated to the first positive
+    root; the paper proves that its product is always the Coxeter element,
+    so no other rotation is tried.
     """
-    order = natural_order(seed.matrix)
-    roots = tuple(seed.cvectors[v - 1] for v in order)
-    words = [seed.reflections[v - 1].word for v in order]
-    n = seed.n
-    target = tuple(range(1, n + 1))
-    start = fan_rotation(roots)
-    rotated = words[start:] + words[:start]
-    if mul(*rotated) == target:
-        return CoxeterProductReport(True, start, False)
-    for shift in range(n):
-        if mul(*(words[shift:] + words[:shift])) == target:
-            log.warning(
-                "first-positive rotation failed at path %s; rotation %d works",
-                seed.path,
-                shift,
-            )
-            return CoxeterProductReport(True, shift, True)
-    return CoxeterProductReport(False, start, False)
+    return mul(*(r.word for r in natural_fan(seed))) == tuple(range(1, seed.n + 1))
 
 
 def sign_run_count(seed: YSeed) -> int:
     """Number of maximal constant-sign runs of the natural-order c-vectors,
     read cyclically."""
-    signs = [root_sign(u) for u in natural_roots(seed)]
+    signs = [root_sign(seed.cvectors[v - 1]) for v in natural_order(seed.matrix)]
     n = len(signs)
     changes = sum(1 for i in range(n) if signs[i] is not signs[(i + 1) % n])
     return max(changes, 1)

@@ -31,6 +31,11 @@ def arc(crossings, endpoint):
     return Arc(tuple(crossings), endpoint)
 
 
+def fan_arc(crossings, endpoint):
+    """The reflection of an arc, as tuple_verdict takes it."""
+    return arc_to_reflection(arc(crossings, endpoint))
+
+
 def refl(*letters):
     return canonical_reflection(letters)
 
@@ -117,7 +122,7 @@ def test_is_bad_pair_examples():
 
 def test_tuple_verdict_initial_fan():
     for n in (3, 4):
-        verdict = tuple_verdict(tuple(arc([], i) for i in range(1, n + 1)))
+        verdict = tuple_verdict(tuple(fan_arc([], i) for i in range(1, n + 1)))
         assert verdict.bad_pair_count == 0
         assert verdict.product_is_coxeter
         assert verdict.st_pass
@@ -125,14 +130,14 @@ def test_tuple_verdict_initial_fan():
 
 
 def test_tuple_verdict_one_bad_pair():
-    verdict = tuple_verdict((arc([1], 2), arc([1], 3), arc([], 1)))
+    verdict = tuple_verdict((fan_arc([1], 2), fan_arc([1], 3), fan_arc([], 1)))
     assert verdict.bad_pair_count == 1
     assert verdict.product_is_coxeter
     assert verdict.is_yseed
 
 
 def test_tuple_verdict_two_bad_pairs():
-    verdict = tuple_verdict((arc([], 1), arc([1], 2), arc([1, 2], 3)))
+    verdict = tuple_verdict((fan_arc([], 1), fan_arc([1], 2), fan_arc([1, 2], 3)))
     assert verdict.bad_pair_count == 2
     assert not verdict.is_yseed
 
@@ -140,11 +145,11 @@ def test_tuple_verdict_two_bad_pairs():
 def test_tuple_verdict_depends_on_fan_rotation():
     # the same cyclic configuration, read from two different start arcs:
     # only the rotation starting at the first positive root passes
-    unrotated = tuple_verdict((arc([2], 3), arc([], 2), arc([], 1)))
+    unrotated = tuple_verdict((fan_arc([2], 3), fan_arc([], 2), fan_arc([], 1)))
     assert unrotated.bad_pair_count == 1
     assert not unrotated.product_is_coxeter
     assert not unrotated.st_pass
-    rotated = tuple_verdict((arc([], 1), arc([2], 3), arc([], 2)))
+    rotated = tuple_verdict((fan_arc([], 1), fan_arc([2], 3), fan_arc([], 2)))
     assert rotated.bad_pair_count == 1
     assert rotated.product_is_coxeter
     assert rotated.st_pass
@@ -155,7 +160,9 @@ def test_tuple_verdict_arity_errors():
     with pytest.raises(WrongArity):
         tuple_verdict(())
     with pytest.raises(WrongArity):
-        tuple_verdict((arc([], 1), arc([], 4), arc([], 3)))
+        tuple_verdict((fan_arc([], 1), fan_arc([], 4), fan_arc([], 3)))
+    with pytest.raises(WrongArity, match=r"arc Arc\(crossings=\(4,\), endpoint=1\) uses rays"):
+        tuple_verdict((fan_arc([4], 1), fan_arc([], 2), fan_arc([], 3)))
 
 
 def test_braid_swap_forward_worked_example():

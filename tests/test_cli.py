@@ -49,6 +49,39 @@ def test_refl2arc_rejects_non_reflection(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("refl2arc", "--word", "1_2"),
+        ("refl2arc", "--word", "\u0661,\u0662,\u0661"),
+        ("refl2arc", "--word", "+1"),
+        ("arc2refl", "--crossings", "2", "--endpoint", "1_0"),
+        ("arc2refl", "--endpoint", "+1"),
+        ("arc2refl", "--crossings", "+2", "--endpoint", "1"),
+        ("check-tuple", "--arcs", "1", "2", "+3"),
+        ("check-tuple", "--arcs", "1", "2", "1:\u0663"),
+        ("complete-arc", "--endpoint", "3", "--quiver", "QUIVER", "--depth", "1_0"),
+        ("schur", "--word", "1", "--quiver", "QUIVER", "--cap", "\u0661\u0662"),
+        ("explore", "--quiver", "QUIVER", "--depth", "+1"),
+    ],
+    ids=" ".join,
+)
+def test_non_ascii_or_signed_integers_exit_two(capsys, quiver_file, argv):
+    # int() accepts each of these; the command line must not
+    try:
+        code = main([quiver_file if a == "QUIVER" else a for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_integers_allow_surrounding_space(capsys):
+    code, out, _ = run(capsys, "refl2arc", "--word", " 2, 3 ,2 ")
+    assert code == 0
+    assert json.loads(out) == {"crossings": [2], "endpoint": 3}
+
+
 def test_root2refl(capsys, quiver_file):
     code, out, _ = run(capsys, "root2refl", "--root", "2,1,0")
     assert code == 0

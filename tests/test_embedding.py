@@ -134,6 +134,8 @@ def test_witness_json_round_trip_any_witness(w):
         {"sides": [1], "heights": {"2": [0]}},
         {"sides": "LR", "heights": {"2": [0]}},
         {"heights": {"2": [0]}},
+        # Arabic-Indic one: str.isdecimal passes it, and int() reads it as 1
+        {"sides": ["LR"], "heights": {"\u0661": [0]}},
     ],
 )
 def test_witness_from_json_rejects_non_integers(data):

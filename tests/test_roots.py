@@ -13,7 +13,7 @@ from arcroots.errors import (
     RankTooLarge,
     SignIncoherent,
 )
-from arcroots.quiver import ExchangeMatrix, random_acyclic_two_complete
+from arcroots.quiver import ExchangeMatrix, natural_order, random_acyclic_two_complete
 from arcroots.roots import (
     GramMatrix,
     Sign,
@@ -25,6 +25,7 @@ from arcroots.roots import (
     mutate_seed,
     mutate_seed_matrix,
     natural_coxeter_product,
+    natural_fan,
     positive_form,
     reflect,
     reflection_to_root,
@@ -336,14 +337,30 @@ def test_natural_coxeter_product_on_initial_and_mutations():
         mutate_seed(S0, 2),
         mutate_seed(mutate_seed(mutate_seed(S0, 3), 2), 1),
     ):
-        report = natural_coxeter_product(seed)
-        assert report.ok
-        assert not report.fallback_used
+        assert natural_coxeter_product(seed) is True
 
 
-def test_natural_coxeter_product_rotation_choice():
-    report = natural_coxeter_product(mutate_seed(S0, 2))
-    assert report.ok and report.rotation == 2 and not report.fallback_used
+def test_natural_fan_starts_at_natural_order_position_2():
+    # natural order 3, 2, 1 carries c-vectors of signs +, -, +, so the fan
+    # starts at position 2, the positive root after the negative one
+    seed = mutate_seed(S0, 2)
+    order = natural_order(seed.matrix)
+    assert order == (3, 2, 1)
+    assert [root_sign(seed.cvectors[v - 1]) for v in order] == [
+        Sign.POSITIVE, Sign.NEGATIVE, Sign.POSITIVE
+    ]
+    fan = natural_fan(seed)
+    assert fan[0] == seed.reflections[order[2] - 1]
+    assert [r.word for r in fan] == [(1,), (2, 3, 2), (2,)]
+
+
+def test_natural_coxeter_product_fails_on_permuted_cvectors():
+    # the c-vectors of a seed moved off their vertices: the fan read in
+    # natural order no longer multiplies to s_1 s_2 s_3
+    seed = mutate_seed(S0, 2)
+    c1, c2, c3 = seed.cvectors
+    permuted = YSeed(seed.matrix, (c2, c1, c3), seed.gram, seed.path)
+    assert natural_coxeter_product(permuted) is False
 
 
 def test_sign_run_count():
