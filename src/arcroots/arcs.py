@@ -68,6 +68,11 @@ class Arc:
             raise UnreducedArc("last crossing equals the endpoint ray")
         object.__setattr__(self, "crossings", crossings)
 
+    def __str__(self) -> str:
+        """The --arcs token syntax: 2,1:3, or 4 when nothing is crossed."""
+        head = ",".join(map(str, self.crossings))
+        return f"{head}:{self.endpoint}" if head else str(self.endpoint)
+
     def word_length(self) -> int:
         return 2 * len(self.crossings) + 1
 
@@ -96,7 +101,7 @@ def canonicalize_arc(crossings: Sequence[int], endpoint: int) -> Arc:
     """Reduce the crossing word, then drop a trailing crossing of the
     endpoint's ray; both steps are the combinatorial bigon removals."""
     w = reduce_word(crossings)
-    while w and w[-1] == endpoint:
+    if w and w[-1] == endpoint:
         w = w[:-1]
     return Arc(w, endpoint)
 

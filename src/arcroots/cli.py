@@ -28,7 +28,7 @@ from .arcs import (
     tuple_verdict,
 )
 from .dot import NODE_CAP, cayley_fragment_dot, exchange_tree_dot
-from .embedding import is_embeddable
+from .embedding import probe_embedding
 from .errors import ArcrootsError, DepthExhausted, NotEmbeddable
 from .explore import ALL_CHECKS, complete_arc, explore, schur_by_search
 from .quiver import ExchangeMatrix, normalized
@@ -158,7 +158,7 @@ def cmd_schur(args: argparse.Namespace) -> int:
     top = max(r.letters())
     if top > matrix.n:
         raise ValueError(f"word uses generator s{top}, matrix rank is {matrix.n}")
-    embeddable, _ = is_embeddable(reflection_to_arc(r), args.cap)
+    embeddable = probe_embedding(reflection_to_arc(r)).embeddable
     outcome = schur_by_search(r, matrix, args.depth)
     print(json.dumps({"embeddable": embeddable, "search": outcome.to_json()}))
     return 1 if args.strict and not embeddable else 0
@@ -168,7 +168,7 @@ def cmd_complete_arc(args: argparse.Namespace) -> int:
     matrix = _load_quiver(args.quiver)
     a = canonicalize_arc(_ints(args.crossings, "crossings"), args.endpoint)
     try:
-        seed = complete_arc(a, matrix, args.depth, cap=args.cap)
+        seed = complete_arc(a, matrix, args.depth)
     except (NotEmbeddable, DepthExhausted) as exc:
         print(json.dumps({"found": False, "reason": str(exc)}))
         return 1 if args.strict else 0
@@ -248,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", required=True, help="reflection word")
     p.add_argument("--quiver", required=True, help="quiver JSON file")
     p.add_argument("--depth", type=integer, default=8, help="mutation search depth (default 8)")
-    p.add_argument("--cap", type=integer, default=12, help="embedding crossing cap (default 12)")
     p.add_argument("--strict", action="store_true", help="exit 1 when not embeddable")
     p.set_defaults(func=cmd_schur)
 
@@ -257,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--endpoint", type=integer, required=True, help="endpoint puncture")
     p.add_argument("--quiver", required=True, help="quiver JSON file")
     p.add_argument("--depth", type=integer, default=8, help="mutation search depth (default 8)")
-    p.add_argument("--cap", type=integer, default=12, help="embedding crossing cap (default 12)")
     p.add_argument("--strict", action="store_true", help="exit 1 when no seed is found")
     p.set_defaults(func=cmd_complete_arc)
 

@@ -124,16 +124,21 @@ def _space_size(a: Arc) -> int:
     return size
 
 
-def probe_embedding(a: Arc, cap: int = 12) -> EmbeddingReport:
+def probe_embedding(a: Arc, cap: int | None = None) -> EmbeddingReport:
     """Exhaustive embeddability decision with search statistics.
 
     Branches are tried in lexicographic order (sides "LR" before "RL",
     insertion heights bottom first), so the returned witness is the
     first one in that order.  branches counts the placements tried;
     search_space is the unpruned 2^l * prod(m_s!) product.
+
+    Uncapped unless cap is given; then more than cap crossings raise
+    CapExceeded.  Measured, not proved: placements grow slowly, at most
+    26, 140 and 406 over all rank-3 arcs of 4, 8 and 12 crossings, and
+    141,444 for the worst periodic arcs found, (1,2,3,2)^32 ending at 3.
     """
     l = len(a.crossings)
-    if l > cap:
+    if cap is not None and l > cap:
         raise CapExceeded(f"{l} crossings exceed the cap {cap}")
     space = _space_size(a)
     if l == 0:
@@ -184,11 +189,6 @@ def probe_embedding(a: Arc, cap: int = 12) -> EmbeddingReport:
             a, branches, space,
         )
     return EmbeddingReport(witness is not None, witness, branches, space)
-
-
-def is_embeddable(a: Arc, cap: int = 12) -> tuple[bool, EmbeddingWitness | None]:
-    report = probe_embedding(a, cap)
-    return report.embeddable, report.witness
 
 
 def candidate_witnesses(a: Arc) -> Iterator[EmbeddingWitness]:

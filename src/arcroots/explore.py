@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .arcs import Arc, arc_to_reflection, tuple_verdict
-from .embedding import is_embeddable
+from .embedding import probe_embedding
 from .errors import DepthExhausted, NotEmbeddable, SignIncoherent, require_int
 from .quiver import ExchangeMatrix, decreasing_directions
 from .roots import (
@@ -319,14 +319,13 @@ def schur_by_search(
     return outcome
 
 
-def complete_arc(a: Arc, initial: ExchangeMatrix, depth: int, cap: int = 12) -> YSeed:
+def complete_arc(a: Arc, initial: ExchangeMatrix, depth: int) -> YSeed:
     """Complete an embeddable arc to a Y-seed containing its root.
 
     Existence is guaranteed for embeddable arcs, so a miss only means
     the depth was too small and is reported as DepthExhausted.
     """
-    ok, _ = is_embeddable(a, cap)
-    if not ok:
+    if not probe_embedding(a).embeddable:
         raise NotEmbeddable(f"{a} has no embedded representative")
     outcome = schur_by_search(arc_to_reflection(a), initial, depth)
     if not outcome.found:

@@ -166,18 +166,13 @@ def separates(node: Reflection, a: Reflection, b: Reflection) -> bool:
 
 
 def separating_nodes(reflections: Sequence[Reflection]) -> frozenset[int]:
-    """Positions (0-based) of tuple members that separate some other pair."""
-    out = set()
-    for k, node in enumerate(reflections):
-        for i, a in enumerate(reflections):
-            if i == k:
-                continue
-            for j in range(i + 1, len(reflections)):
-                if j == k:
-                    continue
-                if separates(node, a, reflections[j]):
-                    out.add(k)
-    return frozenset(out)
+    """Positions (0-based) of tuple members that separate some other pair:
+    by separates, those whose precedes(node, r) takes both values over
+    the members r other than node."""
+    return frozenset(
+        k for k, node in enumerate(reflections)
+        if len({precedes(node, r) for r in reflections if r != node}) == 2
+    )
 
 
 def in_one_star(reflections: Sequence[Reflection]) -> bool:

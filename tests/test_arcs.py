@@ -16,6 +16,7 @@ from arcroots.arcs import (
     twin,
     twin_replace_walk,
 )
+from arcroots.cli import _parse_arc_token
 from arcroots.errors import (
     LengthPreconditionError,
     TwinEndpointClash,
@@ -56,6 +57,15 @@ def test_canonicalize_arc():
     assert canonicalize_arc((2, 3, 3, 2), 1) == arc([], 1)
     assert canonicalize_arc((3, 1), 2) == arc([3, 1], 2)
     assert canonicalize_arc((1, 2, 2, 1, 3, 3), 1) == arc([], 1)
+    # a reduced word never ends in two equal letters, so one trailing
+    # crossing of the endpoint's ray is all there is to drop
+    assert canonicalize_arc((2, 1), 1) == arc([2], 1)
+
+
+def test_arc_text_is_the_token_syntax():
+    assert str(arc([2, 1], 3)) == "2,1:3"
+    assert str(arc([], 4)) == "4"
+    assert f"{arc([3], 1)}" == "3:1"
 
 
 def test_canonicalize_arc_never_coerces_crossings():
@@ -161,7 +171,7 @@ def test_tuple_verdict_arity_errors():
         tuple_verdict(())
     with pytest.raises(WrongArity):
         tuple_verdict((fan_arc([], 1), fan_arc([], 4), fan_arc([], 3)))
-    with pytest.raises(WrongArity, match=r"arc Arc\(crossings=\(4,\), endpoint=1\) uses rays"):
+    with pytest.raises(WrongArity, match=r"arc 4:1 uses rays beyond 1\.\.3"):
         tuple_verdict((fan_arc([4], 1), fan_arc([], 2), fan_arc([], 3)))
 
 
@@ -336,6 +346,11 @@ def arcs(draw):
 @given(arcs())
 def test_arc_json_round_trip(a):
     assert Arc.from_json(json.loads(json.dumps(a.to_json()))) == a
+
+
+@given(arcs())
+def test_arc_text_parses_back_as_an_arcs_token(a):
+    assert _parse_arc_token(str(a)) == a
 
 
 @pytest.mark.parametrize(

@@ -37,6 +37,12 @@ def test_arc2refl_empty_crossings(capsys):
     assert json.loads(out) == [2]
 
 
+def test_arc2refl_drops_a_trailing_crossing_of_the_endpoint_ray(capsys):
+    code, out, _ = run(capsys, "arc2refl", "--crossings", "2,1", "--endpoint", "1")
+    assert code == 0
+    assert json.loads(out) == [2, 1, 2]
+
+
 def test_refl2arc(capsys):
     code, out, _ = run(capsys, "refl2arc", "--word", "2,3,2")
     assert code == 0
@@ -61,7 +67,7 @@ def test_refl2arc_rejects_non_reflection(capsys):
         ("check-tuple", "--arcs", "1", "2", "+3"),
         ("check-tuple", "--arcs", "1", "2", "1:\u0663"),
         ("complete-arc", "--endpoint", "3", "--quiver", "QUIVER", "--depth", "1_0"),
-        ("schur", "--word", "1", "--quiver", "QUIVER", "--cap", "\u0661\u0662"),
+        ("schur", "--word", "1", "--quiver", "QUIVER", "--depth", "\u0661\u0662"),
         ("explore", "--quiver", "QUIVER", "--depth", "+1"),
     ],
     ids=" ".join,
@@ -298,6 +304,17 @@ def test_complete_arc_not_embeddable(capsys, quiver_file):
     code, _, _ = run(capsys, "complete-arc", "--crossings", "2,1", "--endpoint", "3",
                      "--quiver", quiver_file, "--strict")
     assert code == 1
+
+
+@pytest.mark.parametrize("command", [
+    ("schur", "--word", "1"),
+    ("complete-arc", "--endpoint", "1"),
+])
+def test_schur_and_complete_arc_have_no_crossing_cap(capsys, quiver_file, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--quiver", quiver_file, "--cap", "12"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap 12" in capsys.readouterr().err
 
 
 def test_complete_arc_depth_exhausted(capsys, quiver_file):

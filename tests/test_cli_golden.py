@@ -61,7 +61,7 @@ CASES = [
         "complete-arc-not-embeddable",
         "complete-arc --crossings 2,1 --endpoint 3 --quiver b3.json --strict",
         1,
-        "a0fde83bbb6c7e710d416bbab3bc8f0a2c98906836b22f0ecca371b116472e67",
+        "6bd860b5f72db8d33a4af30dbfd6e978c8e4a46ca8b0c89cdd8a9879b49d49ea",
         EMPTY,
     ),
     (
@@ -69,6 +69,23 @@ CASES = [
         "complete-arc --crossings 2 --endpoint 1 --quiver b3.json --depth 1 --strict",
         1,
         "f6e2e04d171264009671856207437ddd7f6caddbff4140a2bfb5142dbe83f29d",
+        EMPTY,
+    ),
+    (
+        # arcs of 13 crossings: decided, not refused as too long
+        "schur-13-crossings",
+        "schur --word 1,2,3,2,1,2,3,2,1,2,3,2,1,2,1,2,3,2,1,2,3,2,1,2,3,2,1 --quiver b3.json"
+        " --depth 6",
+        0,
+        "8cff98d25a182edae080daf42ee3b541358040201fad06498482adac0f34f5f7",
+        EMPTY,
+    ),
+    (
+        "complete-arc-13-crossings",
+        "complete-arc --crossings 1,2,3,2,1,2,3,2,1,2,3,2,1 --endpoint 2 --quiver b3.json"
+        " --depth 6",
+        0,
+        "cfd640aaf87f8faec7c69646ff154d2c0d09cb73c6399bf48f9f97eb1830ac5c",
         EMPTY,
     ),
     (
@@ -104,7 +121,7 @@ CASES = [
         "check-tuple --arcs 1 2:4",
         2,
         EMPTY,
-        "260625eea93ead2a06164dac17d207edfc53dc5c855c42291c8f43d6a5924bed",
+        "09fd650705ded5a1de31b444e4e8f84e7332b2d2f2aa1a78875c506e36d150f3",
     ),
     (
         "check-tuple-strict",
@@ -118,7 +135,7 @@ CASES = [
         "check-tuple --words 1 4 3",
         2,
         EMPTY,
-        "49063e19d115c39f236c77c4c696c7195e4711006717e8bd48063bb39a9aa913",
+        "77ab0036e43efd09343b24432e2b5aeffefdeeef4d3ce2063a17491b334591ea",
     ),
     (
         "root2refl",

@@ -4,15 +4,17 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from arcroots.arcs import Arc
+from arcroots.arcs import Arc, reflection_to_arc
 from arcroots.embedding import (
     EmbeddingWitness,
     candidate_witnesses,
-    is_embeddable,
     probe_embedding,
     witness_is_valid,
 )
 from arcroots.errors import CapExceeded
+from arcroots.explore import iter_seeds
+from arcroots.quiver import ExchangeMatrix
+from arcroots.roots import initial_seed, positive_form
 
 
 @st.composite
@@ -39,24 +41,25 @@ def all_n3_arcs(max_crossings=3):
 
 
 def test_displayed_arcs_embed():
-    ok, w = is_embeddable(Arc((2,), 3))
-    assert ok
-    assert w == EmbeddingWitness(("LR",), ((2, (0,)),))
-    ok, w = is_embeddable(Arc((3, 1, 2, 3), 4))
-    assert ok
-    assert witness_is_valid(Arc((3, 1, 2, 3), 4), w)
+    rep = probe_embedding(Arc((2,), 3))
+    assert rep.embeddable
+    assert rep.witness == EmbeddingWitness(("LR",), ((2, (0,)),))
+    rep = probe_embedding(Arc((3, 1, 2, 3), 4))
+    assert rep.embeddable
+    assert witness_is_valid(Arc((3, 1, 2, 3), 4), rep.witness)
 
 
 def test_no_crossings_embeds_trivially():
     for endpoint in (1, 2, 5):
-        assert is_embeddable(Arc((), endpoint)) == (True, EmbeddingWitness((), ()))
+        rep = probe_embedding(Arc((), endpoint))
+        assert (rep.embeddable, rep.witness) == (True, EmbeddingWitness((), ()))
 
 
 def test_first_non_embeddable_arc_in_rank_three():
     # discovered by enumerating all 45 reflections of word length <= 7 in
     # (length, lex) order; frozen here as a regression fixture
-    assert not is_embeddable(Arc((2, 1), 3))[0]
-    verdicts = [(a, is_embeddable(a)[0]) for a in all_n3_arcs()]
+    assert not probe_embedding(Arc((2, 1), 3)).embeddable
+    verdicts = [(a, probe_embedding(a).embeddable) for a in all_n3_arcs()]
     assert len(verdicts) == 45
     bad = [a for a, ok in verdicts if not ok]
     assert len(bad) == 10
@@ -77,16 +80,31 @@ def test_search_space_counts_sides_and_heights():
 
 
 def test_cap():
+    # uncapped by default, so 13 crossings are decided
     long = tuple((1, 2) * 7)[:13]
-    with pytest.raises(CapExceeded):
-        is_embeddable(Arc(long, 3))
+    assert probe_embedding(Arc(long, 3)).embeddable
     with pytest.raises(CapExceeded):
         probe_embedding(Arc((1, 2, 1), 3), cap=2)
     assert probe_embedding(Arc((1, 2, 1), 3), cap=3)
 
 
+def test_every_b3_schur_root_arc_embeds_uncapped():
+    # every c-vector is a real Schur root, so by the paper's corollary (the
+    # Lee-Lee conjecture) its arc embeds, however many crossings it has
+    b3 = ExchangeMatrix(((0, 2, 2), (-2, 0, 2), (-2, -2, 0)))
+    arcs = {}
+    for seed in iter_seeds(initial_seed(b3), 7):
+        for c, r in zip(seed.cvectors, seed.reflections):
+            arcs.setdefault(positive_form(c), reflection_to_arc(r))
+    assert len(arcs) == 311
+    assert sum(len(a.crossings) > 12 for a in arcs.values()) == 58
+    for a in arcs.values():
+        rep = probe_embedding(a)
+        assert rep.embeddable and witness_is_valid(a, rep.witness), a
+
+
 def test_witness_json_roundtrip():
-    _, w = is_embeddable(Arc((3, 1, 2, 3), 4))
+    w = probe_embedding(Arc((3, 1, 2, 3), 4)).witness
     assert EmbeddingWitness.from_json(w.to_json()) == w
 
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import random
+import sys
 
 import pytest
 
@@ -19,6 +20,7 @@ from arcroots.explore import (
 )
 from arcroots.quiver import ExchangeMatrix, random_acyclic_two_complete
 from arcroots.roots import (
+    YSeed,
     initial_seed,
     mutate_seed,
     positive_form,
@@ -116,6 +118,69 @@ def test_sep_dichotomy_check_on_known_seeds():
 
 def test_one_star_check_on_acyclic_seed():
     assert CHECKS["one_star"](initial_seed(B3), B3) == []
+
+
+W3 = ExchangeMatrix(((0, 3, 3), (-3, 0, 3), (-3, -3, 0)))
+GRAM3 = initial_seed(B3).gram
+E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+# the roots of s1, s1s2s1 and s1s2s3s2s1: each edge of the Cayley tree
+# follows the last, so the fan has two bad pairs and s1s2s1 separates
+R1, R121, R12321 = (
+    reflection_to_root(canonical_reflection(w), GRAM3) for w in ((1,), (1, 2, 1), (1, 2, 3, 2, 1))
+)
+
+
+# (check, hand-built seed, initial matrix, labels the check must return);
+# every c-vector is a real root, except the one sign_coherence must catch
+VIOLATIONS = [
+    ("two_complete", YSeed(ExchangeMatrix(((0, 1, 2), (-1, 0, 2), (-2, -2, 0))),
+                           (E1, E2, E3), GRAM3, ()), B3, ["two_complete"]),
+    ("weight_monotone", initial_seed(B3), W3, ["weight_monotone"]),
+    # the Markov quiver: not acyclic, and no direction decreases a weight
+    ("decreasing_unique", YSeed(ExchangeMatrix(((0, 2, -2), (-2, 0, 2), (2, -2, 0))),
+                                (E1, E2, E3), GRAM3, ()), B3, ["decreasing_unique"]),
+    ("seven", YSeed(W3, (E1, E2, E3), GRAM3, ()), B3, ["seven"]),
+    ("sign_coherence", YSeed(B3, ((1, -1, 0), E2, E3), GRAM3, ()), B3, ["sign_coherence"]),
+    ("st", YSeed(B3, (R1, R121, E3), GRAM3, ()), B3, ["st"]),
+    ("coxeter_product", YSeed(B3, (E2, E1, E3), GRAM3, ()), B3, ["coxeter_product"]),
+    ("sign_runs", YSeed(B4, ((1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1)),
+                        initial_seed(B4).gram, ()), B4, ["sign_runs"]),
+    ("bad_pairs", YSeed(B3, (R1, R121, R12321), GRAM3, ()), B3, ["bad_pairs", "tuple_yseed"]),
+    # one bad pair, but the ordering check fails
+    ("bad_pairs", YSeed(B3, (R1, R121, E3), GRAM3, ()), B3, ["tuple_yseed"]),
+    ("sep_dichotomy", YSeed(B3, (R1, R121, R12321), GRAM3, ()), B3, ["sep_dichotomy"]),
+    ("one_star", YSeed(B3, (R1, R121, R12321), GRAM3, ()), B3, ["one_star"]),
+]
+
+
+def test_every_check_has_a_violating_seed():
+    assert {name for name, *_ in VIOLATIONS} == set(CHECKS)
+
+
+@pytest.mark.parametrize(
+    "name,seed,initial,labels", VIOLATIONS, ids=[" ".join(v[3]) for v in VIOLATIONS]
+)
+def test_check_reports_its_violation(name, seed, initial, labels):
+    # a check that always answered [] would pass every clean exploration
+    assert CHECKS[name](seed, initial) == labels
+    assert CHECKS[name](initial_seed(initial), initial) == []
+
+
+def test_explore_reports_a_failing_check(monkeypatch, caplog):
+    monkeypatch.setitem(
+        CHECKS, "st", lambda seed, initial: ["st"] if seed.path == (2, 3) else []
+    )
+    report = explore(B3, 3, checks=("two_complete", "st"))
+    assert report.to_json()["violations"] == [[[2, 3], "st"]]
+    assert "exploration found 1 violations" in caplog.text
+
+
+def test_tree_check_reports_repeated_digests(monkeypatch):
+    # the package re-exports the explore function under the module's name
+    monkeypatch.setattr(sys.modules[explore.__module__], "seed_digest", lambda seed: "c")
+    paths = [s.path for s in iter_seeds(initial_seed(B3), 2)]
+    report = explore(B3, 2, checks=("tree",))
+    assert report.violations == tuple((p, "tree") for p in paths[1:])
 
 
 def test_schur_by_search_finds_unit_vectors_at_the_root():

@@ -1,8 +1,9 @@
-"""Every module of the package uses every name it imports.
+"""Every module of the package uses every name it imports, and the
+package exports exactly what its __init__.py imports.
 
 No linter runs on this repository, so this stdlib scan stands in for the
-unused-import rule.  The package's __init__.py is exempt: its imports are
-the public re-exports.
+unused-import rule.  The package's __init__.py is exempt from it: its
+imports are the public re-exports, pinned against __all__ instead.
 """
 
 import ast
@@ -41,3 +42,21 @@ def test_package_has_modules_to_scan():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_all_is_exactly_the_reexported_names():
+    # a deleted function cannot linger in __all__, nor an import outside it
+    tree = ast.parse(Path(arcroots.__file__).read_text())
+    imported = [
+        a.asname or a.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for a in node.names
+    ]
+    assert len(arcroots.__all__) == len(set(arcroots.__all__))
+    assert set(arcroots.__all__) == set(imported)
+    assert len(imported) == len(set(imported)) == 59
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in arcroots.__all__ if not hasattr(arcroots, name)] == []

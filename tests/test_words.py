@@ -254,6 +254,31 @@ def test_separating_nodes():
     assert separating_nodes((S1, S2, S3)) == frozenset()
     assert separating_nodes((S121, S131, S1)) == frozenset()
     assert separating_nodes((S1, S121, S12321)) == frozenset({1})
+    # a member never separates its own copy from anything
+    assert separating_nodes((S1, S121, S121, S12321)) == frozenset({1, 2})
+    assert separating_nodes((S1, S1, S121)) == frozenset()
+
+
+def _separating_nodes_pairwise(refls):
+    # the definition, pair by pair; positions k, i, j distinct
+    return frozenset(
+        k
+        for k, node in enumerate(refls)
+        for i in range(len(refls))
+        for j in range(i + 1, len(refls))
+        if k not in (i, j) and separates(node, refls[i], refls[j])
+    )
+
+
+# a small pool drawn from often, so that tuples repeat members
+tuples_with_repeats = st.lists(
+    st.sampled_from(rank3_reflections_with_short_prefix()[:12]) | reflections, max_size=6
+)
+
+
+@given(tuples_with_repeats)
+def test_separating_nodes_matches_pairwise_definition(refls):
+    assert separating_nodes(refls) == _separating_nodes_pairwise(refls)
 
 
 def test_in_one_star():
