@@ -65,10 +65,6 @@ class SignIncoherent(ArcrootsError):
     """A vector mixes strictly positive and strictly negative entries."""
 
 
-class RankTooLarge(ArcrootsError):
-    """Brute-force guard: the ordering search is factorial in the rank."""
-
-
 class WrongArity(ArcrootsError):
     """Tuple length or letter range does not match the rank."""
 

@@ -198,7 +198,7 @@ def explore(
 ) -> ExplorationReport:
     """Enumerate all seeds to the depth, verifying and streaming each.
 
-    checks are names from ALL_CHECKS; "tree" confirms that no two tree
+    checks are distinct names from ALL_CHECKS; "tree" confirms that no two tree
     addresses carry the same (B, C) pair, hashing canonical
     serializations instead of trusting the no-revisit argument.  Seeds
     are handed to sink one at a time and never accumulated.
@@ -206,6 +206,9 @@ def explore(
     unknown = sorted(set(checks) - set(ALL_CHECKS))
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(unknown)}")
+    repeated = sorted({name for name in checks if checks.count(name) > 1})
+    if repeated:
+        raise ValueError(f"repeated checks: {', '.join(repeated)}")
     digests: set[str] = set()
     violations: list[tuple[tuple[int, ...], str]] = []
     visited = 0
@@ -252,7 +255,7 @@ def schur_by_search(
     positive form u is searched for.  A root target is never coerced: an
     entry that is not an int, or a length other than the rank, raises
     ValueError.  Found paths are shortest because the walk is breadth
-    first.
+    first.  Depth 0 looks at the initial seed alone.
 
     Subtrees that cannot carry u are not walked.  Along every tree edge
     away from the root, the mutated position c_k becomes -c_k and keeps
@@ -271,8 +274,6 @@ def schur_by_search(
     moves).  Tests check the invariant on B3, B4 and random trees, and
     compare this search with the unpruned walk of iter_seeds.
     """
-    if depth <= 0:
-        raise ValueError(f"depth {depth} must be positive")
     root = initial_seed(initial)
     if isinstance(target, Reflection):
         u = reflection_to_root(target, root.gram)

@@ -23,15 +23,13 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from itertools import permutations
+from functools import cached_property, cmp_to_key
 
 from .errors import (
     NotAcyclic,
     NotARealRoot,
     NotNormalized,
     NotUnitRoot,
-    RankTooLarge,
     SignIncoherent,
     require_int,
 )
@@ -306,33 +304,37 @@ def reflection_to_root(r: Reflection, gram: GramMatrix) -> Root:
 def speyer_thomas_check(
     roots: tuple[Root, ...], reflections: tuple[Reflection, ...], gram: GramMatrix
 ) -> bool:
-    """Ordering criterion for a tuple of n sign-coherent real roots, given
-    with their reflections (entry i is the reflection of roots[i]).
+    """Ordering criterion for n sign-coherent real roots; entry i of
+    reflections must be the reflection of roots[i].
 
     Passes when (1) every same-sign pair pairs non-positively, and (2)
     some ordering with all positive roots before all negative roots has
-    reflection product s_1 s_2 .. s_n.  The ordering search is brute
-    force, so the rank is capped at 8.
+    reflection product s_1 s_2 .. s_n.  Such an ordering is a complete
+    exceptional sequence (Igusa-Schiffler): v precedes u exactly when the
+    Euler form <u, v> = u^T E v is 0, E the upper half of the pairing with
+    1 on the diagonal.  No two distinct reflections of the universal
+    Coxeter group commute, so no two are orthogonal and the order is unique.
     """
     n = gram.n
-    if n > 8:
-        raise RankTooLarge(f"ordering search is factorial; rank {n} > 8")
-    if len(roots) != n or len(reflections) != n:
-        raise ValueError(f"expected {n} roots and {n} reflections")
+    if len(roots) != n or len(reflections) != n or any(len(u) != n for u in roots):
+        raise ValueError(f"expected {n} roots of length {n} and {n} reflections")
     signs = [root_sign(u) for u in roots]
     for i in range(n):
         for j in range(i + 1, n):
             if signs[i] is signs[j] and inner(roots[i], roots[j], gram) > 0:
                 return False
     words = [r.word for r in reflections]
-    positives = [words[i] for i in range(n) if signs[i] is Sign.POSITIVE]
-    negatives = [words[i] for i in range(n) if signs[i] is Sign.NEGATIVE]
+    positives = [i for i in range(n) if signs[i] is Sign.POSITIVE]
+    negatives = [i for i in range(n) if signs[i] is Sign.NEGATIVE]
     target = tuple(range(1, n + 1))
-    for front in permutations(positives):
-        for back in permutations(negatives):
-            if mul(*front, *back) == target:
-                return True
-    return False
+    if mul(*(words[i] for i in positives + negatives)) == target:
+        return True
+    m = gram.rows
+    ev = [[v[i] + sum(map(operator.mul, m[i][i + 1 :], v[i + 1 :])) for i in range(n)] for v in roots]
+    after = cmp_to_key(lambda a, b: 1 if sum(map(operator.mul, roots[a], ev[b])) == 0 else -1)
+    positives.sort(key=after)
+    negatives.sort(key=after)
+    return mul(*(words[i] for i in positives + negatives)) == target
 
 
 def fan_rotation(roots: tuple[Root, ...]) -> int:

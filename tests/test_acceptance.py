@@ -83,7 +83,7 @@ def corollary_run(which):
     return rep, time.monotonic() - start
 
 
-COXETER_LABELS = {"coxeter_product", "coxeter_product_fallback"}
+COXETER_LABELS = {"coxeter_product"}
 
 
 def test_criterion_2_corollary_suite_exhaustive():

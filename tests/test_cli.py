@@ -185,6 +185,14 @@ def test_explore_unknown_check(capsys, quiver_file):
     assert "unknown checks" in err
 
 
+def test_explore_repeated_check(capsys, quiver_file):
+    code, out, err = run(capsys, "explore", "--quiver", quiver_file, "--depth", "2",
+                         "--verify", "tree,tree")
+    assert code == 2
+    assert out == ""
+    assert err == "error: repeated checks: tree\n"
+
+
 def test_explore_rejects_non_two_complete(capsys, tmp_path):
     path = tmp_path / "thin.json"
     path.write_text(json.dumps({"b": [[0, 1], [-1, 0]]}))
@@ -322,6 +330,27 @@ def test_complete_arc_depth_exhausted(capsys, quiver_file):
                        "--quiver", quiver_file, "--depth", "1", "--strict")
     assert code == 1
     assert "depth" in json.loads(out)["reason"]
+
+
+def test_schur_and_complete_arc_at_depth_zero(capsys, quiver_file):
+    code, out, _ = run(capsys, "schur", "--word", "1", "--quiver", quiver_file, "--depth", "0")
+    assert code == 0
+    assert json.loads(out) == {"embeddable": True, "search": {"found": True, "path": []}}
+    code, out, _ = run(capsys, "complete-arc", "--crossings", "2", "--endpoint", "1",
+                       "--quiver", quiver_file, "--depth", "0")
+    assert code == 0
+    assert json.loads(out) == {"found": False, "reason": "no seed within depth 0; raise the depth"}
+
+
+@pytest.mark.parametrize("command", [
+    ("schur", "--word", "1"),
+    ("complete-arc", "--crossings", "2", "--endpoint", "1"),
+])
+def test_schur_and_complete_arc_reject_negative_depth(capsys, quiver_file, command):
+    code, out, err = run(capsys, *command, "--quiver", quiver_file, "--depth", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: depth -1 must be >= 0\n"
 
 
 def test_usage_error_exits_two(capsys):

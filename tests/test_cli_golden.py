@@ -16,6 +16,7 @@ from arcroots.cli import main
 QUIVERS = {
     "b3.json": [[0, 2, 2], [-2, 0, 2], [-2, -2, 0]],
     "b4.json": [[0 if i == j else (2 if j > i else -2) for j in range(4)] for i in range(4)],
+    "b9.json": [[0 if i == j else (2 if j > i else -2) for j in range(9)] for i in range(9)],
 }
 
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"  # sha256 of no output
@@ -136,6 +137,21 @@ CASES = [
         2,
         EMPTY,
         "77ab0036e43efd09343b24432e2b5aeffefdeeef4d3ce2063a17491b334591ea",
+    ),
+    (
+        # rank 9: the ordering check decides any rank
+        "check-tuple-words-rank-9",
+        "check-tuple --words 1 2 3 4 5 6 7 8 9",
+        0,
+        "b17992c55494c8ac173d04af7d989949b2e31c851b92fa0a7064ce4e5070fa75",
+        EMPTY,
+    ),
+    (
+        "explore-rank-9-d1",
+        "explore --quiver b9.json --depth 1 --verify all",
+        0,
+        "f7ff64613bf6b201ccaeffa50e3ef642fe303604ba927816a3d66b65c7eede83",
+        EMPTY,
     ),
     (
         "root2refl",

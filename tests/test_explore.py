@@ -93,6 +93,13 @@ def test_explore_unknown_check():
         explore(B3, 1, checks=("two_complete", "nonsense"))
 
 
+@pytest.mark.parametrize("checks", [("tree", "tree"), ("st", "seven", "st", "seven", "st")])
+def test_explore_rejects_a_repeated_check(checks):
+    # a second "tree" pass would find the digest the first just added
+    with pytest.raises(ValueError, match=f"repeated checks: {', '.join(sorted(set(checks)))}$"):
+        explore(B3, 2, checks=checks)
+
+
 def test_explore_streams_seeds_losslessly():
     seen = []
     report = explore(B3, 2, sink=seen.append)
@@ -200,8 +207,11 @@ def test_schur_by_search_negative_root_searches_positive_form():
 
 
 def test_schur_by_search_depth_validation():
-    with pytest.raises(ValueError):
-        schur_by_search((1, 0, 0), B3, 0)
+    # depth 0 searches the initial seed alone, like iter_seeds
+    assert schur_by_search((1, 0, 0), B3, 0) == SearchOutcome(True, ())
+    assert schur_by_search((2, 1, 0), B3, 0) == SearchOutcome(False, None)
+    with pytest.raises(ValueError, match="depth -1"):
+        schur_by_search((1, 0, 0), B3, -1)
 
 
 def test_schur_by_search_misses_non_schur_root():

@@ -1,5 +1,6 @@
-"""Every module of the package uses every name it imports, and the
-package exports exactly what its __init__.py imports.
+"""Every module of the package uses every name it imports, the package
+exports exactly what its __init__.py imports, and every exception class
+it declares is raised somewhere in it.
 
 No linter runs on this repository, so this stdlib scan stands in for the
 unused-import rule.  The package's __init__.py is exempt from it: its
@@ -60,3 +61,30 @@ def test_all_is_exactly_the_reexported_names():
 
 def test_every_exported_name_resolves():
     assert [name for name in arcroots.__all__ if not hasattr(arcroots, name)] == []
+
+
+def raised_names(source: str) -> set[str]:
+    """Names raised as `raise Name(...)` or `raise Name`."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                out.add(exc.id)
+    return out
+
+
+def test_raise_scan_finds_raised_names():
+    source = "def f():\n    raise A('x')\n    raise B\n    raise c.D()\n    raise\n"
+    assert raised_names(source) == {"A", "B"}
+
+
+def test_every_declared_exception_is_raised():
+    # a class no code raises is dead, and callers catching it guard nothing
+    errors = Path(arcroots.__file__).parent / "errors.py"
+    declared = {
+        node.name for node in ast.parse(errors.read_text()).body if isinstance(node, ast.ClassDef)
+    }
+    raised = set().union(*(raised_names(p.read_text()) for p in MODULES))
+    assert "ArcrootsError" in declared and len(declared) > 10
+    assert sorted(declared - {"ArcrootsError"} - raised) == []

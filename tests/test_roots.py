@@ -1,18 +1,20 @@
 import json
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
+from arcroots.arcs import braid_swap
 from arcroots.errors import (
     ArcrootsError,
     NotAcyclic,
     NotARealRoot,
     NotNormalized,
     NotUnitRoot,
-    RankTooLarge,
     SignIncoherent,
 )
+from arcroots.explore import iter_seeds
 from arcroots.quiver import ExchangeMatrix, natural_order, random_acyclic_two_complete
 from arcroots.roots import (
     GramMatrix,
@@ -36,7 +38,7 @@ from arcroots.roots import (
     speyer_thomas_check,
     unit_vector,
 )
-from arcroots.words import Reflection, canonical_reflection, conjugate
+from arcroots.words import Reflection, canonical_reflection, conjugate, generator, mul
 
 B3 = ExchangeMatrix.from_rows([[0, 2, 2], [-2, 0, 2], [-2, -2, 0]])
 GRAM3 = cartan_companion(B3)
@@ -323,11 +325,99 @@ def test_speyer_thomas_examples():
     assert _st(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
-def test_speyer_thomas_rank_guard():
-    with pytest.raises(RankTooLarge):
-        _st((), all_weights_two_gram(9))
+def test_speyer_thomas_any_rank():
+    # rank 9 and beyond: every seed passes
+    rng = random.Random(909)
+    seeds = 0
+    for n, depth in ((9, 2), (10, 1), (12, 1)):
+        for seed in iter_seeds(initial_seed(random_acyclic_two_complete(n, rng)), depth):
+            assert speyer_thomas_check(seed.cvectors, seed.reflections, seed.gram)
+            seeds += 1
+    assert seeds == 82 + 11 + 13
     with pytest.raises(ValueError):
         _st(((1, 0, 0),))
+    with pytest.raises(ValueError):
+        speyer_thomas_check(((1, 0), (0, 1, 0), (0, 0, 1)), S0.reflections, GRAM3)
+
+
+def _st_by_permutations(roots, reflections, gram):
+    """The ordering criterion by brute force: every ordering with the
+    positive roots first is multiplied out."""
+    n = gram.n
+    signs = [root_sign(u) for u in roots]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if signs[i] is signs[j] and inner(roots[i], roots[j], gram) > 0:
+                return False
+    words = [r.word for r in reflections]
+    positives = [w for w, s in zip(words, signs) if s is Sign.POSITIVE]
+    negatives = [w for w, s in zip(words, signs) if s is Sign.NEGATIVE]
+    target = tuple(range(1, n + 1))
+    return any(
+        mul(*front, *back) == target
+        for front in permutations(positives)
+        for back in permutations(negatives)
+    )
+
+
+def _negate(u):
+    return tuple(-x for x in u)
+
+
+def _ordering_inputs(rng):
+    """(family, roots, reflections, pairing) tuples of rank 1 to 7."""
+    b4 = ExchangeMatrix.from_rows(
+        [[0 if i == j else 2 if i < j else -2 for j in range(4)] for i in range(4)]
+    )
+    trees = [(B3, 6), (b4, 4)] + [
+        (random_acyclic_two_complete(n, rng), depth)
+        for n, depth in ((1, 1), (2, 4), (3, 5), (4, 3), (4, 3), (5, 2), (6, 2), (7, 1))
+    ]
+    for initial, depth in trees:
+        for seed in iter_seeds(initial_seed(initial), depth):
+            roots, refls, n = seed.cvectors, seed.reflections, seed.n
+            yield "seed", roots, refls, seed.gram
+            j = rng.randrange(n)
+            r = conjugate(refls[j], (rng.randint(1, n),))
+            u = reflection_to_root(r, seed.gram)
+            u = u if root_sign(roots[j]) is Sign.POSITIVE else _negate(u)
+            roots_j, refls_j = roots[:j] + (u,) + roots[j + 1 :], refls[:j] + (r,) + refls[j + 1 :]
+            yield "conjugated", roots_j, refls_j, seed.gram
+            j = rng.randrange(n)
+            yield "flipped", roots[:j] + (_negate(roots[j]),) + roots[j + 1 :], refls, seed.gram
+    for _ in range(600):
+        n = rng.randint(2, 6)
+        gram = cartan_companion(random_acyclic_two_complete(n, rng))
+        refls = tuple(generator(i) for i in range(1, n + 1))
+        for _ in range(rng.randint(0, 5)):
+            i = rng.randint(1, n - 1)
+            refls = braid_swap(refls, i, rng.randint(i + 1, n), rng.choice(("forward", "inverse")))
+        if rng.random() < 0.5:
+            refls = tuple(rng.sample(refls, n))
+        roots = [reflection_to_root(r, gram) for r in refls]
+        cut = rng.randint(0, n)
+        yield "braided", tuple(roots[:cut] + [_negate(u) for u in roots[cut:]]), refls, gram
+    for _ in range(600):
+        n = rng.randint(2, 6)
+        gram = cartan_companion(random_acyclic_two_complete(n, rng))
+        refls = tuple(_random_reflection(n, rng) for _ in range(n))
+        roots = [reflection_to_root(r, gram) for r in refls]
+        yield "random", tuple(u if rng.random() < 0.5 else _negate(u) for u in roots), refls, gram
+
+
+def test_speyer_thomas_matches_the_permutation_search():
+    passes, fails, disagreements = {}, {}, []
+    for family, roots, refls, gram in _ordering_inputs(random.Random(2013)):
+        want = _st_by_permutations(roots, refls, gram)
+        if speyer_thomas_check(roots, refls, gram) != want:
+            disagreements.append((family, roots))
+        tally = passes if want else fails
+        tally[family] = tally.get(family, 0) + 1
+    assert disagreements == []
+    # seeds always pass; every other family holds both answers
+    assert passes["seed"] > 600 and "seed" not in fails
+    families = {"seed", "conjugated", "flipped", "braided", "random"}
+    assert set(passes) == set(fails) | {"seed"} == families
 
 
 def test_natural_coxeter_product_on_initial_and_mutations():
