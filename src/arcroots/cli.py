@@ -30,7 +30,14 @@ from .arcs import (
 from .dot import NODE_CAP, cayley_fragment_dot, exchange_tree_dot
 from .embedding import probe_embedding
 from .errors import ArcrootsError, DepthExhausted, NotEmbeddable
-from .explore import ALL_CHECKS, complete_arc, explore, schur_by_search
+from .explore import (
+    ALL_CHECKS,
+    SearchOutcome,
+    complete_arc,
+    explore,
+    require_depth,
+    schur_by_search,
+)
 from .quiver import ExchangeMatrix, normalized
 from .roots import (
     all_weights_two_gram,
@@ -39,7 +46,10 @@ from .roots import (
     mutate_seed,
     root_to_reflection,
 )
-from .words import canonical_reflection
+from .words import below_coxeter, canonical_reflection
+
+# not __name__, which is "__main__" under python -m arcroots.cli
+log = logging.getLogger("arcroots.cli")
 
 
 def integer(text: str) -> int:
@@ -158,9 +168,27 @@ def cmd_schur(args: argparse.Namespace) -> int:
     top = max(r.letters())
     if top > matrix.n:
         raise ValueError(f"word uses generator s{top}, matrix rank is {matrix.n}")
+    require_depth(args.depth)
     embeddable = probe_embedding(reflection_to_arc(r)).embeddable
-    outcome = schur_by_search(r, matrix, args.depth)
-    print(json.dumps({"embeddable": embeddable, "search": outcome.to_json()}))
+    below = below_coxeter(r, matrix.n)
+    if embeddable or below:
+        if embeddable != below:
+            log.warning(
+                "schur %s: embeddable is %s but below_coxeter is %s; searching",
+                r.word, embeddable, below,
+            )
+        outcome = schur_by_search(r, matrix, args.depth)
+    else:
+        # two independent proofs of the negative, so the walk would only
+        # run to the depth limit and find nothing
+        log.debug(
+            "schur %s: not a real Schur root by embedding and by absolute order;"
+            " search not run", r.word,
+        )
+        outcome = SearchOutcome(False, None, 0, 0, False)
+    print(json.dumps(
+        {"embeddable": embeddable, "below_coxeter": below, "search": outcome.to_json()}
+    ))
     return 1 if args.strict and not embeddable else 0
 
 
@@ -244,7 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quiver", default=None, help="pairing from this quiver instead of all weights 2")
     p.set_defaults(func=cmd_root2refl)
 
-    p = sub.add_parser("schur", help="decide real-Schur-rootness by embedding and by search")
+    p = sub.add_parser(
+        "schur", help="decide real-Schur-rootness by embedding, absolute order and search"
+    )
     p.add_argument("--word", required=True, help="reflection word")
     p.add_argument("--quiver", required=True, help="quiver JSON file")
     p.add_argument("--depth", type=integer, default=8, help="mutation search depth (default 8)")

@@ -43,6 +43,12 @@ from .words import Reflection, in_one_star, separating_nodes
 log = logging.getLogger(__name__)
 
 
+def require_depth(depth: int) -> None:
+    """Raise ValueError unless depth is at least 0."""
+    if depth < 0:
+        raise ValueError(f"depth {depth} must be >= 0")
+
+
 def iter_seeds(
     root: YSeed, depth: int, expand: Callable[[YSeed], bool] | None = None
 ) -> Iterator[YSeed]:
@@ -53,8 +59,7 @@ def iter_seeds(
     only when it returns true.  Order among the seeds still walked is the
     unpruned breadth-first order.
     """
-    if depth < 0:
-        raise ValueError(f"depth {depth} must be >= 0")
+    require_depth(depth)
     queue = deque([root])
     while queue:
         seed = queue.popleft()
@@ -234,11 +239,29 @@ def explore(
 
 @dataclass(frozen=True)
 class SearchOutcome:
+    """A Schur search's verdict and its work.
+
+    seeds_visited counts the seeds looked at, pruned the seeds short of
+    the depth limit whose children were not walked, and truncated says
+    that the target was not found while live seeds remained at the depth
+    limit, so a deeper search might still find it.  A search that never
+    ran is (False, None, 0, 0, False).
+    """
+
     found: bool
     path: tuple[int, ...] | None
+    seeds_visited: int
+    pruned: int
+    truncated: bool
 
     def to_json(self) -> dict:
-        return {"found": self.found, "path": None if self.path is None else list(self.path)}
+        return {
+            "found": self.found,
+            "path": None if self.path is None else list(self.path),
+            "seeds_visited": self.seeds_visited,
+            "pruned": self.pruned,
+            "truncated": self.truncated,
+        }
 
 
 def _height(v: Root) -> int:
@@ -299,14 +322,15 @@ def schur_by_search(
 
     visited = 0
     truncated = False
-    outcome = SearchOutcome(False, None)
+    path = None
     for seed in iter_seeds(root, depth, expand):
         visited += 1
         if u in seed.cvectors:
-            outcome = SearchOutcome(True, seed.path)
+            path = seed.path
             break
         if len(seed.path) == depth and not truncated:
             truncated = live(seed)
+    outcome = SearchOutcome(path is not None, path, visited, pruned, path is None and truncated)
     if outcome.found:
         verdict = f"found at path {outcome.path}"
     elif truncated:
@@ -324,8 +348,10 @@ def complete_arc(a: Arc, initial: ExchangeMatrix, depth: int) -> YSeed:
     """Complete an embeddable arc to a Y-seed containing its root.
 
     Existence is guaranteed for embeddable arcs, so a miss only means
-    the depth was too small and is reported as DepthExhausted.
+    the depth was too small and is reported as DepthExhausted.  A negative
+    depth raises ValueError before the arc is looked at.
     """
+    require_depth(depth)
     if not probe_embedding(a).embeddable:
         raise NotEmbeddable(f"{a} has no embedded representative")
     outcome = schur_by_search(arc_to_reflection(a), initial, depth)

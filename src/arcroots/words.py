@@ -186,3 +186,44 @@ def in_one_star(reflections: Sequence[Reflection]) -> bool:
         if all(w in r.edge() for r in reflections):
             return True
     return False
+
+
+def reflection_length(word: Iterable[int]) -> int:
+    """The absolute length l_T: the fewest reflections whose product is word.
+
+    By Dyer (2001) it is the fewest letters to delete from a reduced word
+    so that the rest spells e, and here a word spells e exactly when its
+    equal letters pair off without crossings.  The word is reduced first.
+    f[i][j], the fewest deletions that cancel w[i:j], is the least of
+    1 + f[i+1][j] (delete w[i]) and f[i+1][k] + f[k+1][j] (pair w[i] with
+    a later w[k] == w[i]), k running over that letter's positions only.
+    """
+    w = reduce_word(word)
+    size = len(w)
+    positions: dict[int, list[int]] = {}
+    for k, s in enumerate(w):
+        positions.setdefault(s, []).append(k)
+    f = [[]] * size + [[0] * (size + 1)]
+    for i in range(size - 1, -1, -1):
+        inner = f[i + 1]
+        row = [0] * (i + 1) + [1 + x for x in inner[i + 1 :]]
+        for k in positions[w[i]]:
+            if k > i:
+                paired = [inner[k] + x for x in f[k + 1][k + 1 :]]
+                row[k + 1 :] = map(min, row[k + 1 :], paired)
+        f[i] = row
+    return f[0][size]
+
+
+def below_coxeter(r: Reflection, n: int) -> bool:
+    """Whether r <= c = s_1 s_2 .. s_n in absolute order, that is, whether
+    l_T(r c) = n - 1.  For a 2-complete acyclic quiver of rank n in its
+    natural numbering these are exactly the reflections of its real Schur
+    roots (Igusa-Schiffler 2010, Hubery-Krause 2016).  A letter of r
+    outside 1..n raises ValueError."""
+    if require_int(n, "rank") < 1:
+        raise ValueError(f"rank {n} must be >= 1")
+    top = max(r.letters())
+    if top > n:
+        raise ValueError(f"reflection uses generator s{top}, the rank is {n}")
+    return reflection_length(r.word + tuple(range(1, n + 1))) == n - 1

@@ -8,6 +8,7 @@ Each test prints a single acceptance line (visible with -s) and the
 pytest verdict is the pass/fail line itself.
 """
 
+import json
 import random
 import time
 from functools import lru_cache
@@ -22,6 +23,7 @@ from arcroots.arcs import (
     twin,
     twin_replace_walk,
 )
+from arcroots.cli import main
 from arcroots.embedding import candidate_witnesses, probe_embedding, witness_is_valid
 from arcroots.errors import TwinDisjunctionError
 from arcroots.explore import ALL_CHECKS, explore, schur_by_search
@@ -35,7 +37,7 @@ from arcroots.roots import (
     reflection_to_root,
     root_to_reflection,
 )
-from arcroots.words import canonical_reflection, generator, inv, mul
+from arcroots.words import below_coxeter, canonical_reflection, generator, inv, mul
 
 B3 = ExchangeMatrix(((0, 2, 2), (-2, 0, 2), (-2, -2, 0)))
 B4 = ExchangeMatrix(
@@ -146,35 +148,65 @@ def rank3_reflections_up_to_length_7():
 
 @lru_cache(maxsize=None)
 def desk_scale_run():
+    # the search runs on every reflection here: it is the oracle checked
     start = time.monotonic()
     rows = []
     for r in rank3_reflections_up_to_length_7():
         a = reflection_to_arc(r)
-        rows.append((r, a, probe_embedding(a), schur_by_search(r, B3, 14).found))
+        rows.append((r, a, probe_embedding(a), below_coxeter(r, 3), schur_by_search(r, B3, 14)))
     return tuple(rows), time.monotonic() - start
 
 
 def test_criterion_5_embeddability_agrees_with_search():
     rows, elapsed = desk_scale_run()
     gram = all_weights_two_gram(3)
-    disagreements = [r for r, a, rep, found in rows if rep.embeddable != found]
+    disagreements = [
+        r for r, a, rep, below, search in rows if not rep.embeddable == below == search.found
+    ]
     broken_trips = [
         r
-        for r, a, rep, found in rows
+        for r, a, rep, below, search in rows
         if arc_to_reflection(a) != r or root_to_reflection(reflection_to_root(r, gram), gram) != r
     ]
+    positives = sum(search.found for *_, search in rows)
     ok = (
         len(rows) == 45
+        and positives == 35
         and not disagreements
         and not broken_trips
         and elapsed < 300.0
     )
     report(
         5,
-        "two oracles agree on all rank-3 reflections to length 7",
+        "embedding, absolute order and search agree on all rank-3 reflections to length 7",
         ok,
-        f"{len(rows)} reflections, {len(disagreements)} disagreements, "
+        f"{len(rows)} reflections, {positives} positive, {len(disagreements)} disagreements, "
         f"{len(broken_trips)} roundtrip failures, {elapsed:.2f}s",
+    )
+
+
+def test_criterion_5_cli_skips_the_search_only_on_proved_negatives(capsys, tmp_path):
+    quiver = tmp_path / "b3.json"
+    quiver.write_text(json.dumps({"b": [list(row) for row in B3.rows]}))
+    skipped = {"found": False, "path": None, "seeds_visited": 0, "pruned": 0, "truncated": False}
+    rows, _ = desk_scale_run()
+    mismatches = []
+    for r, a, rep, below, search in rows:
+        word = ",".join(map(str, r.word))
+        code = main(["schur", "--word", word, "--quiver", str(quiver), "--depth", "14"])
+        want = {
+            "embeddable": rep.embeddable,
+            "below_coxeter": below,
+            "search": search.to_json() if search.found else skipped,
+        }
+        if code != 0 or json.loads(capsys.readouterr().out) != want:
+            mismatches.append(r)
+    negatives = sum(not search.found for *_, search in rows)
+    report(
+        5,
+        "schur searches every positive and no proved negative",
+        negatives == 10 and not mismatches,
+        f"{len(rows)} schur runs, {negatives} searches skipped, {len(mismatches)} mismatches",
     )
 
 
@@ -309,7 +341,7 @@ def test_criterion_8_embeddability_witness_audit():
     rows, _ = desk_scale_run()
     positives = negatives = 0
     failures = []
-    for r, a, rep, found in rows:
+    for r, a, rep, below, search in rows:
         if rep.embeddable:
             positives += 1
             if rep.witness is None or not witness_is_valid(a, rep.witness):

@@ -111,7 +111,13 @@ def test_root2refl_imaginary_root(capsys):
 def test_schur_positive(capsys, quiver_file):
     code, out, _ = run(capsys, "schur", "--word", "1,2,1", "--quiver", quiver_file)
     assert code == 0
-    assert json.loads(out) == {"embeddable": True, "search": {"found": True, "path": [1]}}
+    assert json.loads(out) == {
+        "embeddable": True,
+        "below_coxeter": True,
+        "search": {
+            "found": True, "path": [1], "seeds_visited": 2, "pruned": 0, "truncated": False,
+        },
+    }
 
 
 def test_schur_negative_strict(capsys, quiver_file):
@@ -119,7 +125,31 @@ def test_schur_negative_strict(capsys, quiver_file):
         capsys, "schur", "--word", "2,1,3,1,2", "--quiver", quiver_file, "--strict"
     )
     assert code == 1
-    assert json.loads(out) == {"embeddable": False, "search": {"found": False, "path": None}}
+    # both oracles prove the negative, so the search is not run
+    assert json.loads(out) == {
+        "embeddable": False,
+        "below_coxeter": False,
+        "search": {
+            "found": False, "path": None, "seeds_visited": 0, "pruned": 0, "truncated": False,
+        },
+    }
+
+
+def test_schur_searches_when_the_oracles_disagree(capsys, caplog, quiver_file, monkeypatch):
+    monkeypatch.setattr("arcroots.cli.below_coxeter", lambda r, n: True)
+    code, out, _ = run(capsys, "schur", "--word", "2,1,3,1,2", "--quiver", quiver_file,
+                       "--depth", "6")
+    assert code == 0
+    verdict = json.loads(out)
+    assert (verdict["embeddable"], verdict["below_coxeter"]) == (False, True)
+    assert verdict["search"] == {
+        "found": False, "path": None, "seeds_visited": 162, "pruned": 8, "truncated": True,
+    }
+    [record] = [rec for rec in caplog.records if rec.name == "arcroots.cli"]
+    assert record.levelname == "WARNING"
+    assert record.getMessage() == (
+        "schur (2, 1, 3, 1, 2): embeddable is False but below_coxeter is True; searching"
+    )
 
 
 def test_schur_word_beyond_rank(capsys, quiver_file):
@@ -335,7 +365,11 @@ def test_complete_arc_depth_exhausted(capsys, quiver_file):
 def test_schur_and_complete_arc_at_depth_zero(capsys, quiver_file):
     code, out, _ = run(capsys, "schur", "--word", "1", "--quiver", quiver_file, "--depth", "0")
     assert code == 0
-    assert json.loads(out) == {"embeddable": True, "search": {"found": True, "path": []}}
+    assert json.loads(out) == {
+        "embeddable": True,
+        "below_coxeter": True,
+        "search": {"found": True, "path": [], "seeds_visited": 1, "pruned": 0, "truncated": False},
+    }
     code, out, _ = run(capsys, "complete-arc", "--crossings", "2", "--endpoint", "1",
                        "--quiver", quiver_file, "--depth", "0")
     assert code == 0
@@ -345,6 +379,9 @@ def test_schur_and_complete_arc_at_depth_zero(capsys, quiver_file):
 @pytest.mark.parametrize("command", [
     ("schur", "--word", "1"),
     ("complete-arc", "--crossings", "2", "--endpoint", "1"),
+    # negatives: the depth is checked before any oracle could answer
+    ("schur", "--word", "2,1,3,1,2"),
+    ("complete-arc", "--crossings", "2,1", "--endpoint", "3"),
 ])
 def test_schur_and_complete_arc_reject_negative_depth(capsys, quiver_file, command):
     code, out, err = run(capsys, *command, "--quiver", quiver_file, "--depth", "-1")
@@ -372,18 +409,34 @@ def _cli_process(*argv):
 
 
 def test_log_level_debug_shows_schur_search_work(quiver_file):
-    argv = ("schur", "--word", "2,1,3,1,2", "--quiver", quiver_file, "--depth", "6")
+    # an embeddable arc whose seed lies deeper than the limit walks to it
+    argv = ("complete-arc", "--crossings", "2", "--endpoint", "1", "--quiver", quiver_file,
+            "--depth", "1")
     quiet = _cli_process(*argv)
     loud = _cli_process("--log-level", "DEBUG", *argv)
     assert quiet.returncode == loud.returncode == 0
     assert quiet.stdout == loud.stdout
-    assert json.loads(loud.stdout)["search"] == {"found": False, "path": None}
+    assert json.loads(loud.stdout)["found"] is False
     assert "schur search" not in quiet.stderr
     assert "DEBUG" not in quiet.stderr
     line = next(ln for ln in loud.stderr.splitlines() if "schur search" in ln)
     assert line.startswith("DEBUG arcroots.explore:")
     assert "seeds visited" in line and "pruned" in line
     assert "live seeds remain at the depth limit" in line
+
+    argv = ("schur", "--word", "2,1,3,1,2", "--quiver", quiver_file, "--depth", "6")
+    quiet = _cli_process(*argv)
+    loud = _cli_process("--log-level", "DEBUG", *argv)
+    assert quiet.returncode == loud.returncode == 0
+    assert quiet.stdout == loud.stdout
+    assert json.loads(loud.stdout)["search"]["seeds_visited"] == 0
+    assert "DEBUG" not in quiet.stderr
+    assert "schur search" not in loud.stderr
+    skip = (
+        "DEBUG arcroots.cli: schur (2, 1, 3, 1, 2): not a real Schur root by embedding"
+        " and by absolute order; search not run"
+    )
+    assert skip in loud.stderr.splitlines()
 
 
 def test_log_level_rejects_unknown_level(capsys):

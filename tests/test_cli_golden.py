@@ -41,14 +41,14 @@ CASES = [
         "schur-found",
         "schur --word 1,2,1 --quiver b3.json",
         0,
-        "684dfb090ddf7a728be6fdc7eb24548c8df7b4feeb5dae7917238bbd887787e8",
+        "379209ce5fbdb186a9e6ac6c41d07feb1940bfe30ee51bfcae58cd435ead4740",
         EMPTY,
     ),
     (
         "schur-not-found",
         "schur --word 2,1,3,1,2 --quiver b3.json --depth 6 --strict",
         1,
-        "094fed78fa91776fff544f2d377e02a156cf32fa1564a938c20fa0ac5f8ca0f2",
+        "338babdf79bebdd73abfe1928bfe137621e5920c3fa3d1d5c51523ad50c9eb96",
         EMPTY,
     ),
     (
@@ -78,7 +78,7 @@ CASES = [
         "schur --word 1,2,3,2,1,2,3,2,1,2,3,2,1,2,1,2,3,2,1,2,3,2,1,2,3,2,1 --quiver b3.json"
         " --depth 6",
         0,
-        "8cff98d25a182edae080daf42ee3b541358040201fad06498482adac0f34f5f7",
+        "948bb90f3209508c1dcc3e78121d5c94103691ee460e4127a3a739f0a2e71c0f",
         EMPTY,
     ),
     (

@@ -193,13 +193,15 @@ def test_tree_check_reports_repeated_digests(monkeypatch):
 def test_schur_by_search_finds_unit_vectors_at_the_root():
     for k in (1, 2, 3):
         u = tuple(1 if i == k - 1 else 0 for i in range(3))
-        assert schur_by_search(u, B3, 3) == SearchOutcome(True, ())
+        assert schur_by_search(u, B3, 3) == SearchOutcome(True, (), 1, 0, False)
 
 
 def test_schur_by_search_first_mutation():
     out = schur_by_search((2, 1, 0), B3, 5)
-    assert out == SearchOutcome(True, (1,))
-    assert out.to_json() == {"found": True, "path": [1]}
+    assert out == SearchOutcome(True, (1,), 2, 0, False)
+    assert out.to_json() == {
+        "found": True, "path": [1], "seeds_visited": 2, "pruned": 0, "truncated": False,
+    }
 
 
 def test_schur_by_search_negative_root_searches_positive_form():
@@ -208,8 +210,9 @@ def test_schur_by_search_negative_root_searches_positive_form():
 
 def test_schur_by_search_depth_validation():
     # depth 0 searches the initial seed alone, like iter_seeds
-    assert schur_by_search((1, 0, 0), B3, 0) == SearchOutcome(True, ())
-    assert schur_by_search((2, 1, 0), B3, 0) == SearchOutcome(False, None)
+    assert schur_by_search((1, 0, 0), B3, 0) == SearchOutcome(True, (), 1, 0, False)
+    # the initial seed sits at the depth limit and is still live
+    assert schur_by_search((2, 1, 0), B3, 0) == SearchOutcome(False, None, 1, 0, True)
     with pytest.raises(ValueError, match="depth -1"):
         schur_by_search((1, 0, 0), B3, -1)
 
@@ -217,7 +220,7 @@ def test_schur_by_search_depth_validation():
 def test_schur_by_search_misses_non_schur_root():
     # root of the non-embeddable fixture arc ((2,1),3)
     out = schur_by_search((2, 6, 1), B3, 6)
-    assert out == SearchOutcome(False, None)
+    assert out == SearchOutcome(False, None, 162, 8, True)
 
 
 @pytest.mark.parametrize("target", [(2.9, 1, 0), (True, 0, 0), ("1", 0, 0), (2, 1)])
@@ -255,6 +258,9 @@ def test_complete_arc_trivial_and_depth_one():
 def test_complete_arc_rejects_non_embeddable():
     with pytest.raises(NotEmbeddable):
         complete_arc(Arc((2, 1), 3), B3, 4)
+    # the depth is checked before the arc, whatever the arc
+    with pytest.raises(ValueError, match="depth -1"):
+        complete_arc(Arc((2, 1), 3), B3, -1)
 
 
 def test_complete_arc_depth_exhaustion():
@@ -333,7 +339,9 @@ def _unpruned(u, initial, depth):
 
 def _assert_matches_unpruned(target, initial, depth):
     want = _unpruned(positive_form(target), initial, depth)
-    assert schur_by_search(target, initial, depth) == SearchOutcome(want is not None, want)
+    out = schur_by_search(target, initial, depth)
+    assert (out.found, out.path) == (want is not None, want)
+    assert 1 <= out.seeds_visited and not (out.found and out.truncated)
     return want is not None
 
 
@@ -368,7 +376,7 @@ def test_schur_by_search_matches_unpruned_walk_on_non_cvectors():
 def test_schur_by_search_logs_its_work(caplog):
     caplog.set_level(logging.DEBUG, logger="arcroots.explore")
     b2 = ExchangeMatrix(((0, 2), (-2, 0)))
-    assert not schur_by_search((1, 1), b2, 30).found
+    assert schur_by_search((1, 1), b2, 30) == SearchOutcome(False, None, 7, 2, False)
     assert "not found; tree exhausted; 7 seeds visited, 2 pruned" in caplog.text
     caplog.clear()
     assert not schur_by_search((2, 6, 1), B3, 6).found

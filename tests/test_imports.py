@@ -56,7 +56,7 @@ def test_all_is_exactly_the_reexported_names():
     ]
     assert len(arcroots.__all__) == len(set(arcroots.__all__))
     assert set(arcroots.__all__) == set(imported)
-    assert len(imported) == len(set(imported)) == 59
+    assert len(imported) == len(set(imported)) == 61
 
 
 def test_every_exported_name_resolves():

@@ -1,9 +1,17 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from arcroots.arcs import reflection_to_arc
+from arcroots.embedding import probe_embedding
 from arcroots.errors import NotAReflection
+from arcroots.explore import iter_seeds
+from arcroots.quiver import ExchangeMatrix
+from arcroots.roots import initial_seed
 from arcroots.words import (
     Reflection,
+    below_coxeter,
     canonical_reflection,
     comparable,
     conjugate,
@@ -14,6 +22,7 @@ from arcroots.words import (
     node_path,
     precedes,
     reduce_word,
+    reflection_length,
     separates,
     separating_nodes,
     vertex_path,
@@ -222,18 +231,18 @@ def _walk_crosses_edge(node, a, b):
     return any({walk[i], walk[i + 1]} == edge for i in range(len(walk) - 1))
 
 
-def rank3_reflections_with_short_prefix():
-    # every reduced prefix over 1..3 of length <= 3, every core other than
-    # the prefix's last letter
+def reflections_with_short_prefix(n=3, max_prefix=3):
+    # every reduced prefix over 1..n of length <= max_prefix, every core
+    # other than the prefix's last letter
     prefixes = [()]
     for p in prefixes:
-        if len(p) < 3:
-            prefixes += [p + (s,) for s in (1, 2, 3) if not p or p[-1] != s]
-    return [Reflection(p, c) for p in prefixes for c in (1, 2, 3) if not p or p[-1] != c]
+        if len(p) < max_prefix:
+            prefixes += [p + (s,) for s in range(1, n + 1) if not p or p[-1] != s]
+    return [Reflection(p, c) for p in prefixes for c in range(1, n + 1) if not p or p[-1] != c]
 
 
 def test_separates_matches_geodesic_walk_on_all_rank3_triples():
-    refls = rank3_reflections_with_short_prefix()
+    refls = reflections_with_short_prefix()
     assert len(refls) == 45
     hits = 0
     for node in refls:
@@ -272,7 +281,7 @@ def _separating_nodes_pairwise(refls):
 
 # a small pool drawn from often, so that tuples repeat members
 tuples_with_repeats = st.lists(
-    st.sampled_from(rank3_reflections_with_short_prefix()[:12]) | reflections, max_size=6
+    st.sampled_from(reflections_with_short_prefix()[:12]) | reflections, max_size=6
 )
 
 
@@ -287,3 +296,89 @@ def test_in_one_star():
     assert not in_one_star((S1, S12321))
     assert not in_one_star((S1, S1))
     assert in_one_star(())
+
+
+def _deletions_to_identity(word):
+    """Fewest letters to delete so that the rest spells e, over all 2^L
+    subsets: Dyer's characterization of l_T, without the DP."""
+    size = len(word)
+    return min(
+        size - bin(kept).count("1")
+        for kept in range(1 << size)
+        if mul([s for i, s in enumerate(word) if kept >> i & 1]) == ()
+    )
+
+
+def _random_reduced_word(rng, n, size):
+    word = []
+    while len(word) < size:
+        s = rng.randint(1, n)
+        if not word or word[-1] != s:
+            word.append(s)
+    return tuple(word)
+
+
+def test_reflection_length_matches_every_deletion_subset():
+    rng = random.Random(2001)
+    cases = [(n, size) for n in (2, 3, 4) for size in range(15)]
+    cases += [(rng.randint(2, 4), rng.randint(10, 14)) for _ in range(30)]
+    for n, size in cases:
+        word = _random_reduced_word(rng, n, size)
+        length = reflection_length(word)
+        assert length == _deletions_to_identity(word), word
+        assert length % 2 == size % 2, word
+
+
+@given(words)
+def test_reflection_length_parity_and_inverse(w):
+    length = reflection_length(w)
+    assert length % 2 == len(reduce_word(w)) % 2
+    assert reflection_length(inv(w)) == length
+
+
+@given(reflections)
+def test_every_reflection_has_length_one(r):
+    assert reflection_length(r.word) == 1
+
+
+def test_reflection_length_examples():
+    assert reflection_length(()) == 0
+    assert reflection_length((1, 1)) == 0
+    assert reflection_length((1, 2)) == 2
+    assert reflection_length((1, 2, 1, 2)) == 2
+    for n in range(1, 9):
+        assert reflection_length(range(1, n + 1)) == n
+    with pytest.raises(ValueError, match="generator index"):
+        reflection_length((1, 0))
+
+
+@pytest.mark.parametrize("n,max_prefix,size,positives", [(3, 6, 381, 127), (4, 4, 484, 214)])
+def test_below_coxeter_agrees_with_embedding(n, max_prefix, size, positives):
+    refls = reflections_with_short_prefix(n, max_prefix)
+    below = [below_coxeter(r, n) for r in refls]
+    embeddable = [probe_embedding(reflection_to_arc(r)).embeddable for r in refls]
+    assert len(refls) == size
+    assert [r for r, b, e in zip(refls, below, embeddable) if b != e] == []
+    assert sum(below) == positives
+
+
+@pytest.mark.parametrize("rows,depth,seeds", [
+    (((0, 2, 2), (-2, 0, 2), (-2, -2, 0)), 6, 190),
+    (((0, 2, 3, 2), (-2, 0, 2, 4), (-3, -2, 0, 2), (-2, -4, -2, 0)), 4, 161),
+])
+def test_every_cvector_reflection_is_below_coxeter(rows, depth, seeds):
+    matrix = ExchangeMatrix(rows)
+    tree = list(iter_seeds(initial_seed(matrix), depth))
+    assert len(tree) == seeds
+    above = [s.path for s in tree if not all(below_coxeter(r, matrix.n) for r in s.reflections)]
+    assert above == []
+
+
+def test_below_coxeter_rejects_letters_beyond_the_rank():
+    assert below_coxeter(generator(2), 2)
+    assert below_coxeter(canonical_reflection((2, 1, 2)), 2)  # rank 2: every reflection
+    assert not below_coxeter(canonical_reflection((2, 1, 3, 1, 2)), 3)
+    with pytest.raises(ValueError, match="s3"):
+        below_coxeter(generator(3), 2)
+    with pytest.raises(ValueError, match="rank"):
+        below_coxeter(generator(1), 0)
