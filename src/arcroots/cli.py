@@ -97,15 +97,6 @@ def _parse_verify(flag: str | None) -> tuple[str, ...]:
     return tuple(name.strip() for name in flag.split(",") if name.strip())
 
 
-def _emit(payload, out: str | None) -> None:
-    text = payload if isinstance(payload, str) else json.dumps(payload) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
-
-
 def cmd_explore(args: argparse.Namespace) -> int:
     matrix = _load_quiver(args.quiver)
     checks = _parse_verify(args.verify)
@@ -217,7 +208,11 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
                 raise ValueError(f"path step {k} out of range 1..{matrix.n}")
             seed = mutate_seed(seed, k)
         text = cayley_fragment_dot(seed, node_cap=args.cap)
-    _emit(text, args.out)
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w") as fh:
+            fh.write(text)
     return 0
 
 

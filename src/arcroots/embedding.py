@@ -154,35 +154,44 @@ def probe_embedding(a: Arc, cap: int | None = None) -> EmbeddingReport:
         pos = _boundary_positions(n, heights)
         return not any(_interleave(pos, chord, c) for c in chords)
 
-    def place(j: int) -> EmbeddingWitness | None:
-        nonlocal branches
-        if j == l:
-            closing = (_exit(sides[-1], l - 1), ("p", a.endpoint))
-            if clear(closing):
-                return EmbeddingWitness(
-                    tuple(sides),
-                    tuple(sorted((s, tuple(o)) for s, o in heights.items())),
-                )
-            return None
+    # Depth first with an explicit stack of option iterators, one per
+    # placed crossing, so no arc is too long for the interpreter's
+    # recursion limit.  A level's options run through sides, then
+    # insertion heights bottom first.
+    stack = [product(("LR", "RL"), range(1))]
+    witness = None
+    while stack and witness is None:
+        j = len(stack) - 1
         slots = heights[a.crossings[j]]
-        for side in ("LR", "RL"):
+        entering = ("b", 0) if j == 0 else _exit(sides[j - 1], j - 1)
+        for side, at in stack[-1]:
+            branches += 1
             sides.append(side)
-            for at in range(len(slots) + 1):
-                branches += 1
-                slots.insert(at, j)
-                entering = ("b", 0) if j == 0 else _exit(sides[j - 1], j - 1)
-                chord = (entering, _entry(side, j))
-                if clear(chord):
-                    chords.append(chord)
-                    found = place(j + 1)
-                    if found is not None:
-                        return found
-                    chords.pop()
-                slots.pop(at)
+            slots.insert(at, j)
+            chord = (entering, _entry(side, j))
+            if clear(chord):
+                chords.append(chord)
+                if j + 1 < l:
+                    width = len(heights[a.crossings[j + 1]]) + 1
+                    stack.append(product(("LR", "RL"), range(width)))
+                    break
+                if clear((_exit(side, j), ("p", a.endpoint))):
+                    witness = EmbeddingWitness(
+                        tuple(sides),
+                        tuple(sorted((s, tuple(o)) for s, o in heights.items())),
+                    )
+                    break
+                chords.pop()
+            slots.pop(at)
             sides.pop()
-        return None
+        else:
+            # every option at level j failed: take back crossing j - 1
+            stack.pop()
+            if j:
+                chords.pop()
+                heights[a.crossings[j - 1]].remove(j - 1)
+                sides.pop()
 
-    witness = place(0)
     if witness is None:
         log.debug(
             "no embedding for %s: search tree of %d placements, leaf space %d",

@@ -7,8 +7,9 @@ which makes runs reproducible and lets the Schur search return shortest
 mutation paths.
 
 Verification is a registry of named per-seed checks, each an exact
-integer statement; a failure is reported as a (path, name) violation
-rather than raised, so one corrupt region cannot hide later ones.
+integer statement read from the seed alone; a failure is reported as a
+(path, name) violation rather than raised, so one corrupt region cannot
+hide later ones.
 """
 
 from __future__ import annotations
@@ -81,14 +82,15 @@ def seed_digest(seed: YSeed) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _two_complete(seed: YSeed, initial: ExchangeMatrix) -> list[str]:
+def _two_complete(seed: YSeed) -> list[str]:
     return [] if seed.matrix.is_two_complete() else ["two_complete"]
 
 
-def _weight_monotone(seed: YSeed, initial: ExchangeMatrix) -> list[str]:
-    m = seed.matrix
+def _weight_monotone(seed: YSeed) -> list[str]:
+    # the pairing, the initial matrix's Cartan companion, holds -|b0_ij|
+    m, gram = seed.matrix, seed.gram.rows
     ok = all(
-        abs(m.b(i, j)) >= abs(initial.b(i, j))
+        abs(m.b(i, j)) >= -gram[i - 1][j - 1]
         for i in m.vertices()
         for j in m.vertices()
         if i < j
@@ -96,13 +98,13 @@ def _weight_monotone(seed: YSeed, initial: ExchangeMatrix) -> list[str]:
     return [] if ok else ["weight_monotone"]
 
 
-def _decreasing_unique(seed: YSeed, initial: ExchangeMatrix) -> list[str]:
+def _decreasing_unique(seed: YSeed) -> list[str]:
     want = 0 if seed.matrix.is_acyclic() else 1
     ok = len(decreasing_directions(seed.matrix)) == want
     return [] if ok else ["decreasing_unique"]
 
 
-def _seven(seed: YSeed, initial: ExchangeMatrix) -> list[str]:
+def _seven(seed: YSeed) -> list[str]:
     m = seed.matrix
     ok = all(
         abs(inner(seed.cvectors[i - 1], seed.cvectors[j - 1], seed.gram)) == abs(m.b(i, j))
@@ -113,7 +115,7 @@ def _seven(seed: YSeed, initial: ExchangeMatrix) -> list[str]:
     return [] if ok else ["seven"]
 
 
-def _sign_coherence(seed: YSeed, initial: ExchangeMatrix) -> list[str]:
+def _sign_coherence(seed: YSeed) -> list[str]:
     try:
         for c in seed.cvectors:
             root_sign(c)
@@ -122,20 +124,20 @@ def _sign_coherence(seed: YSeed, initial: ExchangeMatrix) -> list[str]:
     return []
 
 
-def _st(seed: YSeed, initial: ExchangeMatrix) -> list[str]:
+def _st(seed: YSeed) -> list[str]:
     ok = speyer_thomas_check(seed.cvectors, seed.reflections, seed.gram)
     return [] if ok else ["st"]
 
 
-def _coxeter_product(seed: YSeed, initial: ExchangeMatrix) -> list[str]:
+def _coxeter_product(seed: YSeed) -> list[str]:
     return [] if natural_coxeter_product(seed) else ["coxeter_product"]
 
 
-def _sign_runs(seed: YSeed, initial: ExchangeMatrix) -> list[str]:
+def _sign_runs(seed: YSeed) -> list[str]:
     return [] if sign_run_count(seed) <= 2 else ["sign_runs"]
 
 
-def _bad_pairs(seed: YSeed, initial: ExchangeMatrix) -> list[str]:
+def _bad_pairs(seed: YSeed) -> list[str]:
     verdict = tuple_verdict(natural_fan(seed), seed.gram)
     out = []
     if verdict.bad_pair_count > 1:
@@ -145,7 +147,7 @@ def _bad_pairs(seed: YSeed, initial: ExchangeMatrix) -> list[str]:
     return out
 
 
-def _sep_dichotomy(seed: YSeed, initial: ExchangeMatrix) -> list[str]:
+def _sep_dichotomy(seed: YSeed) -> list[str]:
     # acyclic seeds have no separating node; non-acyclic ones have exactly
     # one, at the position of the unique decreasing direction
     seps = separating_nodes(seed.reflections)
@@ -156,13 +158,13 @@ def _sep_dichotomy(seed: YSeed, initial: ExchangeMatrix) -> list[str]:
     return [] if ok else ["sep_dichotomy"]
 
 
-def _one_star(seed: YSeed, initial: ExchangeMatrix) -> list[str]:
+def _one_star(seed: YSeed) -> list[str]:
     if not seed.matrix.is_acyclic():
         return []
     return [] if in_one_star(seed.reflections) else ["one_star"]
 
 
-CHECKS: dict[str, Callable[[YSeed, ExchangeMatrix], list[str]]] = {
+CHECKS: dict[str, Callable[[YSeed], list[str]]] = {
     "two_complete": _two_complete,
     "weight_monotone": _weight_monotone,
     "decreasing_unique": _decreasing_unique,
@@ -230,7 +232,7 @@ def explore(
                     violations.append((seed.path, "tree"))
                 digests.add(digest)
             else:
-                for label in CHECKS[name](seed, initial):
+                for label in CHECKS[name](seed):
                     violations.append((seed.path, label))
     if violations:
         log.warning("exploration found %d violations", len(violations))

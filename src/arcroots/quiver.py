@@ -121,17 +121,14 @@ class ExchangeMatrix:
     @cached_property
     def _natural_order(self) -> tuple[Vertex, ...]:
         if self.is_acyclic():
-            return _tournament_order(self)
+            return _tournament_order(self.rows)
         _, side_i, side_j = separating_vertex(self)
         rows = [list(row) for row in self.rows]
         for i in side_i:
             for j in side_j:
                 rows[i - 1][j - 1] = -rows[i - 1][j - 1]
                 rows[j - 1][i - 1] = -rows[j - 1][i - 1]
-        flipped = ExchangeMatrix.from_rows(rows)
-        if not flipped.is_acyclic():
-            raise NotAcyclic("arrow reversal did not produce an acyclic matrix")
-        return _tournament_order(flipped)
+        return _tournament_order(rows)
 
     def mutate_path(self, path) -> ExchangeMatrix:
         out = self
@@ -181,7 +178,7 @@ class ExchangeMatrix:
         if not isinstance(data, dict) or "b" not in data:
             raise ValueError('a quiver must be a JSON object with a "b" field')
         mat = cls.from_rows(data["b"])
-        if "n" in data and data["n"] != mat.n:
+        if "n" in data and require_int(data["n"], "n") != mat.n:
             raise ValueError("field n disagrees with matrix size")
         return mat
 
@@ -286,20 +283,18 @@ def acyclic_representative(
     return current, tuple(path)
 
 
-def _tournament_order(matrix: ExchangeMatrix) -> tuple[Vertex, ...]:
-    # in a complete acyclic orientation the out-degrees are n-1, n-2, .., 0
-    outdeg = {
-        v: sum(1 for w in matrix.vertices() if matrix.b(v, w) > 0)
-        for v in matrix.vertices()
-    }
-    order = tuple(sorted(matrix.vertices(), key=lambda v: -outdeg[v]))
-    for a in range(matrix.n):
-        for b in range(a + 1, matrix.n):
-            if matrix.b(order[a], order[b]) <= 0:
+def _tournament_order(rows) -> tuple[Vertex, ...]:
+    # in a complete acyclic orientation the out-degrees are n-1, n-2, .., 0;
+    # an arrow from each vertex to every later one proves the rows are one
+    n = len(rows)
+    order = sorted(range(n), key=lambda v: -sum(x > 0 for x in rows[v]))
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rows[order[a]][order[b]] <= 0:
                 raise IncompleteTournament(
-                    f"vertices {order[a]} and {order[b]} are not ordered by an arrow"
+                    f"vertices {order[a] + 1} and {order[b] + 1} are not ordered by an arrow"
                 )
-    return order
+    return tuple(v + 1 for v in order)
 
 
 def natural_order(matrix: ExchangeMatrix) -> tuple[Vertex, ...]:
@@ -308,8 +303,10 @@ def natural_order(matrix: ExchangeMatrix) -> tuple[Vertex, ...]:
     For an acyclic 2-complete matrix this is the topological order of the
     arrow tournament.  For a non-acyclic matrix in a mutation-acyclic
     class, reversing the arrows between the two sides of the separating
-    vertex yields an acyclic matrix, whose order is used.  A matrix
-    computes its order once, on first use, and keeps it.
+    vertex, in a copy of the rows, yields an acyclic tournament, whose
+    order is used.  Rows that do not order every pair of vertices by an
+    arrow, before or after the reversal, raise IncompleteTournament.  A
+    matrix computes its order once, on first use, and keeps it.
     """
     return matrix._natural_order
 
@@ -322,7 +319,7 @@ def normalized(matrix: ExchangeMatrix) -> tuple[ExchangeMatrix, tuple[Vertex, ..
     """
     if not matrix.is_acyclic():
         raise NotAcyclic("only acyclic matrices are normalized")
-    order = _tournament_order(matrix)
+    order = _tournament_order(matrix.rows)
     rows = tuple(
         tuple(matrix.b(order[a], order[b]) for b in range(matrix.n))
         for a in range(matrix.n)

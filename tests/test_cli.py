@@ -249,6 +249,10 @@ def test_explore_rejects_cyclic(capsys, tmp_path):
         ("{}", '"b" field'),
         ("null", '"b" field'),
         ("[[0, 2], [-2, 0]]", '"b" field'),
+        # 3.0 == 3 and true == 1, so the size field needs its own type check
+        ('{"n": 3.0, "b": [[0, 2, 2], [-2, 0, 2], [-2, -2, 0]]}', "n = 3.0 is not an integer"),
+        ('{"n": true, "b": [[0]]}', "n = True is not an integer"),
+        ('{"n": "3", "b": [[0, 2, 2], [-2, 0, 2], [-2, -2, 0]]}', "n = '3' is not an integer"),
     ],
 )
 def test_malformed_quiver_exits_two(capsys, tmp_path, text, message):
@@ -257,6 +261,7 @@ def test_malformed_quiver_exits_two(capsys, tmp_path, text, message):
     code, out, err = run(capsys, "explore", "--quiver", str(path), "--depth", "1")
     assert code == 2
     assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import sys
 from itertools import product
 
 import pytest
@@ -14,7 +16,7 @@ from arcroots.embedding import (
 from arcroots.errors import CapExceeded
 from arcroots.explore import iter_seeds
 from arcroots.quiver import ExchangeMatrix
-from arcroots.roots import initial_seed, positive_form
+from arcroots.roots import initial_seed, mutate_seed, positive_form
 
 
 @st.composite
@@ -101,6 +103,44 @@ def test_every_b3_schur_root_arc_embeds_uncapped():
     for a in arcs.values():
         rep = probe_embedding(a)
         assert rep.embeddable and witness_is_valid(a, rep.witness), a
+
+
+def test_search_results_are_pinned():
+    # sha256 of (crossings, endpoint, embeddable, witness, branches) over
+    # every canonical rank-3 arc of at most 6 crossings, taken from the
+    # recursive search, so the branch order and first witness stay put
+    rows = []
+    for a in all_n3_arcs(6):
+        rep = probe_embedding(a)
+        witness = None if rep.witness is None else rep.witness.to_json()
+        rows.append([list(a.crossings), a.endpoint, rep.embeddable, witness, rep.branches])
+    assert (len(rows), sum(row[2] for row in rows)) == (381, 127)
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == "afe85eed816f5f282b3f23b67c51d7ac86bbac69e71a3bc754027b1f7168e8c8"
+
+
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_long_arc_needs_no_deep_stack():
+    # a search that recursed once per crossing would need 56 frames more
+    b3 = ExchangeMatrix(((0, 2, 2), (-2, 0, 2), (-2, -2, 0)))
+    seed = initial_seed(b3)
+    for k in (2, 1, 3) * 3:
+        seed = mutate_seed(seed, k)
+    a = max(map(reflection_to_arc, seed.reflections), key=lambda a: len(a.crossings))
+    assert len(a.crossings) == 56
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 60)
+    try:
+        rep = probe_embedding(a)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert rep.embeddable and witness_is_valid(a, rep.witness)
 
 
 def test_witness_json_roundtrip():

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import logging
 import random
@@ -119,12 +120,12 @@ def test_seed_digest_separates_seeds():
 
 def test_sep_dichotomy_check_on_known_seeds():
     check = CHECKS["sep_dichotomy"]
-    assert check(initial_seed(B3), B3) == []
-    assert check(mutate_seed(initial_seed(B3), 2), B3) == []
+    assert check(initial_seed(B3)) == []
+    assert check(mutate_seed(initial_seed(B3), 2)) == []
 
 
 def test_one_star_check_on_acyclic_seed():
-    assert CHECKS["one_star"](initial_seed(B3), B3) == []
+    assert CHECKS["one_star"](initial_seed(B3)) == []
 
 
 W3 = ExchangeMatrix(((0, 3, 3), (-3, 0, 3), (-3, -3, 0)))
@@ -137,12 +138,15 @@ R1, R121, R12321 = (
 )
 
 
-# (check, hand-built seed, initial matrix, labels the check must return);
-# every c-vector is a real root, except the one sign_coherence must catch
+# (check, hand-built seed, a matrix whose initial seed passes, labels the
+# check must return); every c-vector is a real root, except the one
+# sign_coherence must catch
 VIOLATIONS = [
     ("two_complete", YSeed(ExchangeMatrix(((0, 1, 2), (-1, 0, 2), (-2, -2, 0))),
                            (E1, E2, E3), GRAM3, ()), B3, ["two_complete"]),
-    ("weight_monotone", initial_seed(B3), W3, ["weight_monotone"]),
+    # B3's weights under W3's pairing: every weight fell below the initial one
+    ("weight_monotone", YSeed(B3, (E1, E2, E3), initial_seed(W3).gram, ()), W3,
+     ["weight_monotone"]),
     # the Markov quiver: not acyclic, and no direction decreases a weight
     ("decreasing_unique", YSeed(ExchangeMatrix(((0, 2, -2), (-2, 0, 2), (2, -2, 0))),
                                 (E1, E2, E3), GRAM3, ()), B3, ["decreasing_unique"]),
@@ -160,6 +164,12 @@ VIOLATIONS = [
 ]
 
 
+def test_every_check_reads_the_seed_alone():
+    assert {name: len(inspect.signature(fn).parameters) for name, fn in CHECKS.items()} == {
+        name: 1 for name in CHECKS
+    }
+
+
 def test_every_check_has_a_violating_seed():
     assert {name for name, *_ in VIOLATIONS} == set(CHECKS)
 
@@ -169,13 +179,13 @@ def test_every_check_has_a_violating_seed():
 )
 def test_check_reports_its_violation(name, seed, initial, labels):
     # a check that always answered [] would pass every clean exploration
-    assert CHECKS[name](seed, initial) == labels
-    assert CHECKS[name](initial_seed(initial), initial) == []
+    assert CHECKS[name](seed) == labels
+    assert CHECKS[name](initial_seed(initial)) == []
 
 
 def test_explore_reports_a_failing_check(monkeypatch, caplog):
     monkeypatch.setitem(
-        CHECKS, "st", lambda seed, initial: ["st"] if seed.path == (2, 3) else []
+        CHECKS, "st", lambda seed: ["st"] if seed.path == (2, 3) else []
     )
     report = explore(B3, 3, checks=("two_complete", "st"))
     assert report.to_json()["violations"] == [[[2, 3], "st"]]

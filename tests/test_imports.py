@@ -1,13 +1,16 @@
 """Every module of the package uses every name it imports, the package
-exports exactly what its __init__.py imports, and every exception class
-it declares is raised somewhere in it.
+exports exactly what its __init__.py imports, every exception class it
+declares is raised somewhere in it, and every function and class it
+defines has a caller.
 
-No linter runs on this repository, so this stdlib scan stands in for the
-unused-import rule.  The package's __init__.py is exempt from it: its
-imports are the public re-exports, pinned against __all__ instead.
+No linter runs on this repository, so these stdlib scans stand in for the
+unused-import and unused-definition rules.  The package's __init__.py is
+exempt from the first: its imports are the public re-exports, pinned
+against __all__ instead.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -88,3 +91,56 @@ def test_every_declared_exception_is_raised():
     raised = set().union(*(raised_names(p.read_text()) for p in MODULES))
     assert "ArcrootsError" in declared and len(declared) > 10
     assert sorted(declared - {"ArcrootsError"} - raised) == []
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def name_uses(tree: ast.AST) -> Counter:
+    """How often each name is read, as a bare name or as an attribute.
+    Imports and definitions are not uses."""
+    uses = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            uses[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            uses[node.attr] += 1
+    return uses
+
+
+def unused_definitions(modules: list[str], everything: list[str]) -> list[str]:
+    """Functions, methods and classes defined in the modules whose name is
+    used nowhere in everything except inside their own definition.
+    Dunder methods are called implicitly and are skipped.  Names are
+    matched without scopes, so a use of any same-named thing counts."""
+    uses = sum((name_uses(ast.parse(source)) for source in everything), Counter())
+    unused = []
+    for source in modules:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            if uses[node.name] == name_uses(node)[node.name]:
+                unused.append(node.name)
+    return sorted(unused)
+
+
+def test_definition_scan_finds_unused_names():
+    module = (
+        "class A:\n    def m(self): pass\n    def __eq__(self, o): pass\n"
+        "class B: pass\ndef f(): return f()\ndef g(): pass\ndef h(): pass\n"
+    )
+    caller = "from mod import g\nA().m()\nh\n"
+    assert unused_definitions([module], [module, caller]) == ["B", "f", "g"]
+
+
+def test_every_definition_has_a_caller():
+    # "delete code that has no caller": a use in the package, its tests
+    # or the benchmark keeps a definition
+    package = [p.read_text() for p in Path(arcroots.__file__).parent.glob("*.py")]
+    everything = [
+        p.read_text() for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")
+    ]
+    assert len(package) > 5 and len(everything) > len(package)
+    assert unused_definitions(package, everything) == []

@@ -182,6 +182,51 @@ def test_natural_order_rotates_under_sink_and_source_mutation():
         assert any(doubled[s : s + 3] == got for s in range(3))
 
 
+def _tree_matrices(matrix, depth, last=0):
+    # the exchange tree's matrices, never undoing the last mutation
+    yield matrix
+    if depth:
+        for k in matrix.vertices():
+            if k != last:
+                yield from _tree_matrices(matrix.mutate(k), depth - 1, k)
+
+
+def _order_by_flipped_matrix(matrix):
+    # oracle: rebuild the matrix with the I-J arrows reversed, confirm it
+    # is acyclic, and read the order off its out-degrees n-1, n-2, .., 0
+    _, side_i, side_j = separating_vertex(matrix)
+    rows = [list(row) for row in matrix.rows]
+    for i in side_i:
+        for j in side_j:
+            rows[i - 1][j - 1] = -rows[i - 1][j - 1]
+            rows[j - 1][i - 1] = -rows[j - 1][i - 1]
+    flipped = ExchangeMatrix.from_rows(rows)
+    assert flipped.is_acyclic()
+    outdeg = {v: sum(flipped.b(v, w) > 0 for w in flipped.vertices()) for v in flipped.vertices()}
+    order = tuple(sorted(flipped.vertices(), key=lambda v: -outdeg[v]))
+    assert [outdeg[v] for v in order] == list(range(matrix.n - 1, -1, -1))
+    return order
+
+
+def test_natural_order_matches_the_flipped_matrix():
+    rng = random.Random(1)
+    b4 = ExchangeMatrix.from_rows([[0, 2, 2, 2], [-2, 0, 2, 2], [-2, -2, 0, 2], [-2, -2, -2, 0]])
+    trees = [
+        (B3, 8),
+        (b4, 5),
+        (random_acyclic_two_complete(5, rng, 2, 5), 4),
+        (random_acyclic_two_complete(6, rng, 2, 3), 3),
+    ]
+    cyclic = 0
+    for initial, depth in trees:
+        for m in _tree_matrices(initial, depth):
+            if not m.is_acyclic():
+                cyclic += 1
+                assert natural_order(m) == _order_by_flipped_matrix(m), m.rows
+    # 766 + 485 + 426 + 187 matrices, 44 of them acyclic
+    assert cyclic == 1820
+
+
 def test_natural_order_needs_a_tournament():
     m = ExchangeMatrix.from_rows([[0, 2, 0], [-2, 0, 2], [0, -2, 0]])
     with pytest.raises(IncompleteTournament):
@@ -208,6 +253,16 @@ def test_json_round_trip():
     assert ExchangeMatrix.from_json(data) == MU2_B3
     with pytest.raises(ValueError):
         ExchangeMatrix.from_json({"n": 4, "b": [[0, 1], [-1, 0]]})
+
+
+@pytest.mark.parametrize(
+    "n,rows",
+    [(3.0, MU2_B3.to_json()["b"]), (True, [[0]]), ("3", MU2_B3.to_json()["b"])],
+)
+def test_json_size_field_is_never_coerced(n, rows):
+    # 3.0 == 3 and True == 1, so a plain comparison would let both load
+    with pytest.raises(ValueError, match=r"^n = .* is not an integer$"):
+        ExchangeMatrix.from_json({"n": n, "b": rows})
 
 
 def test_random_generator_is_normalized_and_two_complete():
