@@ -46,7 +46,7 @@ from .roots import (
     mutate_seed,
     root_to_reflection,
 )
-from .words import below_coxeter, canonical_reflection
+from .words import below_coxeter, canonical_reflection, require_rank
 
 # not __name__, which is "__main__" under python -m arcroots.cli
 log = logging.getLogger("arcroots.cli")
@@ -94,7 +94,10 @@ def _parse_verify(flag: str | None) -> tuple[str, ...]:
         return ()
     if flag == "all":
         return ALL_CHECKS
-    return tuple(name.strip() for name in flag.split(",") if name.strip())
+    names = tuple(name.strip() for name in flag.split(",") if name.strip())
+    if not names:
+        raise ValueError(f"--verify must name at least one check, got {flag!r}")
+    return names
 
 
 def cmd_explore(args: argparse.Namespace) -> int:
@@ -156,9 +159,7 @@ def cmd_root2refl(args: argparse.Namespace) -> int:
 def cmd_schur(args: argparse.Namespace) -> int:
     matrix = _load_quiver(args.quiver)
     r = canonical_reflection(_ints(args.word, "word"))
-    top = max(r.letters())
-    if top > matrix.n:
-        raise ValueError(f"word uses generator s{top}, matrix rank is {matrix.n}")
+    require_rank(r, matrix.n)
     require_depth(args.depth)
     embeddable = probe_embedding(reflection_to_arc(r)).embeddable
     below = below_coxeter(r, matrix.n)
@@ -204,8 +205,6 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
         text = exchange_tree_dot(seed, args.depth, node_cap=args.cap)
     else:
         for k in _ints(args.path or "", "path"):
-            if not 1 <= k <= matrix.n:
-                raise ValueError(f"path step {k} out of range 1..{matrix.n}")
             seed = mutate_seed(seed, k)
         text = cayley_fragment_dot(seed, node_cap=args.cap)
     if args.out is None:

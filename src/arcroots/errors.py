@@ -30,11 +30,6 @@ class MultipleDecreasingMutations(ArcrootsError):
     """More than one direction decreases the weights (out-of-class input)."""
 
 
-class NotMutationAcyclic(ArcrootsError):
-    """A non-acyclic matrix admits no decreasing mutation, so no acyclic
-    representative can be reached by weight descent."""
-
-
 class IncompleteTournament(ArcrootsError):
     """An acyclic matrix has a zero off-diagonal pair, so its vertices carry
     no unique total order."""
@@ -50,10 +45,6 @@ class NotNormalized(ArcrootsError):
 
 class NotAReflection(ArcrootsError):
     """The word is not an odd-length palindrome after reduction."""
-
-
-class NotUnitRoot(ArcrootsError):
-    """Reflection vector must have self-pairing 2."""
 
 
 class NotARealRoot(ArcrootsError):

@@ -39,7 +39,7 @@ from .roots import (
     sign_run_count,
     speyer_thomas_check,
 )
-from .words import Reflection, in_one_star, separating_nodes
+from .words import Reflection, in_one_star, require_rank, separating_nodes
 
 log = logging.getLogger(__name__)
 
@@ -351,12 +351,15 @@ def complete_arc(a: Arc, initial: ExchangeMatrix, depth: int) -> YSeed:
 
     Existence is guaranteed for embeddable arcs, so a miss only means
     the depth was too small and is reported as DepthExhausted.  A negative
-    depth raises ValueError before the arc is looked at.
+    depth, or a ray above the rank, raises ValueError before the embedding
+    is looked for.
     """
     require_depth(depth)
+    r = arc_to_reflection(a)
+    require_rank(r, initial.n)
     if not probe_embedding(a).embeddable:
         raise NotEmbeddable(f"{a} has no embedded representative")
-    outcome = schur_by_search(arc_to_reflection(a), initial, depth)
+    outcome = schur_by_search(r, initial, depth)
     if not outcome.found:
         raise DepthExhausted(f"no seed within depth {depth}; raise the depth")
     seed = initial_seed(initial)

@@ -25,7 +25,6 @@ from .errors import (
     MultipleDecreasingMutations,
     NoDecreasingMutation,
     NotAcyclic,
-    NotMutationAcyclic,
     require_int,
 )
 
@@ -107,9 +106,28 @@ class ExchangeMatrix:
             new.append(tuple(row))
         return ExchangeMatrix(tuple(new))
 
-    # A matrix is immutable, so it classifies its directions and finds its
-    # natural order once; decreasing_directions, separating_vertex and
-    # natural_order read these.
+    # A matrix is immutable, so it classifies its directions, tests itself
+    # for cycles and finds its natural order once; decreasing_directions,
+    # separating_vertex, is_acyclic and natural_order read these.
+
+    @cached_property
+    def _acyclic(self) -> bool:
+        indeg = [0] * self.n
+        for i in range(self.n):
+            for j in range(self.n):
+                if self.rows[i][j] > 0:
+                    indeg[j] += 1
+        queue = [v for v in range(self.n) if indeg[v] == 0]
+        seen = 0
+        while queue:
+            v = queue.pop()
+            seen += 1
+            for w in range(self.n):
+                if self.rows[v][w] > 0:
+                    indeg[w] -= 1
+                    if indeg[w] == 0:
+                        queue.append(w)
+        return seen == self.n
 
     @cached_property
     def _decreasing(self) -> tuple[Vertex, ...]:
@@ -138,23 +156,8 @@ class ExchangeMatrix:
 
     def is_acyclic(self) -> bool:
         """True when the digraph with an arrow i -> j for b[i][j] > 0 has
-        no directed cycle."""
-        indeg = [0] * self.n
-        for i in range(self.n):
-            for j in range(self.n):
-                if self.rows[i][j] > 0:
-                    indeg[j] += 1
-        queue = [v for v in range(self.n) if indeg[v] == 0]
-        seen = 0
-        while queue:
-            v = queue.pop()
-            seen += 1
-            for w in range(self.n):
-                if self.rows[v][w] > 0:
-                    indeg[w] -= 1
-                    if indeg[w] == 0:
-                        queue.append(w)
-        return seen == self.n
+        no directed cycle.  A matrix decides this once, on first use."""
+        return self._acyclic
 
     def is_two_complete(self) -> bool:
         return all(
@@ -264,22 +267,17 @@ def acyclic_representative(
     """Follow the decreasing direction until the matrix is acyclic.
 
     The total weight strictly drops at each step, so the walk terminates.
-    Returns (acyclic matrix, path of mutated vertices).  Raises
-    NotMutationAcyclic when a non-acyclic matrix has no decreasing
-    direction, and MultipleDecreasingMutations on out-of-class input.
+    Returns (acyclic matrix, path of mutated vertices).  Each step is the
+    separating vertex, so a non-acyclic matrix with no decreasing direction
+    raises NoDecreasingMutation, and out-of-class input with several raises
+    MultipleDecreasingMutations.
     """
     current = matrix
     path: list[Vertex] = []
     while not current.is_acyclic():
-        decs = decreasing_directions(current)
-        if not decs:
-            raise NotMutationAcyclic(
-                "non-acyclic matrix with no decreasing direction"
-            )
-        if len(decs) > 1:
-            raise MultipleDecreasingMutations(f"directions {decs} all decrease")
-        path.append(decs[0])
-        current = current.mutate(decs[0])
+        k = separating_vertex(current)[0]
+        path.append(k)
+        current = current.mutate(k)
     return current, tuple(path)
 
 

@@ -29,12 +29,11 @@ from .errors import (
     NotAcyclic,
     NotARealRoot,
     NotNormalized,
-    NotUnitRoot,
     SignIncoherent,
     require_int,
 )
 from .quiver import ExchangeMatrix, Vertex, natural_order
-from .words import Reflection, mul
+from .words import Reflection, mul, require_rank
 
 Root = tuple[int, ...]
 
@@ -92,7 +91,7 @@ def inner(u: Root, v: Root, gram: GramMatrix) -> int:
 def reflect(u: Root, v: Root, gram: GramMatrix) -> Root:
     """Reflection of u in v: u - <u, v> v.  Needs <v, v> = 2."""
     if inner(v, v, gram) != 2:
-        raise NotUnitRoot(f"<v, v> = {inner(v, v, gram)} for v = {v}")
+        raise NotARealRoot(f"<v, v> = {inner(v, v, gram)} for v = {v}")
     coef = inner(u, v, gram)
     return tuple(u[i] - coef * v[i] for i in range(gram.n))
 
@@ -202,7 +201,7 @@ def mutate_seed(seed: YSeed, k: Vertex) -> YSeed:
 
     With c_k positive, reflect exactly the c_j with b[j][k] < 0; with c_k
     negative, exactly those with b[j][k] > 0.  Then negate c_k and mutate
-    the matrix.  Raises SignIncoherent if c_k mixes signs, and NotUnitRoot
+    the matrix.  Raises SignIncoherent if c_k mixes signs, and NotARealRoot
     if some c_j is to be reflected while <c_k, c_k> != 2.
 
     The reflection of c_j in v = positive_form(c_k) is c_j - <c_j, v> v,
@@ -222,7 +221,7 @@ def mutate_seed(seed: YSeed, k: Vertex) -> YSeed:
             new_cvecs.append(tuple(-x for x in cj))
         elif (bjk < 0) if positive else (bjk > 0):
             if vv != 2:
-                raise NotUnitRoot(f"<v, v> = {vv} for v = {v}")
+                raise NotARealRoot(f"<v, v> = {vv} for v = {v}")
             coef = sum(map(operator.mul, cj, mv))
             new_cvecs.append(tuple([x - coef * y for x, y in zip(cj, v)]))
         else:
@@ -292,9 +291,7 @@ def root_to_reflection(u: Root, gram: GramMatrix) -> Reflection:
 def reflection_to_root(r: Reflection, gram: GramMatrix) -> Root:
     """Apply the prefix reflections to the core's simple root, innermost
     letter first.  Canonical reflections give positive roots."""
-    for s in r.letters():
-        if not 1 <= s <= gram.n:
-            raise ValueError(f"generator {s} out of range 1..{gram.n}")
+    require_rank(r, gram.n)
     u = list(unit_vector(gram.n, r.core))
     for i in reversed(r.prefix):
         u[i - 1] -= sum(map(operator.mul, gram.rows[i - 1], u))

@@ -215,15 +215,20 @@ def reflection_length(word: Iterable[int]) -> int:
     return f[0][size]
 
 
+def require_rank(r: Reflection, n: int) -> None:
+    """Raise ValueError unless every letter of r is in 1..n.  Arcs in the
+    n-punctured disc correspond to reflections in s_1..s_n, so a word or
+    arc with a letter above n is not an input for a quiver of rank n."""
+    top = max(r.letters())
+    if top > require_int(n, "rank"):
+        raise ValueError(f"reflection uses generator s{top}, the rank is {n}")
+
+
 def below_coxeter(r: Reflection, n: int) -> bool:
     """Whether r <= c = s_1 s_2 .. s_n in absolute order, that is, whether
     l_T(r c) = n - 1.  For a 2-complete acyclic quiver of rank n in its
     natural numbering these are exactly the reflections of its real Schur
     roots (Igusa-Schiffler 2010, Hubery-Krause 2016).  A letter of r
     outside 1..n raises ValueError."""
-    if require_int(n, "rank") < 1:
-        raise ValueError(f"rank {n} must be >= 1")
-    top = max(r.letters())
-    if top > n:
-        raise ValueError(f"reflection uses generator s{top}, the rank is {n}")
+    require_rank(r, n)
     return reflection_length(r.word + tuple(range(1, n + 1))) == n - 1

@@ -223,6 +223,37 @@ def test_explore_repeated_check(capsys, quiver_file):
     assert err == "error: repeated checks: tree\n"
 
 
+@pytest.mark.parametrize("flag", ["", ",", " , "])
+def test_explore_verify_must_name_a_check(capsys, quiver_file, flag):
+    code, out, err = run(capsys, "explore", "--quiver", quiver_file, "--depth", "1",
+                         "--verify", flag)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --verify must name at least one check, got {flag!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["schur", "--word", "2,1,4,1,2"],
+        ["complete-arc", "--crossings", "1", "--endpoint", "4"],
+        # not embeddable, so this one was once answered "found": false
+        ["complete-arc", "--crossings", "2,1", "--endpoint", "4"],
+        ["export-dot", "cayley-fragment", "--path", "4"],
+        ["check-tuple", "--words", "1", "2"],
+        ["root2refl", "--root", "1,0"],
+    ],
+    ids=["schur", "complete-arc-1:4", "complete-arc-2,1:4", "export-dot", "check-tuple", "root2refl"],
+)
+def test_input_beyond_the_rank_is_rejected_at_the_boundary(capsys, quiver_file, argv):
+    # B3 has rank 3: a letter, ray or step of 4, or a tuple or root of length 2
+    code, out, err = run(capsys, *argv, "--quiver", quiver_file)
+    assert code == 2
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: ")
+
+
 def test_explore_rejects_non_two_complete(capsys, tmp_path):
     path = tmp_path / "thin.json"
     path.write_text(json.dumps({"b": [[0, 1], [-1, 0]]}))

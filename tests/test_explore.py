@@ -4,6 +4,7 @@ import json
 import logging
 import random
 import sys
+from functools import cached_property
 
 import pytest
 
@@ -87,6 +88,24 @@ def test_explore_mutates_each_matrix_once_per_tree_edge(monkeypatch):
     assert report.violations == ()
     assert report.seeds_visited - 1 == 765
     assert calls == 765
+
+
+def test_explore_tests_each_matrix_for_cycles_once(monkeypatch):
+    # every check and view of a seed reads the one cached answer
+    calls = 0
+    acyclic = ExchangeMatrix._acyclic.func
+
+    def counting(self):
+        nonlocal calls
+        calls += 1
+        return acyclic(self)
+
+    prop = cached_property(counting)
+    prop.__set_name__(ExchangeMatrix, "_acyclic")
+    monkeypatch.setattr(ExchangeMatrix, "_acyclic", prop)
+    report = explore(ExchangeMatrix(B3.rows), 8, checks=ALL_CHECKS)
+    assert report.violations == ()
+    assert calls == report.seeds_visited == 766
 
 
 def test_explore_unknown_check():

@@ -8,7 +8,6 @@ from arcroots.errors import (
     MultipleDecreasingMutations,
     NoDecreasingMutation,
     NotAcyclic,
-    NotMutationAcyclic,
 )
 from arcroots.quiver import (
     ExchangeMatrix,
@@ -157,7 +156,7 @@ def test_acyclic_representative_of_acyclic_is_itself():
 
 
 def test_acyclic_representative_not_mutation_acyclic():
-    with pytest.raises(NotMutationAcyclic):
+    with pytest.raises(NoDecreasingMutation):
         acyclic_representative(MARKOV)
 
 

@@ -11,7 +11,6 @@ from arcroots.errors import (
     NotAcyclic,
     NotARealRoot,
     NotNormalized,
-    NotUnitRoot,
     SignIncoherent,
 )
 from arcroots.explore import iter_seeds
@@ -71,7 +70,7 @@ def test_inner_and_reflect():
     e1, e2 = unit_vector(3, 1), unit_vector(3, 2)
     assert reflect(e2, e1, GRAM3) == (2, 1, 0)
     assert reflect(e1, e1, GRAM3) == (-1, 0, 0)
-    with pytest.raises(NotUnitRoot):
+    with pytest.raises(NotARealRoot):
         reflect(e1, (1, 1, 0), GRAM3)
 
 
@@ -542,10 +541,10 @@ def test_inner_matches_the_double_sum():
 def test_mutate_seed_checks_the_unit_root():
     # <c_2, c_2> = 2 + 2 - 4 = 0, and mutating at 2 reflects c_3 (b_32 < 0)
     seed = YSeed(B3, ((1, 0, 0), (1, 1, 0), (0, 0, 1)), GRAM3, ())
-    with pytest.raises(NotUnitRoot):
+    with pytest.raises(NotARealRoot):
         mutate_seed(seed, 2)
     negative = YSeed(B3, ((1, 0, 0), (-1, -1, 0), (0, 0, 1)), GRAM3, ())
-    with pytest.raises(NotUnitRoot):
+    with pytest.raises(NotARealRoot):
         mutate_seed(negative, 2)
 
 
