@@ -161,7 +161,8 @@ def cmd_schur(args: argparse.Namespace) -> int:
     r = canonical_reflection(_ints(args.word, "word"))
     require_rank(r, matrix.n)
     require_depth(args.depth)
-    embeddable = probe_embedding(reflection_to_arc(r)).embeddable
+    report = probe_embedding(reflection_to_arc(r))
+    embeddable = report.embeddable
     below = below_coxeter(r, matrix.n)
     if embeddable or below:
         if embeddable != below:
@@ -178,9 +179,12 @@ def cmd_schur(args: argparse.Namespace) -> int:
             " search not run", r.word,
         )
         outcome = SearchOutcome(False, None, 0, 0, False)
-    print(json.dumps(
-        {"embeddable": embeddable, "below_coxeter": below, "search": outcome.to_json()}
-    ))
+    print(json.dumps({
+        "embeddable": embeddable,
+        "embedding": {"branches": report.branches, "search_space": report.search_space},
+        "below_coxeter": below,
+        "search": outcome.to_json(),
+    }))
     return 1 if args.strict and not embeddable else 0
 
 

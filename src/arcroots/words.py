@@ -221,7 +221,7 @@ def require_rank(r: Reflection, n: int) -> None:
     arc with a letter above n is not an input for a quiver of rank n."""
     top = max(r.letters())
     if top > require_int(n, "rank"):
-        raise ValueError(f"reflection uses generator s{top}, the rank is {n}")
+        raise ValueError(f"letter or ray {top} exceeds the rank {n}")
 
 
 def below_coxeter(r: Reflection, n: int) -> bool:

@@ -196,6 +196,7 @@ def test_criterion_5_cli_skips_the_search_only_on_proved_negatives(capsys, tmp_p
         code = main(["schur", "--word", word, "--quiver", str(quiver), "--depth", "14"])
         want = {
             "embeddable": rep.embeddable,
+            "embedding": {"branches": rep.branches, "search_space": rep.search_space},
             "below_coxeter": below,
             "search": search.to_json() if search.found else skipped,
         }

@@ -113,6 +113,7 @@ def test_schur_positive(capsys, quiver_file):
     assert code == 0
     assert json.loads(out) == {
         "embeddable": True,
+        "embedding": {"branches": 1, "search_space": 2},
         "below_coxeter": True,
         "search": {
             "found": True, "path": [1], "seeds_visited": 2, "pruned": 0, "truncated": False,
@@ -128,6 +129,7 @@ def test_schur_negative_strict(capsys, quiver_file):
     # both oracles prove the negative, so the search is not run
     assert json.loads(out) == {
         "embeddable": False,
+        "embedding": {"branches": 6, "search_space": 4},
         "below_coxeter": False,
         "search": {
             "found": False, "path": None, "seeds_visited": 0, "pruned": 0, "truncated": False,
@@ -252,6 +254,21 @@ def test_input_beyond_the_rank_is_rejected_at_the_boundary(capsys, quiver_file, 
     assert out == ""
     [line] = err.splitlines()
     assert line.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["complete-arc", "--crossings", "2,1", "--endpoint", "4"],
+        ["schur", "--word", "2,1,4,1,2"],
+    ],
+    ids=["complete-arc", "schur"],
+)
+def test_rank_error_names_the_letter_or_ray_and_the_rank(capsys, quiver_file, argv):
+    # the user typed a ray or a letter, so the message names no generator
+    code, _, err = run(capsys, *argv, "--quiver", quiver_file)
+    assert code == 2
+    assert err == "error: letter or ray 4 exceeds the rank 3\n"
 
 
 def test_explore_rejects_non_two_complete(capsys, tmp_path):
@@ -403,6 +420,7 @@ def test_schur_and_complete_arc_at_depth_zero(capsys, quiver_file):
     assert code == 0
     assert json.loads(out) == {
         "embeddable": True,
+        "embedding": {"branches": 0, "search_space": 1},
         "below_coxeter": True,
         "search": {"found": True, "path": [], "seeds_visited": 1, "pruned": 0, "truncated": False},
     }

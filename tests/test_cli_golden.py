@@ -41,14 +41,14 @@ CASES = [
         "schur-found",
         "schur --word 1,2,1 --quiver b3.json",
         0,
-        "379209ce5fbdb186a9e6ac6c41d07feb1940bfe30ee51bfcae58cd435ead4740",
+        "4f3be0aba84ee43e7b4c92278ffe77dd736d471804c47f901037d92099639849",
         EMPTY,
     ),
     (
         "schur-not-found",
         "schur --word 2,1,3,1,2 --quiver b3.json --depth 6 --strict",
         1,
-        "338babdf79bebdd73abfe1928bfe137621e5920c3fa3d1d5c51523ad50c9eb96",
+        "e0cf4a3fd7cdf745ff53e8fe9f3af3cc60a376a73c361fb2f4dee39ffd9413f4",
         EMPTY,
     ),
     (
@@ -78,7 +78,7 @@ CASES = [
         "schur --word 1,2,3,2,1,2,3,2,1,2,3,2,1,2,1,2,3,2,1,2,3,2,1,2,3,2,1 --quiver b3.json"
         " --depth 6",
         0,
-        "948bb90f3209508c1dcc3e78121d5c94103691ee460e4127a3a739f0a2e71c0f",
+        "fe1812394cfff0b7388b16f0a6223d479c2dafb62c15fbd1c7a239c1a3f1434d",
         EMPTY,
     ),
     (

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import sys
 from itertools import product
 
@@ -8,7 +9,13 @@ from hypothesis import given, strategies as st
 
 from arcroots.arcs import Arc, reflection_to_arc
 from arcroots.embedding import (
+    EmbeddingReport,
     EmbeddingWitness,
+    _boundary_positions,
+    _entry,
+    _exit,
+    _interleave,
+    _space_size,
     candidate_witnesses,
     probe_embedding,
     witness_is_valid,
@@ -31,15 +38,28 @@ def small_arcs(draw):
     return Arc(tuple(crossings), draw(st.sampled_from(ends)))
 
 
-def all_n3_arcs(max_crossings=3):
+def all_arcs(n, max_crossings):
+    """Every canonical arc of rank n with at most max_crossings crossings,
+    by length, then lexicographically."""
+    rays = range(1, n + 1)
     for plen in range(max_crossings + 1):
-        for prefix in sorted(product((1, 2, 3), repeat=plen)):
+        for prefix in product(rays, repeat=plen):
             if any(a == b for a, b in zip(prefix, prefix[1:])):
                 continue
-            for core in (1, 2, 3):
+            for core in rays:
                 if prefix and prefix[-1] == core:
                     continue
                 yield Arc(prefix, core)
+
+
+def random_arcs(rng, count, ranks, max_crossings):
+    for _ in range(count):
+        n = rng.choice(ranks)
+        crossings: list[int] = []
+        for _ in range(rng.randint(0, max_crossings)):
+            crossings.append(rng.choice([c for c in range(1, n + 1) if [c] != crossings[-1:]]))
+        ends = [e for e in range(1, n + 1) if [e] != crossings[-1:]]
+        yield Arc(tuple(crossings), rng.choice(ends))
 
 
 def test_displayed_arcs_embed():
@@ -61,7 +81,7 @@ def test_first_non_embeddable_arc_in_rank_three():
     # discovered by enumerating all 45 reflections of word length <= 7 in
     # (length, lex) order; frozen here as a regression fixture
     assert not probe_embedding(Arc((2, 1), 3)).embeddable
-    verdicts = [(a, probe_embedding(a).embeddable) for a in all_n3_arcs()]
+    verdicts = [(a, probe_embedding(a).embeddable) for a in all_arcs(3, 3)]
     assert len(verdicts) == 45
     bad = [a for a, ok in verdicts if not ok]
     assert len(bad) == 10
@@ -110,13 +130,99 @@ def test_search_results_are_pinned():
     # every canonical rank-3 arc of at most 6 crossings, taken from the
     # recursive search, so the branch order and first witness stay put
     rows = []
-    for a in all_n3_arcs(6):
+    for a in all_arcs(3, 6):
         rep = probe_embedding(a)
         witness = None if rep.witness is None else rep.witness.to_json()
         rows.append([list(a.crossings), a.endpoint, rep.embeddable, witness, rep.branches])
     assert (len(rows), sum(row[2] for row in rows)) == (381, 127)
     digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
     assert digest == "afe85eed816f5f282b3f23b67c51d7ac86bbac69e71a3bc754027b1f7168e8c8"
+
+
+def _probe_by_clearing(a):
+    # oracle: the search before the per-level face walk, where every
+    # placement rebuilds the boundary and tests its chord against every
+    # placed chord
+    l = len(a.crossings)
+    space = _space_size(a)
+    if l == 0:
+        return EmbeddingReport(True, EmbeddingWitness((), ()), 0, space)
+    n = max(a.endpoint, max(a.crossings))
+    sides, chords, branches = [], [], 0
+    heights = {s: [] for s in set(a.crossings)}
+
+    def clear(chord):
+        pos = _boundary_positions(n, heights)
+        return not any(_interleave(pos, chord, c) for c in chords)
+
+    stack = [product(("LR", "RL"), range(1))]
+    witness = None
+    while stack and witness is None:
+        j = len(stack) - 1
+        slots = heights[a.crossings[j]]
+        entering = ("b", 0) if j == 0 else _exit(sides[j - 1], j - 1)
+        for side, at in stack[-1]:
+            branches += 1
+            sides.append(side)
+            slots.insert(at, j)
+            chord = (entering, _entry(side, j))
+            if clear(chord):
+                chords.append(chord)
+                if j + 1 < l:
+                    width = len(heights[a.crossings[j + 1]]) + 1
+                    stack.append(product(("LR", "RL"), range(width)))
+                    break
+                if clear((_exit(side, j), ("p", a.endpoint))):
+                    witness = EmbeddingWitness(
+                        tuple(sides), tuple(sorted((s, tuple(o)) for s, o in heights.items()))
+                    )
+                    break
+                chords.pop()
+            slots.pop(at)
+            sides.pop()
+        else:
+            stack.pop()
+            if j:
+                chords.pop()
+                heights[a.crossings[j - 1]].remove(j - 1)
+                sides.pop()
+    return EmbeddingReport(witness is not None, witness, branches, space)
+
+
+@pytest.mark.parametrize(
+    "arcs,count,embeddable",
+    [
+        (lambda: all_arcs(3, 6), 381, 127),
+        (lambda: all_arcs(4, 4), 484, 214),
+        (lambda: random_arcs(random.Random(12), 1500, (2, 3, 4, 5), 25), 1500, 571),
+    ],
+    ids=["rank-3-to-6-crossings", "rank-4-to-4-crossings", "random-rank-2-to-5"],
+)
+def test_face_walk_matches_clearing_each_placement(arcs, count, embeddable):
+    # same verdict, first witness, branches and search space: a slot
+    # outside the entering face still counts as a tried placement
+    arcs = list(arcs())
+    reports = [probe_embedding(a) for a in arcs]
+    assert len(arcs) == count
+    assert sum(rep.embeddable for rep in reports) == embeddable
+    assert reports == [_probe_by_clearing(a) for a in arcs]
+
+
+def _longest_cvector_arc(path):
+    b3 = ExchangeMatrix(((0, 2, 2), (-2, 0, 2), (-2, -2, 0)))
+    seed = initial_seed(b3)
+    for k in path:
+        seed = mutate_seed(seed, k)
+    return max(map(reflection_to_arc, seed.reflections), key=lambda a: len(a.crossings))
+
+
+@pytest.mark.parametrize("repeats,crossings,branches", [(3, 87, 4437), (4, 378, 97052)])
+def test_long_cvector_arcs_keep_their_branch_counts(repeats, crossings, branches):
+    a = _longest_cvector_arc((2, 1, 3) * repeats + (2,))
+    assert len(a.crossings) == crossings
+    rep = probe_embedding(a)
+    assert rep.embeddable and witness_is_valid(a, rep.witness)
+    assert rep.branches == branches
 
 
 def _stack_depth():
@@ -128,11 +234,7 @@ def _stack_depth():
 
 def test_long_arc_needs_no_deep_stack():
     # a search that recursed once per crossing would need 56 frames more
-    b3 = ExchangeMatrix(((0, 2, 2), (-2, 0, 2), (-2, -2, 0)))
-    seed = initial_seed(b3)
-    for k in (2, 1, 3) * 3:
-        seed = mutate_seed(seed, k)
-    a = max(map(reflection_to_arc, seed.reflections), key=lambda a: len(a.crossings))
+    a = _longest_cvector_arc((2, 1, 3) * 3)
     assert len(a.crossings) == 56
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 60)

@@ -378,7 +378,7 @@ def test_below_coxeter_rejects_letters_beyond_the_rank():
     assert below_coxeter(generator(2), 2)
     assert below_coxeter(canonical_reflection((2, 1, 2)), 2)  # rank 2: every reflection
     assert not below_coxeter(canonical_reflection((2, 1, 3, 1, 2)), 3)
-    with pytest.raises(ValueError, match="s3"):
+    with pytest.raises(ValueError, match="letter or ray 3 exceeds the rank 2"):
         below_coxeter(generator(3), 2)
     with pytest.raises(ValueError, match="rank"):
         below_coxeter(generator(1), 0)
