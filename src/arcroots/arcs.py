@@ -40,6 +40,7 @@ from .words import (
     conjugate,
     mul,
     reduce_word,
+    require_rank,
 )
 
 log = logging.getLogger(__name__)
@@ -153,8 +154,7 @@ def tuple_verdict(
     if n == 0:
         raise WrongArity("empty arc tuple")
     for r in refls:
-        if max(r.letters()) > n:
-            raise WrongArity(f"arc {reflection_to_arc(r)} uses rays beyond 1..{n}")
+        require_rank(r, n)
     if gram is None:
         gram = all_weights_two_gram(n)
     elif gram.n != n:

@@ -148,8 +148,6 @@ def cmd_root2refl(args: argparse.Namespace) -> int:
         raise ValueError("root must be nonempty")
     if args.quiver is not None:
         gram = cartan_companion(_load_quiver(args.quiver))
-        if gram.n != len(u):
-            raise ValueError(f"root has {len(u)} coordinates, matrix rank is {gram.n}")
     else:
         gram = all_weights_two_gram(len(u))
     print(json.dumps(list(root_to_reflection(u, gram).word)))
@@ -201,13 +199,18 @@ def cmd_complete_arc(args: argparse.Namespace) -> int:
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
-    matrix = _load_quiver(args.quiver)
-    seed = initial_seed(matrix)
+    if args.cap < 1:
+        raise ValueError(f"--cap must be >= 1, got {args.cap}")
+    seed = initial_seed(_load_quiver(args.quiver))
     if args.target == "exchange-tree":
+        if args.path is not None:
+            raise ValueError("--path applies to cayley-fragment, not exchange-tree")
         if args.depth is None:
             raise ValueError("--depth is required for exchange-tree")
         text = exchange_tree_dot(seed, args.depth, node_cap=args.cap)
     else:
+        if args.depth is not None:
+            raise ValueError("--depth applies to exchange-tree, not cayley-fragment")
         for k in _ints(args.path or "", "path"):
             seed = mutate_seed(seed, k)
         text = cayley_fragment_dot(seed, node_cap=args.cap)

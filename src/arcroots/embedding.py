@@ -15,10 +15,10 @@ never changes when a later crossing is inserted, so a segment can be
 rejected as soon as both of its endpoints are placed; the search is
 nevertheless exhaustive.  The placed chords never cross, so they cut the
 disc into faces, and a new chord is clear exactly when its far end lies
-in the face of the point where the curve enters the boundary.  Each
-level finds that face with one walk around the boundary, so each of its
-placements costs one lookup rather than a test against every placed
-chord.
+in the face of the point where the curve enters the boundary.  Every
+chord, the last one to the endpoint puncture included, is decided by one
+walk around the boundary per level, so each placement costs one lookup
+rather than a test against every placed chord.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import logging
 from dataclasses import dataclass
 from itertools import chain, permutations, product
 from math import factorial
-from typing import Iterator
+from typing import Iterator, Mapping, Sequence
 
 from .arcs import Arc
 from .errors import CapExceeded, require_int
@@ -91,7 +91,9 @@ class EmbeddingWitness:
 
 @dataclass(frozen=True)
 class EmbeddingReport:
-    """Verdict plus how much of the choice space the search visited."""
+    """Verdict plus the search's work: branches counts the placements tried
+    at every level, search_space only the complete (sides, heights) leaves,
+    so their ratio is not a pruning fraction."""
 
     embeddable: bool
     witness: EmbeddingWitness | None
@@ -107,7 +109,7 @@ def _exit(side: str, j: int) -> Token:
     return ("R", j) if side == "LR" else ("L", j)
 
 
-def _boundary(n: int, heights: dict[int, list[int]]) -> list[Token]:
+def _boundary(n: int, heights: Mapping[int, Sequence[int]]) -> list[Token]:
     """Every boundary point in counterclockwise order."""
     tokens: list[Token] = [("b", 0)]
     for s in range(n, 0, -1):
@@ -116,11 +118,6 @@ def _boundary(n: int, heights: dict[int, list[int]]) -> list[Token]:
         tokens.append(("p", s))
         tokens.extend(("L", j) for j in order)
     return tokens
-
-
-def _boundary_positions(n: int, heights: dict[int, list[int]]) -> dict[Token, int]:
-    """Index of every boundary point in counterclockwise order."""
-    return {t: i for i, t in enumerate(_boundary(n, heights))}
 
 
 def _face(tokens: list[Token], chords: list[tuple[Token, Token]], start: Token) -> bytearray:
@@ -144,11 +141,6 @@ def _face(tokens: list[Token], chords: list[tuple[Token, Token]], start: Token) 
     return reach
 
 
-def _interleave(pos: dict[Token, int], a: tuple[Token, Token], b: tuple[Token, Token]) -> bool:
-    lo, hi = sorted((pos[a[0]], pos[a[1]]))
-    return (lo < pos[b[0]] < hi) != (lo < pos[b[1]] < hi)
-
-
 def _space_size(a: Arc) -> int:
     size = 2 ** len(a.crossings)
     for s in set(a.crossings):
@@ -167,8 +159,9 @@ def probe_embedding(a: Arc, cap: int | None = None) -> EmbeddingReport:
 
     Each level walks the cut boundary once, from the point where the
     curve enters it, to find that point's face (see _face); each of the
-    level's placements is then one lookup.  Only the final chord, to the
-    endpoint puncture, is tested pairwise against the placed chords.
+    level's placements is then one lookup.  The last chord is one more
+    walk, from the last exit point: neither it nor the endpoint puncture
+    is a chord endpoint, so the chord is clear when none is open there.
 
     Uncapped unless cap is given; then more than cap crossings raise
     CapExceeded.  The parameter stays only because the benchmark passes
@@ -227,9 +220,8 @@ def probe_embedding(a: Arc, cap: int | None = None) -> EmbeddingReport:
             if j + 1 < l:
                 stack.append(level(j + 1))
                 break
-            last = (_exit(side, j), ("p", a.endpoint))
-            pos = _boundary_positions(n, heights)
-            if not any(_interleave(pos, last, c) for c in chords):
+            tokens = _boundary(n, heights)
+            if _face(tokens, chords, _exit(side, j))[tokens.index(("p", a.endpoint))]:
                 witness = EmbeddingWitness(
                     tuple(sides),
                     tuple(sorted((s, tuple(o)) for s, o in heights.items())),
@@ -273,7 +265,7 @@ def witness_is_valid(a: Arc, witness: EmbeddingWitness) -> bool:
 
     The chords of a witnessed embedding must open and close like
     balanced brackets along the circle; this re-derives the verdict
-    without the pairwise interleaving test the search uses.
+    without the face walks the search uses.
     """
     l = len(a.crossings)
     if len(witness.sides) != l or any(s not in ("LR", "RL") for s in witness.sides):
@@ -287,7 +279,6 @@ def witness_is_valid(a: Arc, witness: EmbeddingWitness) -> bool:
             return False
 
     n = max((a.endpoint, *a.crossings))
-    pos = _boundary_positions(n, {s: list(o) for s, o in heights.items()})
     owner: dict[Token, int] = {("b", 0): 0, ("p", a.endpoint): l}
     for j, side in enumerate(witness.sides):
         owner[_entry(side, j)] = j
@@ -295,7 +286,7 @@ def witness_is_valid(a: Arc, witness: EmbeddingWitness) -> bool:
 
     stack: list[int] = []
     open_chords: set[int] = set()
-    for token in sorted(pos, key=pos.get):
+    for token in _boundary(n, heights):
         chord = owner.get(token)
         if chord is None:
             continue

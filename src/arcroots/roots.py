@@ -84,7 +84,7 @@ def all_weights_two_gram(n: int) -> GramMatrix:
 
 def inner(u: Root, v: Root, gram: GramMatrix) -> int:
     if len(u) != gram.n or len(v) != gram.n:
-        raise ValueError("vector length must match the pairing rank")
+        raise ValueError(f"vector lengths {len(u)}, {len(v)} != pairing rank {gram.n}")
     return sum(x * sum(map(operator.mul, row, v)) for x, row in zip(u, gram.rows))
 
 

@@ -24,7 +24,7 @@ from arcroots.errors import (
     WrongArity,
 )
 from arcroots.quiver import random_acyclic_two_complete
-from arcroots.roots import initial_seed, mutate_seed, natural_fan
+from arcroots.roots import all_weights_two_gram, initial_seed, mutate_seed, natural_fan
 from arcroots.words import canonical_reflection, generator, inv, mul
 
 
@@ -169,10 +169,13 @@ def test_tuple_verdict_depends_on_fan_rotation():
 def test_tuple_verdict_arity_errors():
     with pytest.raises(WrongArity):
         tuple_verdict(())
-    with pytest.raises(WrongArity):
+    # a letter or ray beyond the rank fails words.require_rank's one check
+    with pytest.raises(ValueError, match="letter or ray 4 exceeds the rank 3"):
         tuple_verdict((fan_arc([], 1), fan_arc([], 4), fan_arc([], 3)))
-    with pytest.raises(WrongArity, match=r"arc 4:1 uses rays beyond 1\.\.3"):
+    with pytest.raises(ValueError, match="letter or ray 4 exceeds the rank 3"):
         tuple_verdict((fan_arc([4], 1), fan_arc([], 2), fan_arc([], 3)))
+    with pytest.raises(WrongArity, match="pairing rank 2 != tuple length 3"):
+        tuple_verdict((fan_arc([], 1), fan_arc([], 2), fan_arc([], 3)), all_weights_two_gram(2))
 
 
 def test_braid_swap_forward_worked_example():

@@ -353,6 +353,24 @@ def test_export_dot_cap(capsys, quiver_file):
     assert "exceeds" in err
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["exchange-tree", "--depth", "1", "--path", "1,2"], "--path"),
+        (["cayley-fragment", "--depth", "5"], "--depth"),
+        (["exchange-tree", "--depth", "1", "--cap", "-3"], "--cap"),
+        (["cayley-fragment", "--cap", "0"], "--cap"),
+    ],
+    ids=["tree-path", "fragment-depth", "cap-negative", "cap-zero"],
+)
+def test_export_dot_refuses_an_option_it_would_ignore(capsys, quiver_file, argv, flag):
+    code, out, err = run(capsys, "export-dot", *argv, "--quiver", quiver_file)
+    assert code == 2
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith(f"error: {flag} ")
+
+
 def test_export_dot_to_file(capsys, quiver_file, tmp_path):
     out_path = tmp_path / "tree.dot"
     code, out, _ = run(capsys, "export-dot", "exchange-tree", "--quiver", quiver_file,

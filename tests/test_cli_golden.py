@@ -118,11 +118,12 @@ CASES = [
         EMPTY,
     ),
     (
+        # "error: letter or ray 4 exceeds the rank 2", from words.require_rank
         "check-tuple-arcs-wrong-arity",
         "check-tuple --arcs 1 2:4",
         2,
         EMPTY,
-        "09fd650705ded5a1de31b444e4e8f84e7332b2d2f2aa1a78875c506e36d150f3",
+        "310c2d0b18a69bec178247d81b510a86c914405588698dddf07b974fce99d298",
     ),
     (
         "check-tuple-strict",
@@ -132,11 +133,12 @@ CASES = [
         EMPTY,
     ),
     (
+        # "error: letter or ray 4 exceeds the rank 3", from words.require_rank
         "check-tuple-wrong-arity",
         "check-tuple --words 1 4 3",
         2,
         EMPTY,
-        "77ab0036e43efd09343b24432e2b5aeffefdeeef4d3ce2063a17491b334591ea",
+        "32b2c974bd055b036d982c88c4bb537c96a0449a1cb6542d8d016c1003788b42",
     ),
     (
         # rank 9: the ordering check decides any rank

@@ -11,10 +11,9 @@ from arcroots.arcs import Arc, reflection_to_arc
 from arcroots.embedding import (
     EmbeddingReport,
     EmbeddingWitness,
-    _boundary_positions,
+    _boundary,
     _entry,
     _exit,
-    _interleave,
     _space_size,
     candidate_witnesses,
     probe_embedding,
@@ -139,10 +138,19 @@ def test_search_results_are_pinned():
     assert digest == "afe85eed816f5f282b3f23b67c51d7ac86bbac69e71a3bc754027b1f7168e8c8"
 
 
+def _boundary_positions(n, heights):
+    return {t: i for i, t in enumerate(_boundary(n, heights))}
+
+
+def _interleave(pos, a, b):
+    lo, hi = sorted((pos[a[0]], pos[a[1]]))
+    return (lo < pos[b[0]] < hi) != (lo < pos[b[1]] < hi)
+
+
 def _probe_by_clearing(a):
     # oracle: the search before the per-level face walk, where every
-    # placement rebuilds the boundary and tests its chord against every
-    # placed chord
+    # placement, the last chord to the endpoint included, rebuilds the
+    # boundary and tests its chord against every placed chord
     l = len(a.crossings)
     space = _space_size(a)
     if l == 0:

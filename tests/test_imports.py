@@ -1,7 +1,7 @@
 """Every module of the package uses every name it imports, the package
 exports exactly what its __init__.py imports, every exception class it
-declares is raised somewhere in it, and every function and class it
-defines has a caller.
+declares is raised somewhere in it, every function and class it defines
+has a caller, and every private one has a caller inside the package.
 
 No linter runs on this repository, so these stdlib scans stand in for the
 unused-import and unused-definition rules.  The package's __init__.py is
@@ -144,3 +144,11 @@ def test_every_definition_has_a_caller():
     ]
     assert len(package) > 5 and len(everything) > len(package)
     assert unused_definitions(package, everything) == []
+
+
+def test_every_private_definition_has_a_caller_in_the_package():
+    # a _-prefixed helper that only the tests or the benchmark call
+    # belongs with them, not in the package
+    package = [p.read_text() for p in Path(arcroots.__file__).parent.glob("*.py")]
+    private = [name for name in unused_definitions(package, package) if name.startswith("_")]
+    assert private == []

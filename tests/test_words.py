@@ -352,7 +352,12 @@ def test_reflection_length_examples():
         reflection_length((1, 0))
 
 
-@pytest.mark.parametrize("n,max_prefix,size,positives", [(3, 6, 381, 127), (4, 4, 484, 214)])
+@pytest.mark.parametrize("n,max_prefix,size,positives", [
+    (3, 6, 381, 127),
+    (4, 4, 484, 214),
+    (3, 9, 3069, 311),
+    (5, 4, 1705, 611),
+])
 def test_below_coxeter_agrees_with_embedding(n, max_prefix, size, positives):
     refls = reflections_with_short_prefix(n, max_prefix)
     below = [below_coxeter(r, n) for r in refls]
