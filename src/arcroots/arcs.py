@@ -40,7 +40,6 @@ from .words import (
     conjugate,
     mul,
     reduce_word,
-    require_rank,
 )
 
 log = logging.getLogger(__name__)
@@ -147,14 +146,13 @@ def tuple_verdict(
     proves the criterion: all roots positive when no pair is bad,
     otherwise positive up to the first bad pair and negative after it.
     The ordering check runs against the given pairing, by default the
-    all-weights-2 one of the right rank.
+    all-weights-2 one of the right rank; reflection_to_root rejects a
+    letter beyond that rank.
     """
     refls = tuple(refls)
     n = len(refls)
     if n == 0:
         raise WrongArity("empty arc tuple")
-    for r in refls:
-        require_rank(r, n)
     if gram is None:
         gram = all_weights_two_gram(n)
     elif gram.n != n:

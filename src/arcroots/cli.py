@@ -77,6 +77,8 @@ def _load_quiver(path: str) -> ExchangeMatrix:
     with open(path) as fh:
         data = json.load(fh)
     matrix, _ = normalized(ExchangeMatrix.from_json(data))
+    if matrix.n == 0:
+        raise ValueError(f"{path}: a quiver needs at least one vertex")
     if not matrix.is_two_complete():
         raise ValueError(f"{path}: matrix is not 2-complete")
     return matrix

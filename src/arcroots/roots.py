@@ -150,6 +150,23 @@ class YSeed:
         view of it shares this one derivation."""
         return tuple(root_to_reflection(c, self.gram) for c in self.cvectors)
 
+    @cached_property
+    def _natural(self) -> tuple[tuple[Vertex, ...], tuple[Sign, ...]]:
+        """The natural order and the sign of each of its c-vectors, read in
+        one pass and rotated to the first positive root whose cyclic
+        predecessor is negative (left unrotated when all signs agree).
+        Positives then come before negatives: the clockwise order of the
+        arcs around the boundary point."""
+        order = natural_order(self.matrix)
+        signs = tuple(root_sign(self.cvectors[v - 1]) for v in order)
+        pos = Sign.POSITIVE
+        start = next((i for i, s in enumerate(signs) if s is pos and signs[i - 1] is not pos), 0)
+        return order[start:] + order[:start], signs[start:] + signs[:start]
+
+    @cached_property
+    def _natural_fan(self) -> tuple[Reflection, ...]:
+        return tuple(self.reflections[v - 1] for v in self._natural[0])
+
     def to_json(self) -> dict:
         return {
             "b": [list(row) for row in self.matrix.rows],
@@ -334,29 +351,10 @@ def speyer_thomas_check(
     return mul(*(words[i] for i in positives + negatives)) == target
 
 
-def fan_rotation(roots: tuple[Root, ...]) -> int:
-    """Index of the first positive root whose cyclic predecessor is
-    negative; 0 when all roots share one sign.
-
-    Rotating the natural order here puts positives before negatives, which
-    is the clockwise order of the arcs around the boundary point.
-    """
-    signs = [root_sign(u) for u in roots]
-    if Sign.POSITIVE not in signs or Sign.NEGATIVE not in signs:
-        return 0
-    return next(
-        i
-        for i in range(len(signs))
-        if signs[i] is Sign.POSITIVE and signs[i - 1] is Sign.NEGATIVE
-    )
-
-
 def natural_fan(seed: YSeed) -> tuple[Reflection, ...]:
     """Natural-order reflections of the c-vectors, rotated to the first
-    positive root."""
-    order = natural_order(seed.matrix)
-    start = fan_rotation(tuple(seed.cvectors[v - 1] for v in order))
-    return tuple(seed.reflections[v - 1] for v in order[start:] + order[:start])
+    positive root; the seed builds this fan once, on first use."""
+    return seed._natural_fan
 
 
 def natural_coxeter_product(seed: YSeed) -> bool:
@@ -371,8 +369,7 @@ def natural_coxeter_product(seed: YSeed) -> bool:
 
 def sign_run_count(seed: YSeed) -> int:
     """Number of maximal constant-sign runs of the natural-order c-vectors,
-    read cyclically."""
-    signs = [root_sign(seed.cvectors[v - 1]) for v in natural_order(seed.matrix)]
-    n = len(signs)
-    changes = sum(1 for i in range(n) if signs[i] is not signs[(i + 1) % n])
+    read cyclically; rotating the order leaves the count unchanged."""
+    _, signs = seed._natural
+    changes = sum(1 for i in range(len(signs)) if signs[i - 1] is not signs[i])
     return max(changes, 1)

@@ -108,6 +108,20 @@ def test_root2refl_imaginary_root(capsys):
     assert "<u, u>" in err
 
 
+def test_root2refl_stalled_descent(capsys, tmp_path):
+    # <u, u> = 2 under this quiver's pairing, but u is not a real root
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"b": [[0, 3, 2], [-3, 0, 4], [-2, -4, 0]]}))
+    code, out, err = run(capsys, "root2refl", "--root", "6,6,37", "--quiver", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: descent stalls at (6, 6, -1)\n"
+
+
+def test_root2refl_empty_root(capsys):
+    code, out, err = run(capsys, "root2refl", "--root", "")
+    assert (code, out, err) == (2, "", "error: root must be nonempty\n")
+
+
 def test_schur_positive(capsys, quiver_file):
     code, out, _ = run(capsys, "schur", "--word", "1,2,1", "--quiver", quiver_file)
     assert code == 0
@@ -284,6 +298,26 @@ def test_explore_rejects_cyclic(capsys, tmp_path):
     path.write_text(json.dumps({"b": [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]}))
     code, _, err = run(capsys, "explore", "--quiver", str(path), "--depth", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["explore", "--depth", "2"],
+        ["explore", "--depth", "2", "--verify", "all"],
+        ["export-dot", "exchange-tree", "--depth", "1"],
+        ["export-dot", "cayley-fragment"],
+        ["schur", "--word", "1"],
+        ["complete-arc", "--endpoint", "1"],
+    ],
+    ids=" ".join,
+)
+def test_quiver_without_vertices_exits_two(capsys, tmp_path, argv):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"b": []}))
+    code, out, err = run(capsys, *argv, "--quiver", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: a quiver needs at least one vertex\n"
 
 
 @pytest.mark.parametrize(

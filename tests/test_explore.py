@@ -8,6 +8,7 @@ from functools import cached_property
 
 import pytest
 
+from arcroots import roots
 from arcroots.arcs import Arc, reflection_to_arc
 from arcroots.errors import DepthExhausted, NotEmbeddable
 from arcroots.explore import (
@@ -25,6 +26,7 @@ from arcroots.roots import (
     YSeed,
     initial_seed,
     mutate_seed,
+    natural_fan,
     positive_form,
     reflection_to_root,
     root_to_reflection,
@@ -106,6 +108,25 @@ def test_explore_tests_each_matrix_for_cycles_once(monkeypatch):
     report = explore(ExchangeMatrix(B3.rows), 8, checks=ALL_CHECKS)
     assert report.violations == ()
     assert calls == report.seeds_visited == 766
+
+
+def test_explore_reads_each_natural_order_once(monkeypatch):
+    # coxeter_product, sign_runs and bad_pairs share one natural fan per seed
+    calls = 0
+    order = roots.natural_order
+
+    def counting(matrix):
+        nonlocal calls
+        calls += 1
+        return order(matrix)
+
+    monkeypatch.setattr(roots, "natural_order", counting)
+    seeds = []
+    report = explore(B3, 8, checks=ALL_CHECKS, sink=seeds.append)
+    assert report.violations == ()
+    assert calls == report.seeds_visited == 766
+    assert all(natural_fan(seed) is natural_fan(seed) for seed in seeds)
+    assert calls == 766
 
 
 def test_explore_unknown_check():

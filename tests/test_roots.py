@@ -62,6 +62,8 @@ def test_gram_matrix_validation():
         GramMatrix(((2, -1), (-2, 2)))
     with pytest.raises(ValueError):
         GramMatrix(((1, 0), (0, 1)))
+    with pytest.raises(ValueError, match="matrix must be square"):
+        GramMatrix(((2,), (2, -1)))
 
 
 def test_inner_and_reflect():
@@ -116,6 +118,13 @@ def test_mutate_seed_from_initial(k, cvecs):
     oracle = mutate_seed_matrix(S0, k)
     assert oracle.cvectors == cvecs
     assert oracle.matrix == got.matrix
+
+
+@pytest.mark.parametrize("mutate", [mutate_seed, mutate_seed_matrix])
+@pytest.mark.parametrize("k", [0, 4])
+def test_mutation_rejects_a_direction_out_of_range(mutate, k):
+    with pytest.raises(ValueError, match=f"vertex {k} out of range 1..3"):
+        mutate(S0, k)
 
 
 def test_mutate_seed_twice_is_identity():
@@ -182,6 +191,10 @@ def test_root_to_reflection_rejects_non_roots():
         root_to_reflection((1, 1, 0), GRAM3)
     with pytest.raises(NotARealRoot):
         root_to_reflection((1, -1, 0), GRAM3)
+    # <u, u> = 2 under this pairing, but u is not a real root
+    gram = cartan_companion(ExchangeMatrix(((0, 3, 2), (-3, 0, 4), (-2, -4, 0))))
+    with pytest.raises(NotARealRoot, match=r"descent stalls at \(6, 6, -1\)"):
+        root_to_reflection((6, 6, 37), gram)
 
 
 def test_reflection_to_root():
