@@ -79,23 +79,6 @@ class Arc:
     def to_json(self) -> dict:
         return {"crossings": list(self.crossings), "endpoint": self.endpoint}
 
-    @classmethod
-    def from_json(cls, data: dict) -> Arc:
-        """Arc from the dict that to_json gives.
-
-        Entries are never coerced: a bool, float or string raises
-        ValueError naming it, so an endpoint of 3.7 cannot load as 3.
-        """
-        if not isinstance(data, dict) or "crossings" not in data or "endpoint" not in data:
-            raise ValueError('an arc must be a JSON object with "crossings" and "endpoint"')
-        crossings = data["crossings"]
-        if not isinstance(crossings, list):
-            raise ValueError(f"crossings must be a list, got {type(crossings).__name__}")
-        return cls(
-            tuple(require_int(x, f"crossings[{i}]") for i, x in enumerate(crossings)),
-            require_int(data["endpoint"], "endpoint"),
-        )
-
 
 def canonicalize_arc(crossings: Sequence[int], endpoint: int) -> Arc:
     """Reduce the crossing word, then drop a trailing crossing of the
@@ -158,7 +141,7 @@ def tuple_verdict(
     elif gram.n != n:
         raise WrongArity(f"pairing rank {gram.n} != tuple length {n}")
     bad = [i for i in range(n - 1) if comparable(refls[i], refls[i + 1])]
-    product_ok = mul(*(r.word for r in refls)) == tuple(range(1, n + 1))
+    product_ok = tuple_product(refls) == tuple(range(1, n + 1))
     roots = [reflection_to_root(r, gram) for r in refls]
     if bad:
         cut = bad[0]

@@ -75,7 +75,10 @@ def _ints(text: str, what: str) -> tuple[int, ...]:
 
 def _load_quiver(path: str) -> ExchangeMatrix:
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
     matrix, _ = normalized(ExchangeMatrix.from_json(data))
     if matrix.n == 0:
         raise ValueError(f"{path}: a quiver needs at least one vertex")

@@ -30,7 +30,7 @@ from math import factorial
 from typing import Iterator, Mapping, Sequence
 
 from .arcs import Arc
-from .errors import CapExceeded, require_int
+from .errors import CapExceeded
 
 log = logging.getLogger(__name__)
 
@@ -58,35 +58,6 @@ class EmbeddingWitness:
             "sides": list(self.sides),
             "heights": {str(ray): list(order) for ray, order in self.heights},
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> EmbeddingWitness:
-        """Witness from the dict that to_json gives.
-
-        Ray keys are ASCII decimal strings, as JSON object keys must be; every
-        other entry must already have its type.  Nothing is coerced: a
-        bool, float or string index raises ValueError naming it.  Whether
-        the witness is valid for an arc is witness_is_valid's question.
-        """
-        if not isinstance(data, dict) or "sides" not in data or "heights" not in data:
-            raise ValueError('a witness must be a JSON object with "sides" and "heights"')
-        sides, raw = data["sides"], data["heights"]
-        if not isinstance(sides, list):
-            raise ValueError(f"sides must be a list, got {type(sides).__name__}")
-        for i, s in enumerate(sides):
-            if not isinstance(s, str):
-                raise ValueError(f"sides[{i}] = {s!r} is not a string")
-        if not isinstance(raw, dict):
-            raise ValueError(f"heights must be an object, got {type(raw).__name__}")
-        heights = []
-        for ray, order in raw.items():
-            if not (isinstance(ray, str) and ray.isascii() and ray.isdecimal()):
-                raise ValueError(f"heights key {ray!r} is not a decimal ray index")
-            if not isinstance(order, list):
-                raise ValueError(f"heights[{ray!r}] must be a list, got {type(order).__name__}")
-            order = tuple(require_int(j, f"heights[{ray!r}][{i}]") for i, j in enumerate(order))
-            heights.append((int(ray), order))
-        return cls(tuple(sides), tuple(sorted(heights)))
 
 
 @dataclass(frozen=True)

@@ -148,12 +148,6 @@ class ExchangeMatrix:
                 rows[j - 1][i - 1] = -rows[j - 1][i - 1]
         return _tournament_order(rows)
 
-    def mutate_path(self, path) -> ExchangeMatrix:
-        out = self
-        for k in path:
-            out = out.mutate(k)
-        return out
-
     def is_acyclic(self) -> bool:
         """True when the digraph with an arrow i -> j for b[i][j] > 0 has
         no directed cycle.  A matrix decides this once, on first use."""

@@ -25,13 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, cmp_to_key
 
-from .errors import (
-    NotAcyclic,
-    NotARealRoot,
-    NotNormalized,
-    SignIncoherent,
-    require_int,
-)
+from .errors import NotAcyclic, NotARealRoot, NotNormalized, SignIncoherent
 from .quiver import ExchangeMatrix, Vertex, natural_order
 from .words import Reflection, mul, require_rank
 
@@ -176,41 +170,15 @@ class YSeed:
 
 
 def initial_seed(matrix: ExchangeMatrix) -> YSeed:
-    """Seed (B, identity c-vectors) for a normalized acyclic 2-complete B."""
+    """Seed (B, identity c-vectors) for a normalized acyclic 2-complete B
+    with at least one vertex."""
+    if matrix.n == 0:
+        raise ValueError("a quiver needs at least one vertex")
     if not matrix.is_two_complete():
         raise ValueError("initial matrix must be 2-complete")
     gram = cartan_companion(matrix)
     cvecs = tuple(unit_vector(matrix.n, i) for i in matrix.vertices())
     return YSeed(matrix, cvecs, gram, ())
-
-
-def seed_from_json(data: dict, gram: GramMatrix | None = None) -> YSeed:
-    """Seed from the dict that YSeed.to_json gives.
-
-    Entries are never coerced: a bool, float or string c-vector entry or
-    path step raises ValueError naming it, as ExchangeMatrix.from_rows
-    does for the matrix.
-    """
-    if not isinstance(data, dict) or not {"b", "c", "path"} <= data.keys():
-        raise ValueError('a seed must be a JSON object with "b", "c" and "path"')
-    matrix = ExchangeMatrix.from_rows(data["b"])
-    cvecs, path = data["c"], data["path"]
-    if not isinstance(cvecs, list):
-        raise ValueError(f"c must be a list of vectors, got {type(cvecs).__name__}")
-    for i, c in enumerate(cvecs, 1):
-        if not isinstance(c, list) or len(c) != matrix.n:
-            raise ValueError(f"c-vector {i} must be a list of {matrix.n} integers, got {c!r}")
-    if not isinstance(path, list):
-        raise ValueError(f"path must be a list, got {type(path).__name__}")
-    cvectors = tuple(
-        tuple(require_int(x, f"c[{i}][{j}]") for j, x in enumerate(c, 1))
-        for i, c in enumerate(cvecs, 1)
-    )
-    path = tuple(require_int(k, f"path[{i}]") for i, k in enumerate(path))
-    if gram is None:
-        initial = matrix.mutate_path(tuple(reversed(path)))
-        gram = cartan_companion(initial)
-    return YSeed(matrix, cvectors, gram, path)
 
 
 def mutate_seed(seed: YSeed, k: Vertex) -> YSeed:

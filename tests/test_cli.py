@@ -320,6 +320,32 @@ def test_quiver_without_vertices_exits_two(capsys, tmp_path, argv):
     assert err == f"error: {path}: a quiver needs at least one vertex\n"
 
 
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("text", [DEEP, '{"b": ' + DEEP + "}"], ids=["list", "b"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["explore", "--depth", "1"],
+        ["check-tuple", "--words", "1", "2"],
+        ["root2refl", "--root", "1,0"],
+        ["schur", "--word", "1"],
+        ["complete-arc", "--endpoint", "1"],
+        ["export-dot", "exchange-tree", "--depth", "1"],
+        ["export-dot", "cayley-fragment"],
+    ],
+    ids=" ".join,
+)
+def test_deeply_nested_quiver_exits_two(capsys, tmp_path, argv, text):
+    # exit 1 would read as a negative verdict under --strict
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run(capsys, *argv, "--quiver", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: JSON nested too deeply\n"
+
+
 @pytest.mark.parametrize(
     "text,message",
     [

@@ -30,7 +30,6 @@ from arcroots.roots import (
     positive_form,
     reflection_to_root,
     root_to_reflection,
-    seed_from_json,
 )
 from arcroots.words import canonical_reflection, separating_nodes
 
@@ -141,15 +140,28 @@ def test_explore_rejects_a_repeated_check(checks):
         explore(B3, 2, checks=checks)
 
 
+@pytest.mark.parametrize("checks", [(), ALL_CHECKS], ids=["plain", "all-checks"])
+def test_explore_needs_a_vertex(checks):
+    # a rank-0 tree would report one seed and no violations
+    with pytest.raises(ValueError, match="^a quiver needs at least one vertex$"):
+        explore(ExchangeMatrix.from_rows([]), 2, checks=checks)
+
+
+def test_schur_by_search_needs_a_vertex():
+    with pytest.raises(ValueError, match="^a quiver needs at least one vertex$"):
+        schur_by_search((), ExchangeMatrix.from_rows([]), 2)
+
+
 def test_explore_streams_seeds_losslessly():
     seen = []
     report = explore(B3, 2, sink=seen.append)
     assert len(seen) == report.seeds_visited
     for seed in seen:
-        back = seed_from_json(seed.to_json())
-        assert back.matrix == seed.matrix
-        assert back.cvectors == seed.cvectors
-        assert back.path == seed.path
+        assert json.loads(json.dumps(seed.to_json())) == {
+            "b": [list(row) for row in seed.matrix.rows],
+            "c": [list(c) for c in seed.cvectors],
+            "path": list(seed.path),
+        }
 
 
 def test_seed_digest_separates_seeds():

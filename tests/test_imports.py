@@ -1,7 +1,8 @@
 """Every module of the package uses every name it imports, the package
 exports exactly what its __init__.py imports, every exception class it
 declares is raised somewhere in it, every function and class it defines
-has a caller, and every private one has a caller inside the package.
+has a caller, every one outside __all__ has a caller in the package or
+the benchmark, and every private one has a caller inside the package.
 
 No linter runs on this repository, so these stdlib scans stand in for the
 unused-import and unused-definition rules.  The package's __init__.py is
@@ -152,3 +153,17 @@ def test_every_private_definition_has_a_caller_in_the_package():
     package = [p.read_text() for p in Path(arcroots.__file__).parent.glob("*.py")]
     private = [name for name in unused_definitions(package, package) if name.startswith("_")]
     assert private == []
+
+
+def test_every_unexported_definition_has_a_caller_outside_the_tests():
+    """A definition outside __all__ that only its own tests call is a
+    feature nobody uses.  Names are matched without scope, so a method
+    sharing its name with a live one (Arc.from_json beside
+    ExchangeMatrix.from_json, say) escapes this scan."""
+    package = [p.read_text() for p in Path(arcroots.__file__).parent.glob("*.py")]
+    bench = [p.read_text() for p in (ROOT / "perfbench").rglob("*.py")]
+    # the tests' oracles for descent, ascent and separating_nodes
+    oracles = {"reflect", "separates"}
+    unused = unused_definitions(package, package + bench)
+    assert len(bench) > 1
+    assert sorted(set(unused) - set(arcroots.__all__) - oracles) == []
