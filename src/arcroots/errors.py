@@ -16,9 +16,14 @@ class ArcrootsError(Exception):
 
 def require_int(value: object, name: str) -> int:
     """Return value if it is an int other than a bool, else raise
-    ValueError naming it, so that 2.9, "2" or true never load as 2 or 1."""
+    ValueError naming it, so that 2.9, "2" or true never load as 2 or 1.
+    The message quotes at most 80 characters of the value's repr, so a
+    large or deeply nested entry is not echoed back whole."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} = {value!r} is not an integer")
+        text = repr(value)
+        if len(text) > 80:
+            text = text[:77] + "..."
+        raise ValueError(f"{name} = {text} is not an integer")
     return value
 
 

@@ -14,8 +14,11 @@ the plain exchange rule, which serves as an independent oracle.
 
 All c-vectors stay sign-coherent, and the pairing of two c-vectors recovers
 the matrix weight up to sign.  Positive c-vectors are real Schur roots;
-each corresponds to a reflection in the universal Coxeter group, written in
-the simple generators by repeated descent.
+each corresponds to a reflection in the universal Coxeter group.  The
+initial seed writes its reflections in the simple generators by repeated
+descent.  A mutation that reflects c_j in c_k conjugates the reflection
+t_j by t_k, so a child whose parent's reflections were already read
+carries them over by conjugation instead; descent stays the oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from functools import cached_property, cmp_to_key
 
 from .errors import NotAcyclic, NotARealRoot, NotNormalized, SignIncoherent
 from .quiver import ExchangeMatrix, Vertex, natural_order
-from .words import Reflection, mul, require_rank
+from .words import Reflection, Word, mul, require_rank
 
 Root = tuple[int, ...]
 
@@ -123,6 +126,10 @@ class YSeed:
     cvectors: tuple[Root, ...]
     gram: GramMatrix
     path: tuple[Vertex, ...]
+    # (the parent's reflections, k, the vertices reflected in c_k), set by
+    # mutate_seed only when the parent's reflections were already read; a
+    # class attribute, not a field, so equality, hash and repr ignore it
+    _carry = None
 
     def __post_init__(self) -> None:
         n = self.matrix.n
@@ -139,10 +146,26 @@ class YSeed:
 
     @cached_property
     def reflections(self) -> tuple[Reflection, ...]:
-        """The reflection of each c-vector, in vertex order, derived by
-        descent on first access.  A seed is immutable, so every check and
-        view of it shares this one derivation."""
-        return tuple(root_to_reflection(c, self.gram) for c in self.cvectors)
+        """The reflection of each c-vector, in vertex order, derived on first
+        access.  A seed is immutable, so every check and view of it shares
+        this one derivation.
+
+        A child of mutation at k whose parent's reflections were read keeps
+        t_k and every unmoved t_j, and conjugates each moved t_j by t_k;
+        every other seed descends each c-vector with root_to_reflection.
+        Nothing here reads a parent that was never read, so a walk that
+        never asks for reflections derives none."""
+        carry = self._carry
+        if carry is None:
+            return tuple(root_to_reflection(c, self.gram) for c in self.cvectors)
+        # the parent's tuple is no longer needed once this one exists
+        object.__setattr__(self, "_carry", None)
+        parent, k, moved = carry
+        tk = parent[k - 1].word
+        out = list(parent)
+        for j in moved:
+            out[j - 1] = _conjugated(tk, parent[j - 1])
+        return tuple(out)
 
     @cached_property
     def _natural(self) -> tuple[tuple[Vertex, ...], tuple[Sign, ...]]:
@@ -191,6 +214,10 @@ def mutate_seed(seed: YSeed, k: Vertex) -> YSeed:
 
     The reflection of c_j in v = positive_form(c_k) is c_j - <c_j, v> v,
     so M v is computed once and each <c_j, v> is one dot product with it.
+
+    The child derives no reflections here.  If the parent's were already
+    read, it keeps a reference to them and the moved vertices, and
+    conjugates on its own first read (YSeed.reflections).
     """
     if not 1 <= k <= seed.n:
         raise ValueError(f"vertex {k} out of range 1..{seed.n}")
@@ -200,6 +227,7 @@ def mutate_seed(seed: YSeed, k: Vertex) -> YSeed:
     mv = [sum(map(operator.mul, row, v)) for row in seed.gram.rows]
     vv = sum(map(operator.mul, v, mv))
     new_cvecs = []
+    moved = []
     for j, (cj, row) in enumerate(zip(seed.cvectors, seed.matrix.rows), 1):
         bjk = row[k - 1]
         if j == k:
@@ -209,9 +237,32 @@ def mutate_seed(seed: YSeed, k: Vertex) -> YSeed:
                 raise NotARealRoot(f"<v, v> = {vv} for v = {v}")
             coef = sum(map(operator.mul, cj, mv))
             new_cvecs.append(tuple([x - coef * y for x, y in zip(cj, v)]))
+            moved.append(j)
         else:
             new_cvecs.append(cj)
-    return YSeed(seed.matrix.mutate(k), tuple(new_cvecs), seed.gram, seed.path + (k,))
+    child = YSeed(seed.matrix.mutate(k), tuple(new_cvecs), seed.gram, seed.path + (k,))
+    read = seed.__dict__.get("reflections")
+    if read is not None:
+        object.__setattr__(child, "_carry", (read, k, tuple(moved)))
+    return child
+
+
+def _conjugated(by: Word, r: Reflection) -> Reflection:
+    """The reflection (by) r (by)^(-1), built without Reflection's
+    re-validation.
+
+    With q the reduced product of by and r's prefix, the conjugate is
+    q s_core q^(-1).  Dropping a trailing core letter from q leaves a
+    reduced word that does not end in the core, which is exactly the
+    canonical prefix, so the split into (prefix, core) needs no check.
+    """
+    q = mul(by, r.prefix)
+    if q and q[-1] == r.core:
+        q = q[:-1]
+    out = object.__new__(Reflection)
+    object.__setattr__(out, "prefix", q)
+    object.__setattr__(out, "core", r.core)
+    return out
 
 
 def mutate_seed_matrix(seed: YSeed, k: Vertex) -> YSeed:

@@ -373,6 +373,16 @@ def test_malformed_quiver_exits_two(capsys, tmp_path, text, message):
     assert message in err
 
 
+def test_nested_quiver_entry_is_quoted_short(capsys, tmp_path):
+    # a 900-deep entry loads as JSON; its repr alone is 1,800 characters
+    path = tmp_path / "nested.json"
+    entry = "[" * 900 + "]" * 900
+    path.write_text('{"b": [[0, 2, 2], [-2, 0, ' + entry + "], [-2, -2, 0]]}")
+    code, out, err = run(capsys, "explore", "--quiver", str(path), "--depth", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: b[2][3] = " + "[" * 77 + "... is not an integer\n"
+
+
 def test_internal_type_error_is_not_reported_as_bad_input(monkeypatch, quiver_file):
     def broken(*args, **kwargs):
         raise TypeError("bug")

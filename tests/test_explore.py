@@ -128,6 +128,36 @@ def test_explore_reads_each_natural_order_once(monkeypatch):
     assert calls == 766
 
 
+def test_explore_descends_only_the_root_seed(monkeypatch):
+    # every other seed carries its reflections from its parent
+    calls = 0
+    descend = roots.root_to_reflection
+
+    def counting(u, gram):
+        nonlocal calls
+        calls += 1
+        return descend(u, gram)
+
+    monkeypatch.setattr(roots, "root_to_reflection", counting)
+    report = explore(B3, 8, checks=ALL_CHECKS)
+    assert report.violations == () and report.seeds_visited == 766
+    assert calls == 3
+
+
+def test_walks_that_never_read_reflections_derive_none(monkeypatch):
+    # the carry is lazy: the Schur search, arc completion and a bare walk
+    # neither descend nor conjugate
+    def forbidden(*args):
+        raise AssertionError("reflections derived")
+
+    monkeypatch.setattr(roots, "root_to_reflection", forbidden)
+    monkeypatch.setattr(roots, "_conjugated", forbidden)
+    assert schur_by_search(canonical_reflection((3, 2, 1, 2, 3)), B3, 8).path == (3, 2, 1, 2, 3, 1)
+    assert schur_by_search((2, 6, 1), B3, 8).truncated
+    assert complete_arc(Arc((1, 3), 2), B3, 8).path == (1, 3, 2, 3, 2)
+    assert sum(1 for _ in iter_seeds(initial_seed(B4), 5)) == tree_count(4, 5)
+
+
 def test_explore_unknown_check():
     with pytest.raises(ValueError):
         explore(B3, 1, checks=("two_complete", "nonsense"))

@@ -4,6 +4,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, strategies as st
 
+from arcroots import roots
 from arcroots.arcs import braid_swap
 from arcroots.errors import (
     ArcrootsError,
@@ -305,8 +306,8 @@ def _st(roots, gram=GRAM3):
 
 def test_cached_reflections_follow_the_conjugation_rule():
     # mutating at k conjugates by r_k exactly the reflections whose
-    # c-vectors the partial reflection rule moves, which derives the
-    # cached reflections a second way without descent
+    # c-vectors the partial reflection rule moves; the matrix oracle's
+    # seeds have no parent to carry from, so they descend
     rng = random.Random(1709)
     moved = 0
     for _ in range(60):
@@ -327,6 +328,64 @@ def test_cached_reflections_follow_the_conjugation_rule():
             assert mutate_seed_matrix(s, k).reflections == t.reflections
             s = t
     assert moved > 0
+
+
+def _carry_trees():
+    yield B3, 10
+    yield ExchangeMatrix.from_rows([[0, 2, 2, 2], [-2, 0, 2, 2], [-2, -2, 0, 2], [-2, -2, -2, 0]]), 6
+    yield ExchangeMatrix.from_rows([[0, 2, 3, 2], [-2, 0, 2, 4], [-3, -2, 0, 2], [-2, -4, -2, 0]]), 5
+    yield random_acyclic_two_complete(5, random.Random(1)), 4
+
+
+@pytest.mark.parametrize("initial,depth", _carry_trees(), ids=["B3", "B4", "weighted4", "random5"])
+def test_carried_reflections_match_descent(monkeypatch, initial, depth):
+    # a walk that reads every seed carries each child's reflections from
+    # its parent; only the root seed descends
+    calls = 0
+
+    def counting(u, gram):
+        nonlocal calls
+        calls += 1
+        return root_to_reflection(u, gram)
+
+    monkeypatch.setattr(roots, "root_to_reflection", counting)
+    seeds = 0
+    for seed in iter_seeds(initial_seed(initial), depth):
+        want = tuple(root_to_reflection(c, seed.gram) for c in seed.cvectors)
+        assert seed.reflections == want, seed.path
+        seeds += 1
+    assert calls == initial.n
+    assert seeds > 400
+
+
+def test_carry_leaves_equality_and_repr_alone():
+    parent = mutate_seed(S0, 1)
+    unread = mutate_seed(parent, 2)
+    assert parent.reflections  # read, so the next child carries
+    carried = mutate_seed(parent, 2)
+    assert carried._carry is not None and unread._carry is None
+    assert carried == unread and hash(carried) == hash(unread)
+    assert repr(carried) == repr(unread) and carried.to_json() == unread.to_json()
+    assert carried.reflections == unread.reflections
+
+
+def test_one_reflection_tree_per_rank():
+    # arcs do not see the weights: at every tree address two weightings of
+    # rank 3 descend to the same reflections, each under its own pairing,
+    # with the same c-vector signs and the same sign pattern of B
+    weighted = ExchangeMatrix.from_rows([[0, 3, 2], [-3, 0, 5], [-2, -5, 0]])
+    paths = 0
+    for s, t in zip(iter_seeds(S0, 8), iter_seeds(initial_seed(weighted), 8), strict=True):
+        assert s.path == t.path
+        assert [root_to_reflection(c, s.gram) for c in s.cvectors] == [
+            root_to_reflection(c, t.gram) for c in t.cvectors
+        ], s.path
+        assert [root_sign(c) for c in s.cvectors] == [root_sign(c) for c in t.cvectors]
+        assert [[(x > 0) - (x < 0) for x in row] for row in s.matrix.rows] == [
+            [(x > 0) - (x < 0) for x in row] for row in t.matrix.rows
+        ]
+        paths += 1
+    assert paths == 766
 
 
 def test_speyer_thomas_examples():

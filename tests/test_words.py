@@ -8,7 +8,7 @@ from arcroots.embedding import probe_embedding
 from arcroots.errors import NotAReflection
 from arcroots.explore import iter_seeds
 from arcroots.quiver import ExchangeMatrix
-from arcroots.roots import initial_seed
+from arcroots.roots import _conjugated, initial_seed
 from arcroots.words import (
     Reflection,
     below_coxeter,
@@ -144,6 +144,40 @@ def test_conjugate():
 @given(reflections, words)
 def test_conjugation_round_trip(r, u):
     assert conjugate(conjugate(r, u), inv(u)) == r
+
+
+def reflections_up_to(n, longest):
+    """Every reflection of rank n whose prefix has at most longest letters."""
+    out, level = [], [()]
+    for _ in range(longest + 1):
+        out += [Reflection(p, c) for p in level for c in range(1, n + 1) if not p or p[-1] != c]
+        level = [p + (s,) for p in level for s in range(1, n + 1) if not p or p[-1] != s]
+    return out
+
+
+def test_trusted_conjugate_agrees_with_canonical_reflection():
+    # the carry's unvalidated constructor against conjugate, which reduces
+    # and re-validates the whole word
+    refls = reflections_up_to(3, 3)
+    assert len(refls) == 45
+    for a in refls:
+        for b in refls:
+            assert _conjugated(a.word, b) == conjugate(b, a.word), (a, b)
+
+
+def test_conjugation_lengthens_exactly_what_it_does_not_precede():
+    # conjugating b by a reflects b's edge across a's: the image is
+    # farther from the identity exactly when b's edge lies on the
+    # identity's side of a's edge, that is, when a does not precede b
+    pairs = 0
+    for n, longest in ((3, 3), (4, 2)):
+        refls = reflections_up_to(n, longest)
+        for a in refls:
+            for b in refls:
+                if a != b:
+                    assert (len(conjugate(b, a.word)) > len(b)) == (not precedes(a, b)), (a, b)
+                    pairs += 1
+    assert pairs == 4_632
 
 
 def test_precedes_examples():
