@@ -19,7 +19,7 @@ import json
 import logging
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .arcs import Arc, arc_to_reflection, tuple_verdict
 from .embedding import probe_embedding
@@ -200,16 +200,19 @@ class ExplorationReport:
 def explore(
     initial: ExchangeMatrix,
     depth: int,
-    checks: Sequence[str] = (),
+    checks: Iterable[str] = (),
     sink: Callable[[YSeed], None] | None = None,
 ) -> ExplorationReport:
     """Enumerate all seeds to the depth, verifying and streaming each.
 
-    checks are distinct names from ALL_CHECKS; "tree" confirms that no two tree
-    addresses carry the same (B, C) pair, hashing canonical
-    serializations instead of trusting the no-revisit argument.  Seeds
-    are handed to sink one at a time and never accumulated.
+    checks are distinct names from ALL_CHECKS, read once from any iterable
+    but a bare string.  "tree" confirms that no two tree addresses carry the
+    same (B, C) pair, hashing canonical serializations instead of trusting
+    the no-revisit argument.  Seeds are streamed to sink, never accumulated.
     """
+    if isinstance(checks, str):
+        raise ValueError(f"checks must be a collection of names, not the string {checks!r}")
+    checks = tuple(checks)
     unknown = sorted(set(checks) - set(ALL_CHECKS))
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(unknown)}")

@@ -8,16 +8,15 @@ any fixed machine width.
 
 A matrix is 2-complete when every off-diagonal weight |b[i][j]| is at least
 2.  For 2-complete matrices whose mutation class contains an acyclic one,
-weight comparison classifies each mutation direction as increasing,
-decreasing, neutral, or mixed, and repeatedly following the decreasing
-direction reaches an acyclic representative.
+a non-acyclic one has exactly one direction whose mutation shrinks some
+weight and grows none, its separating vertex, and repeatedly following
+that direction reaches an acyclic representative.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 from .errors import (
@@ -106,8 +105,8 @@ class ExchangeMatrix:
             new.append(tuple(row))
         return ExchangeMatrix(tuple(new))
 
-    # A matrix is immutable, so it classifies its directions, tests itself
-    # for cycles and finds its natural order once; decreasing_directions,
+    # A matrix is immutable, so it finds its decreasing directions and its
+    # natural order and tests itself for cycles once; decreasing_directions,
     # separating_vertex, is_acyclic and natural_order read these.
 
     @cached_property
@@ -131,10 +130,7 @@ class ExchangeMatrix:
 
     @cached_property
     def _decreasing(self) -> tuple[Vertex, ...]:
-        return tuple(
-            k for k in self.vertices()
-            if classify_mutation(self, k) is MutationKind.DECREASING
-        )
+        return tuple(k for k in self.vertices() if _decreases(self.rows, k))
 
     @cached_property
     def _natural_order(self) -> tuple[Vertex, ...]:
@@ -167,9 +163,6 @@ class ExchangeMatrix:
             abs(self.rows[i][j]) for i in range(self.n) for j in range(i + 1, self.n)
         )
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "b": [list(row) for row in self.rows]}
-
     @classmethod
     def from_json(cls, data: dict) -> ExchangeMatrix:
         if not isinstance(data, dict) or "b" not in data:
@@ -180,56 +173,33 @@ class ExchangeMatrix:
         return mat
 
 
-class MutationKind(Enum):
-    """How mutation at one vertex moves the absolute weights, compared
-    entrywise over unordered pairs."""
-
-    INCREASING = "increasing"
-    DECREASING = "decreasing"
-    NEUTRAL = "neutral"
-    MIXED = "mixed"
-
-
-def classify_mutation(matrix: ExchangeMatrix, k: Vertex) -> MutationKind:
-    """Compare |b| before and after mutating at k, without mutating.
-
-    Increasing: some weight grows, none shrinks.  Decreasing: some weight
-    shrinks, none grows.  Neutral: all weights equal.  Mixed: both.
+def _decreases(rows, k: Vertex) -> bool:
+    """True when mutating at k shrinks some weight |b_ij| and grows none.
 
     Entries in row or column k only flip sign, and the correction term
     (|b_ik| b_kj + b_ik |b_kj|) / 2 vanishes unless b_ik and b_kj have one
-    sign.  Up to transposing the pair, that is an arrow i -> k and an arrow
-    k -> j, and then b_ij picks up b_ik b_kj.  So only those weights are
-    compared, in place.  Sink and source mutations are neutral.
+    sign: up to transposing the pair, an arrow i -> k and an arrow k -> j,
+    and then b_ij picks up b_ik b_kj.  Only those weights are compared.
     """
-    if not 1 <= k <= matrix.n:
-        raise ValueError(f"vertex {k} out of range 1..{matrix.n}")
-    row_k = matrix.rows[k - 1]
+    row_k = rows[k - 1]
     heads = [j for j, bkj in enumerate(row_k) if bkj > 0]
-    grew = shrank = False
+    shrank = False
     for i, bki in enumerate(row_k):
         if bki >= 0:
             continue
-        row_i = matrix.rows[i]
+        row_i = rows[i]
         for j in heads:
             before = abs(row_i[j])
             after = abs(row_i[j] - bki * row_k[j])
             if after > before:
-                grew = True
-            elif after < before:
-                shrank = True
-    if grew and shrank:
-        return MutationKind.MIXED
-    if grew:
-        return MutationKind.INCREASING
-    if shrank:
-        return MutationKind.DECREASING
-    return MutationKind.NEUTRAL
+                return False
+            shrank |= after < before
+    return shrank
 
 
 def decreasing_directions(matrix: ExchangeMatrix) -> list[Vertex]:
-    """Directions whose mutation decreases the weights.  A matrix
-    classifies its directions once, on first use, and keeps the answer."""
+    """Directions whose mutation shrinks some weight and grows none.  A
+    matrix finds them once, on first use, and keeps the answer."""
     return list(matrix._decreasing)
 
 

@@ -22,9 +22,23 @@ from arcroots.errors import (
     UnreducedArc,
     WrongArity,
 )
-from arcroots.quiver import random_acyclic_two_complete
-from arcroots.roots import all_weights_two_gram, initial_seed, mutate_seed, natural_fan
-from arcroots.words import canonical_reflection, generator, inv, mul
+from arcroots.explore import iter_seeds
+from arcroots.quiver import ExchangeMatrix, random_acyclic_two_complete
+from arcroots.roots import (
+    all_weights_two_gram,
+    cartan_companion,
+    initial_seed,
+    mutate_seed,
+    natural_fan,
+)
+from arcroots.words import (
+    Reflection,
+    canonical_reflection,
+    generator,
+    inv,
+    mul,
+    reflection_length,
+)
 
 
 def arc(crossings, endpoint):
@@ -149,6 +163,59 @@ def test_tuple_verdict_two_bad_pairs():
     verdict = tuple_verdict((fan_arc([], 1), fan_arc([1], 2), fan_arc([1, 2], 3)))
     assert verdict.bad_pair_count == 2
     assert not verdict.is_yseed
+
+
+def _reflections_up_to(n, max_length):
+    # every reflection over s_1..s_n whose word has at most max_length letters
+    prefixes = [()]
+    for p in prefixes:
+        if 2 * len(p) + 3 <= max_length:
+            prefixes += [p + (s,) for s in range(1, n + 1) if not p or p[-1] != s]
+    return [Reflection(p, c) for p in prefixes for c in range(1, n + 1) if not p or p[-1] != c]
+
+
+def _factorizations(w, k, refls):
+    # every (t_1, .., t_k) from refls with product w, given l_T(w) = k:
+    # t_1 w must then have absolute length k - 1, and a last factor is w
+    if k == 1:
+        yield from ((t,) for t in refls if t.word == w)
+        return
+    for t in refls:
+        rest = mul(t.word, w)
+        if reflection_length(rest) == k - 1:
+            for tail in _factorizations(rest, k - 1, refls):
+                yield (t, *tail)
+
+
+@pytest.mark.parametrize(
+    "rows,max_length,counts",
+    [
+        ([[0, 2, 2], [-2, 0, 2], [-2, -2, 0]], 9, (93, 127, 97)),
+        ([[0, 2, 3, 2], [-2, 0, 2, 4], [-3, -2, 0, 2], [-2, -4, -2, 0]], 5, (52, 179, 109)),
+    ],
+    ids=["b3", "weighted-rank-4"],
+)
+def test_every_passing_tuple_is_a_seed_fan(rows, max_length, counts):
+    # the converse of the explore check bad_pairs/tuple_yseed: a
+    # factorization of c into short reflections passes tuple_verdict
+    # exactly when it is the natural fan of some seed
+    matrix = ExchangeMatrix.from_rows(rows)
+    n, gram = matrix.n, cartan_companion(matrix)
+    refls = _reflections_up_to(n, max_length)
+    factorizations = list(_factorizations(tuple(range(1, n + 1)), n, refls))
+    verdicts = {f: tuple_verdict(f, gram) for f in factorizations}
+    passing = {f for f, v in verdicts.items() if v.is_yseed}
+    # reflection lengths never shrink away from the root, so a seed
+    # with a longer member has no descendant short enough to count
+    def short(seed):
+        return all(len(r) <= max_length for r in seed.reflections)
+
+    seeds = [s for s in iter_seeds(initial_seed(matrix), 30, expand=short) if short(s)]
+    assert max(len(s.path) for s in seeds) < 30
+    fans = {natural_fan(s) for s in seeds}
+    assert (len(refls), len(factorizations), len(passing)) == counts
+    assert passing == fans
+    assert all(v.bad_pair_count >= 2 for f, v in verdicts.items() if f not in passing)
 
 
 def test_tuple_verdict_depends_on_fan_rotation():

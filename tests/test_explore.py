@@ -163,6 +163,21 @@ def test_explore_unknown_check():
         explore(B3, 1, checks=("two_complete", "nonsense"))
 
 
+def test_explore_reads_checks_from_an_iterator(monkeypatch):
+    # the unknown-name test must not use up a generator before the walk
+    monkeypatch.setitem(CHECKS, "st", lambda seed: ["st"] if seed.path else [])
+    from_tuple = explore(B3, 1, checks=("st",))
+    assert len(from_tuple.violations) == 3
+    assert explore(B3, 1, checks=(name for name in ["st"])) == from_tuple
+    assert explore(B3, 1, checks=iter(["st"])) == from_tuple
+
+
+def test_explore_rejects_a_bare_string():
+    # a string is an iterable of one-letter names
+    with pytest.raises(ValueError, match="^checks must be a collection of names, not the string 'tree'$"):
+        explore(B3, 1, checks="tree")
+
+
 @pytest.mark.parametrize("checks", [("tree", "tree"), ("st", "seven", "st", "seven", "st")])
 def test_explore_rejects_a_repeated_check(checks):
     # a second "tree" pass would find the digest the first just added

@@ -11,9 +11,7 @@ from arcroots.errors import (
 )
 from arcroots.quiver import (
     ExchangeMatrix,
-    MutationKind,
     acyclic_representative,
-    classify_mutation,
     decreasing_directions,
     natural_order,
     normalized,
@@ -25,6 +23,9 @@ B3 = ExchangeMatrix.from_rows([[0, 2, 2], [-2, 0, 2], [-2, -2, 0]])
 
 # hand application of the mutation rule at vertex 2
 MU2_B3 = ExchangeMatrix.from_rows([[0, -2, 6], [2, 0, -2], [-6, 2, 0]])
+
+# MU2_B3 as the "b" field of a quiver file
+MU2_B3_JSON_ROWS = [list(row) for row in MU2_B3.rows]
 
 # oriented 3-cycle with all weights 1: every direction decreases
 UNIT_CYCLE = ExchangeMatrix.from_rows([[0, 1, -1], [-1, 0, 1], [1, -1, 0]])
@@ -83,19 +84,12 @@ def test_acyclic_and_two_complete_flags():
     assert not UNIT_CYCLE.is_two_complete()
 
 
-@pytest.mark.parametrize(
-    "matrix,k,kind",
-    [
-        (B3, 1, MutationKind.NEUTRAL),
-        (B3, 3, MutationKind.NEUTRAL),
-        (B3, 2, MutationKind.INCREASING),
-        (MU2_B3, 2, MutationKind.DECREASING),
-        (MU2_B3, 1, MutationKind.INCREASING),
-        (MU2_B3, 3, MutationKind.INCREASING),
-    ],
-)
-def test_classify_mutation(matrix, k, kind):
-    assert classify_mutation(matrix, k) is kind
+def test_decreasing_directions_on_known_matrices():
+    # B3: mutation at 1 or 3 moves no weight, at 2 it grows one
+    assert decreasing_directions(B3) == []
+    # MU2_B3: mutation at 2 leads back to B3, at 1 or 3 it grows weights
+    assert decreasing_directions(MU2_B3) == [2]
+    assert decreasing_directions(UNIT_CYCLE) == [1, 2, 3]
 
 
 def test_separating_vertex_of_mu2_b3():
@@ -121,7 +115,8 @@ def test_separating_vertex_out_of_class():
 
 def test_markov_mutations_are_all_neutral():
     for k in (1, 2, 3):
-        assert classify_mutation(MARKOV, k) is MutationKind.NEUTRAL
+        assert _weight_moves(MARKOV, k) == (False, False)
+    assert decreasing_directions(MARKOV) == []
 
 
 def test_acyclic_representative_descends_to_b3():
@@ -247,8 +242,7 @@ def test_normalized_rejects_cyclic():
 
 
 def test_json_round_trip():
-    data = MU2_B3.to_json()
-    assert data == {"n": 3, "b": [[0, -2, 6], [2, 0, -2], [-6, 2, 0]]}
+    data = {"n": 3, "b": MU2_B3_JSON_ROWS}
     assert ExchangeMatrix.from_json(data) == MU2_B3
     with pytest.raises(ValueError):
         ExchangeMatrix.from_json({"n": 4, "b": [[0, 1], [-1, 0]]})
@@ -256,7 +250,7 @@ def test_json_round_trip():
 
 @pytest.mark.parametrize(
     "n,rows",
-    [(3.0, MU2_B3.to_json()["b"]), (True, [[0]]), ("3", MU2_B3.to_json()["b"])],
+    [(3.0, MU2_B3_JSON_ROWS), (True, [[0]]), ("3", MU2_B3_JSON_ROWS)],
 )
 def test_json_size_field_is_never_coerced(n, rows):
     # 3.0 == 3 and True == 1, so a plain comparison would let both load
@@ -317,19 +311,18 @@ def _mutate_by_formula(m, k):
     ))
 
 
-def _classify_by_trial(m, k):
-    # oracle: mutate, then compare |b| entrywise over unordered pairs
+def _weight_moves(m, k):
+    # oracle: mutate, then compare |b| entrywise over unordered pairs;
+    # returns whether some weight grew and whether some weight shrank
     mutated = m.mutate(k)
     pairs = [(i, j) for i in range(m.n) for j in range(i + 1, m.n)]
     grew = any(abs(mutated.rows[i][j]) > abs(m.rows[i][j]) for i, j in pairs)
     shrank = any(abs(mutated.rows[i][j]) < abs(m.rows[i][j]) for i, j in pairs)
-    if grew and shrank:
-        return MutationKind.MIXED
-    if grew:
-        return MutationKind.INCREASING
-    if shrank:
-        return MutationKind.DECREASING
-    return MutationKind.NEUTRAL
+    return grew, shrank
+
+
+def _decreasing_by_trial(m):
+    return [k for k in m.vertices() if _weight_moves(m, k) == (False, True)]
 
 
 def _random_matrices():
@@ -350,28 +343,27 @@ def test_mutate_matches_the_entrywise_rule():
             assert m.mutate(k) == _mutate_by_formula(m, k)
 
 
-def test_classify_mutation_matches_trial_mutation():
-    kinds = set()
+def test_decreasing_directions_match_trial_mutation():
+    moves = set()
     for m in _random_matrices():
+        decs = decreasing_directions(m)
+        assert decs == _decreasing_by_trial(m), m.rows
         for k in m.vertices():
-            got = classify_mutation(m, k)
-            assert got is _classify_by_trial(m, k), (m.rows, k)
-            kinds.add(got)
-    assert kinds == set(MutationKind)
-
-
-def test_classify_mutation_vertex_out_of_range():
-    for m in (B3, MU2_B3, ExchangeMatrix.from_rows([[0, 2], [-2, 0]])):
-        for k in (0, m.n + 1):
-            with pytest.raises(ValueError):
-                classify_mutation(m, k)
+            grew, shrank = _weight_moves(m, k)
+            moves.add((grew, shrank))
+            if grew and shrank:
+                # a direction that shrinks one weight but grows another
+                # does not decrease
+                assert k not in decs, (m.rows, k)
+    # every combination occurs, the mixed one included
+    assert moves == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_cached_classification_keeps_identity():
     rng = random.Random(31)
     for m in (B3, MU2_B3, *(_random_skew(4, rng, -4, 4) for _ in range(10))):
         twin = ExchangeMatrix(m.rows)
-        before = (hash(m), m.to_json())
+        before = (hash(m), m.rows)
         decs = decreasing_directions(m)
         assert decreasing_directions(m) == decs
         try:
@@ -380,11 +372,11 @@ def test_cached_classification_keeps_identity():
             order = None
         else:
             assert natural_order(m) == order
-        assert (hash(m), m.to_json()) == before
+        assert (hash(m), m.rows) == before
         assert m == twin and twin == m and hash(twin) == hash(m)
         assert decreasing_directions(twin) == decs
-        # the answers are the ones the trial classification gives
-        assert decs == [k for k in m.vertices() if _classify_by_trial(m, k) is MutationKind.DECREASING]
+        # the answers are the ones trial mutation gives
+        assert decs == _decreasing_by_trial(m)
 
 
 def test_decreasing_directions_returns_a_fresh_list():
