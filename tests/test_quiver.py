@@ -1,4 +1,5 @@
 import random
+from enum import Enum
 
 import pytest
 
@@ -90,6 +91,34 @@ def test_decreasing_directions_on_known_matrices():
     # MU2_B3: mutation at 2 leads back to B3, at 1 or 3 it grows weights
     assert decreasing_directions(MU2_B3) == [2]
     assert decreasing_directions(UNIT_CYCLE) == [1, 2, 3]
+
+
+class MutationKind(Enum):
+    """What trial mutation at one vertex does to the weights, as the
+    (grew, shrank) pair that _weight_moves returns."""
+
+    INCREASING = (True, False)
+    DECREASING = (False, True)
+    NEUTRAL = (False, False)
+    MIXED = (True, True)
+
+
+@pytest.mark.parametrize(
+    "matrix,k,kind",
+    [
+        (B3, 1, MutationKind.NEUTRAL),
+        (B3, 3, MutationKind.NEUTRAL),
+        (B3, 2, MutationKind.INCREASING),
+        (MU2_B3, 2, MutationKind.DECREASING),
+        (MU2_B3, 1, MutationKind.INCREASING),
+        (MU2_B3, 3, MutationKind.INCREASING),
+    ],
+)
+def test_classify_mutation(matrix, k, kind):
+    # hand-checked kinds, read through the trial oracle; only the
+    # decreasing kind is reported by decreasing_directions
+    assert _weight_moves(matrix, k) == kind.value
+    assert (k in decreasing_directions(matrix)) == (kind is MutationKind.DECREASING)
 
 
 def test_separating_vertex_of_mu2_b3():
