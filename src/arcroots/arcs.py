@@ -35,7 +35,6 @@ from .roots import GramMatrix, all_weights_two_gram, reflection_to_root, speyer_
 from .words import (
     Reflection,
     Word,
-    canonical_reflection,
     comparable,
     conjugate,
     mul,
@@ -165,17 +164,14 @@ def braid_swap(
     if direction not in ("forward", "inverse"):
         raise ValueError(f"unknown direction {direction!r}")
     out = list(reflections)
-    mid = [r.word for r in reflections[i : j - 1]]
-    mid_rev = list(reversed(mid))
-    ri = reflections[i - 1].word
-    rj = reflections[j - 1].word
+    mid = reflections[i : j - 1]
+    ri, rj = reflections[i - 1], reflections[j - 1]
     if direction == "forward":
-        out[j - 1] = canonical_reflection(mul(rj, *mid_rev, ri, *mid, rj))
-        out[i - 1] = canonical_reflection(mul(*mid, rj, *mid_rev))
+        out[j - 1] = conjugate(ri, rj, *reversed(mid))
+        out[i - 1] = conjugate(rj, *mid)
     else:
-        a_j = mul(*mid_rev, ri, *mid)
-        out[j - 1] = canonical_reflection(a_j)
-        out[i - 1] = canonical_reflection(mul(*mid, a_j, rj, a_j, *mid_rev))
+        out[j - 1] = conjugate(ri, *reversed(mid))
+        out[i - 1] = conjugate(rj, *mid, out[j - 1])
     return tuple(out)
 
 
@@ -195,7 +191,7 @@ def twin(gamma: Reflection, beta: Reflection) -> Reflection:
     """
     if beta.core == gamma.core:
         raise TwinEndpointClash(f"both arcs end at puncture {beta.core}")
-    return conjugate(beta, gamma.word)
+    return conjugate(beta, gamma)
 
 
 def twin_replace_walk(gammas: Sequence[Arc], beta0: Arc) -> Arc:

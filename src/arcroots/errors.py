@@ -1,17 +1,19 @@
 """Exception types shared across the package.
 
-Every error raised on bad input or on a violated precondition derives from
-ArcrootsError, so callers can catch one type at the boundary.  Exceptions
-that signal an internal invariant breaking (rather than bad input) say so
-in their docstring.  Malformed JSON fields raise ValueError instead, and
-require_int is the one rule for what counts as an integer there.
+A bad value (a wrong type, length or range: a non-integer entry, a letter
+above the rank, a matrix of the wrong shape) raises ValueError, and
+require_int is the one rule for what counts as an integer.  A violated
+mathematical precondition (a cyclic matrix, a word that is no reflection,
+a vector that is no real root) raises a subclass of ArcrootsError.  The
+command line maps both to exit 2.  Exceptions that signal an internal
+invariant breaking (rather than bad input) say so in their docstring.
 """
 
 from __future__ import annotations
 
 
 class ArcrootsError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for the package's violated-precondition errors."""
 
 
 def require_int(value: object, name: str) -> int:
@@ -62,7 +64,7 @@ class SignIncoherent(ArcrootsError):
 
 
 class WrongArity(ArcrootsError):
-    """Tuple length or letter range does not match the rank."""
+    """The arc tuple is empty or its length is not the pairing's rank."""
 
 
 class UnreducedArc(ArcrootsError):

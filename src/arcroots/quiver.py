@@ -105,9 +105,9 @@ class ExchangeMatrix:
             new.append(tuple(row))
         return ExchangeMatrix(tuple(new))
 
-    # A matrix is immutable, so it finds its decreasing directions and its
-    # natural order and tests itself for cycles once; decreasing_directions,
-    # separating_vertex, is_acyclic and natural_order read these.
+    # A matrix is immutable, so it finds its decreasing directions and
+    # tests itself for cycles once; decreasing_directions,
+    # separating_vertex and is_acyclic read these.
 
     @cached_property
     def _acyclic(self) -> bool:
@@ -131,18 +131,6 @@ class ExchangeMatrix:
     @cached_property
     def _decreasing(self) -> tuple[Vertex, ...]:
         return tuple(k for k in self.vertices() if _decreases(self.rows, k))
-
-    @cached_property
-    def _natural_order(self) -> tuple[Vertex, ...]:
-        if self.is_acyclic():
-            return _tournament_order(self.rows)
-        _, side_i, side_j = separating_vertex(self)
-        rows = [list(row) for row in self.rows]
-        for i in side_i:
-            for j in side_j:
-                rows[i - 1][j - 1] = -rows[i - 1][j - 1]
-                rows[j - 1][i - 1] = -rows[j - 1][i - 1]
-        return _tournament_order(rows)
 
     def is_acyclic(self) -> bool:
         """True when the digraph with an arrow i -> j for b[i][j] > 0 has
@@ -267,10 +255,17 @@ def natural_order(matrix: ExchangeMatrix) -> tuple[Vertex, ...]:
     class, reversing the arrows between the two sides of the separating
     vertex, in a copy of the rows, yields an acyclic tournament, whose
     order is used.  Rows that do not order every pair of vertices by an
-    arrow, before or after the reversal, raise IncompleteTournament.  A
-    matrix computes its order once, on first use, and keeps it.
+    arrow, before or after the reversal, raise IncompleteTournament.
     """
-    return matrix._natural_order
+    if matrix.is_acyclic():
+        return _tournament_order(matrix.rows)
+    _, side_i, side_j = separating_vertex(matrix)
+    rows = [list(row) for row in matrix.rows]
+    for i in side_i:
+        for j in side_j:
+            rows[i - 1][j - 1] = -rows[i - 1][j - 1]
+            rows[j - 1][i - 1] = -rows[j - 1][i - 1]
+    return _tournament_order(rows)
 
 
 def normalized(matrix: ExchangeMatrix) -> tuple[ExchangeMatrix, tuple[Vertex, ...]]:

@@ -30,7 +30,7 @@ from functools import cached_property, cmp_to_key
 
 from .errors import NotAcyclic, NotARealRoot, NotNormalized, SignIncoherent
 from .quiver import ExchangeMatrix, Vertex, natural_order
-from .words import Reflection, Word, mul, require_rank
+from .words import Reflection, conjugate, mul, require_rank
 
 Root = tuple[int, ...]
 
@@ -161,10 +161,9 @@ class YSeed:
         # the parent's tuple is no longer needed once this one exists
         object.__setattr__(self, "_carry", None)
         parent, k, moved = carry
-        tk = parent[k - 1].word
         out = list(parent)
         for j in moved:
-            out[j - 1] = _conjugated(tk, parent[j - 1])
+            out[j - 1] = conjugate(parent[j - 1], parent[k - 1])
         return tuple(out)
 
     @cached_property
@@ -245,24 +244,6 @@ def mutate_seed(seed: YSeed, k: Vertex) -> YSeed:
     if read is not None:
         object.__setattr__(child, "_carry", (read, k, tuple(moved)))
     return child
-
-
-def _conjugated(by: Word, r: Reflection) -> Reflection:
-    """The reflection (by) r (by)^(-1), built without Reflection's
-    re-validation.
-
-    With q the reduced product of by and r's prefix, the conjugate is
-    q s_core q^(-1).  Dropping a trailing core letter from q leaves a
-    reduced word that does not end in the core, which is exactly the
-    canonical prefix, so the split into (prefix, core) needs no check.
-    """
-    q = mul(by, r.prefix)
-    if q and q[-1] == r.core:
-        q = q[:-1]
-    out = object.__new__(Reflection)
-    object.__setattr__(out, "prefix", q)
-    object.__setattr__(out, "core", r.core)
-    return out
 
 
 def mutate_seed_matrix(seed: YSeed, k: Vertex) -> YSeed:

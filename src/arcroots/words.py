@@ -46,11 +46,6 @@ def reduce_word(letters: Iterable[int]) -> Word:
     return mul(letters)
 
 
-def inv(word: Sequence[int]) -> Word:
-    # every generator is an involution
-    return tuple(reversed(word))
-
-
 @dataclass(frozen=True)
 class Reflection:
     """Canonical form w s_core w^(-1) with w the reduced prefix."""
@@ -104,9 +99,23 @@ def canonical_reflection(word: Iterable[int]) -> Reflection:
     return Reflection(w[:half], w[half])
 
 
-def conjugate(r: Reflection, by: Sequence[int]) -> Reflection:
-    """The reflection (by) r (by)^(-1)."""
-    return canonical_reflection(mul(by, r.word, inv(by)))
+def conjugate(r: Reflection, *by: Reflection) -> Reflection:
+    """The reflection (b_1 .. b_m) r (b_m .. b_1) for by = (b_1, .., b_m).
+
+    Every b_i is an involution, so the right factor is the inverse of the
+    left one.  With q the reduced product of the b_i words and r's prefix,
+    the conjugate is q s_core q^(-1).  Dropping a trailing core letter
+    from q leaves a reduced word that does not end in the core, which is
+    exactly the canonical prefix, so the result is built without
+    Reflection's re-validation.
+    """
+    q = mul(*(b.word for b in by), r.prefix)
+    if q and q[-1] == r.core:
+        q = q[:-1]
+    out = object.__new__(Reflection)
+    object.__setattr__(out, "prefix", q)
+    object.__setattr__(out, "core", r.core)
+    return out
 
 
 def precedes(r: Reflection, other: Reflection) -> bool:

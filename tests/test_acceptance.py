@@ -37,7 +37,7 @@ from arcroots.roots import (
     reflection_to_root,
     root_to_reflection,
 )
-from arcroots.words import below_coxeter, canonical_reflection, generator, inv, mul
+from arcroots.words import below_coxeter, canonical_reflection, generator, mul
 
 B3 = ExchangeMatrix(((0, 2, 2), (-2, 0, 2), (-2, -2, 0)))
 B4 = ExchangeMatrix(
@@ -278,7 +278,7 @@ def inflated_twist(delta_i, delta_j, bound):
     power = ()
     while True:
         power = mul(power, theta)
-        beta = canonical_reflection(mul(power, delta_i.word, inv(power)))
+        beta = canonical_reflection(mul(power, delta_i.word, power[::-1]))
         if len(beta.word) > bound:
             return reflection_to_arc(beta)
 

@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -35,7 +37,6 @@ from arcroots.words import (
     Reflection,
     canonical_reflection,
     generator,
-    inv,
     mul,
     reflection_length,
 )
@@ -218,6 +219,27 @@ def test_every_passing_tuple_is_a_seed_fan(rows, max_length, counts):
     assert all(v.bad_pair_count >= 2 for f, v in verdicts.items() if f not in passing)
 
 
+def test_the_ordering_check_decides_most_tuples_with_few_bad_pairs():
+    # every triple of short rank-3 reflections: most of those with at
+    # most one bad pair fail the ordering check, so a verdict that
+    # dropped it would pass them
+    gram = cartan_companion(ExchangeMatrix.from_rows([[0, 2, 2], [-2, 0, 2], [-2, -2, 0]]))
+    refls = _reflections_up_to(3, 5)
+    assert len(refls) == 21
+    tally = Counter()
+    for f in itertools.product(refls, repeat=3):
+        v = tuple_verdict(f, gram)
+        tally[min(v.bad_pair_count, 2), v.st_pass, v.is_yseed] += 1
+    # (bad pairs, capped at 2; ordering check; verdict)
+    assert tally == {
+        (0, True, True): 6,
+        (1, True, True): 30,
+        (1, False, False): 2_070,
+        (0, False, False): 6_945,
+        (2, False, False): 210,
+    }
+
+
 def test_tuple_verdict_depends_on_fan_rotation():
     # the same cyclic configuration, read from two different start arcs:
     # only the rotation starting at the first positive root passes
@@ -355,7 +377,7 @@ def inflated_twist(delta_i, delta_j, bound):
     power = ()
     while True:
         power = mul(power, theta)
-        beta = canonical_reflection(mul(power, delta_i.word, inv(power)))
+        beta = canonical_reflection(mul(power, delta_i.word, power[::-1]))
         if len(beta.word) > bound:
             return reflection_to_arc(beta)
 

@@ -151,7 +151,7 @@ def test_walks_that_never_read_reflections_derive_none(monkeypatch):
         raise AssertionError("reflections derived")
 
     monkeypatch.setattr(roots, "root_to_reflection", forbidden)
-    monkeypatch.setattr(roots, "_conjugated", forbidden)
+    monkeypatch.setattr(roots, "conjugate", forbidden)
     assert schur_by_search(canonical_reflection((3, 2, 1, 2, 3)), B3, 8).path == (3, 2, 1, 2, 3, 1)
     assert schur_by_search((2, 6, 1), B3, 8).truncated
     assert complete_arc(Arc((1, 3), 2), B3, 8).path == (1, 3, 2, 3, 2)

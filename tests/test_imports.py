@@ -61,7 +61,34 @@ def test_all_is_exactly_the_reexported_names():
     ]
     assert len(arcroots.__all__) == len(set(arcroots.__all__))
     assert set(arcroots.__all__) == set(imported)
-    assert len(imported) == len(set(imported)) == 59
+    assert len(imported) == len(set(imported)) == 58
+
+
+def bare_constructions(source: str) -> list[int]:
+    """Lines of the `object.__new__(...)` calls, which build an instance
+    without running its __init__ or __post_init__ validation."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__new__"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "object"
+    ]
+
+
+def test_construction_scan_finds_object_new():
+    source = "a = object.__new__(R)\nb = R.__new__(R)\nc = object()\n\nd = object.__new__(S)\n"
+    assert bare_constructions(source) == [1, 5]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_words_skips_the_reflection_validator(path):
+    # words.conjugate proves its output canonical next to the class it
+    # builds; no other module may construct an unvalidated instance
+    if path.name != "words.py":
+        assert bare_constructions(path.read_text()) == []
 
 
 def test_every_exported_name_resolves():

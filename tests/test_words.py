@@ -8,7 +8,7 @@ from arcroots.embedding import probe_embedding
 from arcroots.errors import NotAReflection
 from arcroots.explore import iter_seeds
 from arcroots.quiver import ExchangeMatrix
-from arcroots.roots import _conjugated, initial_seed
+from arcroots.roots import initial_seed
 from arcroots.words import (
     Reflection,
     below_coxeter,
@@ -17,7 +17,6 @@ from arcroots.words import (
     conjugate,
     generator,
     in_one_star,
-    inv,
     mul,
     node_path,
     precedes,
@@ -94,8 +93,9 @@ def test_mul_matches_reduce_of_concatenation(u, v):
 
 @given(words)
 def test_inverse_cancels(w):
-    assert mul(w, inv(w)) == ()
-    assert mul(inv(w), w) == ()
+    # every generator is an involution, so the reversed word is the inverse
+    assert mul(w, w[::-1]) == ()
+    assert mul(w[::-1], w) == ()
 
 
 def test_canonical_reflection_examples():
@@ -137,13 +137,15 @@ def test_reflection_word_round_trip(r):
 
 
 def test_conjugate():
-    assert conjugate(S2, (1,)) == S121
-    assert conjugate(S121, (1,)) == S2
+    assert conjugate(S2, S1) == S121
+    assert conjugate(S121, S1) == S2
+    assert conjugate(S3, S1, S2) == S12321
+    assert conjugate(S121) == S121
 
 
-@given(reflections, words)
-def test_conjugation_round_trip(r, u):
-    assert conjugate(conjugate(r, u), inv(u)) == r
+@given(reflections, st.lists(reflections, max_size=4))
+def test_conjugation_round_trip(r, by):
+    assert conjugate(conjugate(r, *by), *reversed(by)) == r
 
 
 def reflections_up_to(n, longest):
@@ -155,14 +157,34 @@ def reflections_up_to(n, longest):
     return out
 
 
+def _conjugate_by_the_full_product(r, *by):
+    # the oracle: reduce and re-validate the whole word b_1..b_m r b_m..b_1
+    words = [b.word for b in by]
+    return canonical_reflection(mul(*words, r.word, *reversed(words)))
+
+
 def test_trusted_conjugate_agrees_with_canonical_reflection():
-    # the carry's unvalidated constructor against conjugate, which reduces
-    # and re-validates the whole word
+    # conjugate skips Reflection's re-validation; the full product is
+    # reduced and split from scratch
     refls = reflections_up_to(3, 3)
     assert len(refls) == 45
     for a in refls:
         for b in refls:
-            assert _conjugated(a.word, b) == conjugate(b, a.word), (a, b)
+            assert conjugate(b, a) == _conjugate_by_the_full_product(b, a), (a, b)
+
+
+def test_conjugate_by_several_agrees_with_the_full_product():
+    rng = random.Random(1818)
+    sizes = set()
+    for _ in range(1_200):
+        n = rng.randint(2, 5)
+        r, *by = (_random_reflection(rng, n) for _ in range(rng.randint(1, 5)))
+        got = conjugate(r, *by)
+        assert got == _conjugate_by_the_full_product(r, *by), (r, by)
+        # the result is a well-formed reflection, though nothing validated it
+        assert Reflection(got.prefix, got.core) == got
+        sizes.add((n, len(by)))
+    assert sizes == {(n, m) for n in range(2, 6) for m in range(5)}
 
 
 def test_conjugation_lengthens_exactly_what_it_does_not_precede():
@@ -175,7 +197,7 @@ def test_conjugation_lengthens_exactly_what_it_does_not_precede():
         for a in refls:
             for b in refls:
                 if a != b:
-                    assert (len(conjugate(b, a.word)) > len(b)) == (not precedes(a, b)), (a, b)
+                    assert (len(conjugate(b, a)) > len(b)) == (not precedes(a, b)), (a, b)
                     pairs += 1
     assert pairs == 4_632
 
@@ -352,6 +374,12 @@ def _random_reduced_word(rng, n, size):
     return tuple(word)
 
 
+def _random_reflection(rng, n):
+    prefix = _random_reduced_word(rng, n, rng.randint(0, 5))
+    core = rng.choice([c for c in range(1, n + 1) if not prefix or prefix[-1] != c])
+    return Reflection(prefix, core)
+
+
 def test_reflection_length_matches_every_deletion_subset():
     rng = random.Random(2001)
     cases = [(n, size) for n in (2, 3, 4) for size in range(15)]
@@ -367,7 +395,7 @@ def test_reflection_length_matches_every_deletion_subset():
 def test_reflection_length_parity_and_inverse(w):
     length = reflection_length(w)
     assert length % 2 == len(reduce_word(w)) % 2
-    assert reflection_length(inv(w)) == length
+    assert reflection_length(w[::-1]) == length
 
 
 @given(reflections)
