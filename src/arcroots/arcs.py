@@ -72,9 +72,6 @@ class Arc:
         head = ",".join(map(str, self.crossings))
         return f"{head}:{self.endpoint}" if head else str(self.endpoint)
 
-    def word_length(self) -> int:
-        return 2 * len(self.crossings) + 1
-
     def to_json(self) -> dict:
         return {"crossings": list(self.crossings), "endpoint": self.endpoint}
 
@@ -94,11 +91,6 @@ def arc_to_reflection(a: Arc) -> Reflection:
 
 def reflection_to_arc(r: Reflection) -> Arc:
     return Arc(r.prefix, r.core)
-
-
-def is_bad_pair(a: Arc, b: Arc) -> bool:
-    """Two arcs form a bad pair when their reflections are comparable."""
-    return comparable(arc_to_reflection(a), arc_to_reflection(b))
 
 
 @dataclass(frozen=True)
@@ -194,7 +186,7 @@ def twin(gamma: Reflection, beta: Reflection) -> Reflection:
     return conjugate(beta, gamma)
 
 
-def twin_replace_walk(gammas: Sequence[Arc], beta0: Arc) -> Arc:
+def twin_replace_walk(gammas: Sequence[Reflection], beta0: Reflection) -> Reflection:
     """Walk beta past a no-bad-pair fan, twinning it out of every bad pair.
 
     Whenever (beta, gamma_i) is bad, beta is replaced by its gamma_i-twin;
@@ -207,28 +199,21 @@ def twin_replace_walk(gammas: Sequence[Arc], beta0: Arc) -> Arc:
     if not gammas:
         return beta0
     for a, b in zip(gammas, gammas[1:]):
-        if is_bad_pair(a, b):
+        if comparable(a, b):
             raise ValueError("fan has a bad pair")
     n = len(gammas) + 1
-    longest = max(g.word_length() for g in gammas)
-    if beta0.word_length() <= 3 * n * longest:
-        raise LengthPreconditionError(
-            f"|beta0| = {beta0.word_length()} <= 3 * {n} * {longest}"
-        )
-    beta = arc_to_reflection(beta0)
+    longest = max(len(g) for g in gammas)
+    if len(beta0) <= 3 * n * longest:
+        raise LengthPreconditionError(f"|beta0| = {len(beta0)} <= 3 * {n} * {longest}")
+    beta = beta0
     for g in gammas:
-        obstacle = arc_to_reflection(g)
-        if not comparable(beta, obstacle):
+        if not comparable(beta, g):
             continue
-        replaced = twin(obstacle, beta)
-        log.debug(
-            "twin drift %d against |gamma| = %d",
-            abs(len(replaced) - len(beta)),
-            len(obstacle),
-        )
-        if comparable(replaced, obstacle):
+        replaced = twin(g, beta)
+        log.debug("twin drift %d against |gamma| = %d", abs(len(replaced) - len(beta)), len(g))
+        if comparable(replaced, g):
             raise TwinDisjunctionError(
-                f"both {beta.word} and {replaced.word} are bad against {obstacle.word}"
+                f"both {beta.word} and {replaced.word} are bad against {g.word}"
             )
         beta = replaced
-    return reflection_to_arc(beta)
+    return beta

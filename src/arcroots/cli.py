@@ -14,6 +14,7 @@ is always the natural one.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import re
@@ -97,7 +98,7 @@ def _parse_arc_token(token: str) -> Arc:
 def _parse_verify(flag: str | None) -> tuple[str, ...]:
     if flag is None:
         return ()
-    if flag == "all":
+    if flag.strip() == "all":
         return ALL_CHECKS
     names = tuple(name.strip() for name in flag.split(",") if name.strip())
     if not names:
@@ -108,16 +109,20 @@ def _parse_verify(flag: str | None) -> tuple[str, ...]:
 def cmd_explore(args: argparse.Namespace) -> int:
     matrix = _load_quiver(args.quiver)
     checks = _parse_verify(args.verify)
-    if args.out is not None:
-        with open(args.out, "w") as fh:
-            report = explore(
-                matrix,
-                args.depth,
-                checks=checks,
-                sink=lambda seed: fh.write(json.dumps(seed.to_json()) + "\n"),
-            )
-    else:
-        report = explore(matrix, args.depth, checks=checks)
+    with contextlib.ExitStack() as stack:
+        sink = None
+        if args.out is not None:
+            fh = None
+
+            def sink(seed):
+                # opened on the first seed, after explore has checked its
+                # input, so a rejected run leaves an existing file as it was
+                nonlocal fh
+                if fh is None:
+                    fh = stack.enter_context(open(args.out, "w"))
+                fh.write(json.dumps(seed.to_json()) + "\n")
+
+        report = explore(matrix, args.depth, checks=checks, sink=sink)
     print(json.dumps(report.to_json()))
     return 1 if args.strict and report.violations else 0
 

@@ -21,9 +21,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .arcs import Arc, arc_to_reflection, tuple_verdict
+from .arcs import Arc, arc_to_reflection, tuple_product, tuple_verdict
 from .embedding import probe_embedding
-from .errors import DepthExhausted, NotEmbeddable, SignIncoherent, require_int
+from .errors import DepthExhausted, NotEmbeddable, SignIncoherent
 from .quiver import ExchangeMatrix, decreasing_directions
 from .roots import (
     Root,
@@ -31,8 +31,6 @@ from .roots import (
     initial_seed,
     inner,
     mutate_seed,
-    natural_coxeter_product,
-    natural_fan,
     positive_form,
     reflection_to_root,
     root_sign,
@@ -130,7 +128,10 @@ def _st(seed: YSeed) -> list[str]:
 
 
 def _coxeter_product(seed: YSeed) -> list[str]:
-    return [] if natural_coxeter_product(seed) else ["coxeter_product"]
+    # the paper proves that the natural fan, rotated to the first positive
+    # root, always multiplies to s_1 s_2 .. s_n, so no other rotation is tried
+    ok = tuple_product(seed.natural_fan) == tuple(range(1, seed.n + 1))
+    return [] if ok else ["coxeter_product"]
 
 
 def _sign_runs(seed: YSeed) -> list[str]:
@@ -138,7 +139,7 @@ def _sign_runs(seed: YSeed) -> list[str]:
 
 
 def _bad_pairs(seed: YSeed) -> list[str]:
-    verdict = tuple_verdict(natural_fan(seed), seed.gram)
+    verdict = tuple_verdict(seed.natural_fan, seed.gram)
     out = []
     if verdict.bad_pair_count > 1:
         out.append("bad_pairs")
@@ -274,15 +275,12 @@ def _height(v: Root) -> int:
     return sum(abs(x) for x in v)
 
 
-def schur_by_search(
-    target: Root | Reflection, initial: ExchangeMatrix, depth: int
-) -> SearchOutcome:
-    """Breadth-first hunt for a seed carrying the target as a c-vector.
+def schur_by_search(target: Reflection, initial: ExchangeMatrix, depth: int) -> SearchOutcome:
+    """Breadth-first hunt for a seed carrying the target's root u as a
+    c-vector.
 
-    The target may be a root vector or a reflection; either way the
-    positive form u is searched for.  A root target is never coerced: an
-    entry that is not an int, or a length other than the rank, raises
-    ValueError.  Found paths are shortest because the walk is breadth
+    A letter of the target above the rank raises ValueError before any
+    seed is walked.  Found paths are shortest because the walk is breadth
     first.  Depth 0 looks at the initial seed alone.
 
     Subtrees that cannot carry u are not walked.  Along every tree edge
@@ -303,13 +301,7 @@ def schur_by_search(
     compare this search with the unpruned walk of iter_seeds.
     """
     root = initial_seed(initial)
-    if isinstance(target, Reflection):
-        u = reflection_to_root(target, root.gram)
-    else:
-        u = tuple(require_int(x, f"target[{i}]") for i, x in enumerate(target))
-        if len(u) != root.n:
-            raise ValueError(f"target has {len(u)} entries, the rank is {root.n}")
-    u = positive_form(u)
+    u = positive_form(reflection_to_root(target, root.gram))
     minus_u = tuple(-x for x in u)
     h = _height(u)
 

@@ -180,7 +180,9 @@ class YSeed:
         return order[start:] + order[:start], signs[start:] + signs[:start]
 
     @cached_property
-    def _natural_fan(self) -> tuple[Reflection, ...]:
+    def natural_fan(self) -> tuple[Reflection, ...]:
+        """The reflections in natural order, rotated to the first positive
+        root; built once, on first use."""
         return tuple(self.reflections[v - 1] for v in self._natural[0])
 
     def to_json(self) -> dict:
@@ -349,22 +351,6 @@ def speyer_thomas_check(
     positives.sort(key=after)
     negatives.sort(key=after)
     return mul(*(words[i] for i in positives + negatives)) == target
-
-
-def natural_fan(seed: YSeed) -> tuple[Reflection, ...]:
-    """Natural-order reflections of the c-vectors, rotated to the first
-    positive root; the seed builds this fan once, on first use."""
-    return seed._natural_fan
-
-
-def natural_coxeter_product(seed: YSeed) -> bool:
-    """Whether the seed's natural fan multiplies to s_1 s_2 .. s_n.
-
-    The fan is the one natural_fan builds, rotated to the first positive
-    root; the paper proves that its product is always the Coxeter element,
-    so no other rotation is tried.
-    """
-    return mul(*(r.word for r in natural_fan(seed))) == tuple(range(1, seed.n + 1))
 
 
 def sign_run_count(seed: YSeed) -> int:

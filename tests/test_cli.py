@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import arcroots
+from arcroots import cli
 from arcroots.cli import main
+from arcroots.explore import ALL_CHECKS, explore
 
 B3_ROWS = [[0, 2, 2], [-2, 0, 2], [-2, -2, 0]]
 
@@ -246,6 +248,42 @@ def test_explore_verify_must_name_a_check(capsys, quiver_file, flag):
     assert code == 2
     assert out == ""
     assert err == f"error: --verify must name at least one check, got {flag!r}\n"
+
+
+@pytest.mark.parametrize(
+    "flag, checks",
+    [("all", ALL_CHECKS), (" all", ALL_CHECKS), ("all ", ALL_CHECKS), (" st", ("st",))],
+)
+def test_explore_verify_ignores_surrounding_space(capsys, quiver_file, monkeypatch, flag, checks):
+    seen = []
+
+    def recording(matrix, depth, checks, sink=None):
+        seen.append(checks)
+        return explore(matrix, depth, checks=checks, sink=sink)
+
+    monkeypatch.setattr(cli, "explore", recording)
+    code, out, err = run(capsys, "explore", "--quiver", quiver_file, "--depth", "1",
+                         "--verify", flag)
+    assert (code, err) == (0, "")
+    assert seen == [checks]
+    assert json.loads(out)["violations"] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--verify", "nosuch"], ["--verify", "tree,tree"], ["--depth", "-1"]],
+    ids=["unknown-check", "repeated-check", "negative-depth"],
+)
+def test_explore_rejected_input_leaves_the_out_file_alone(capsys, quiver_file, tmp_path, argv):
+    # explore checks its input before the first seed reaches the sink,
+    # which is what opens the file
+    out_path = tmp_path / "seeds.jsonl"
+    out_path.write_bytes(b"kept\n")
+    argv = ["explore", "--quiver", quiver_file, "--depth", "1", *argv, "--out", str(out_path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert out_path.read_bytes() == b"kept\n"
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import inspect
 import json
 import logging
@@ -26,8 +27,6 @@ from arcroots.roots import (
     YSeed,
     initial_seed,
     mutate_seed,
-    natural_fan,
-    positive_form,
     reflection_to_root,
     root_to_reflection,
 )
@@ -37,6 +36,9 @@ B3 = ExchangeMatrix(((0, 2, 2), (-2, 0, 2), (-2, -2, 0)))
 B4 = ExchangeMatrix(
     tuple(tuple(0 if i == j else (2 if j > i else -2) for j in range(4)) for i in range(4))
 )
+GRAM3 = initial_seed(B3).gram
+# the module, which the package's explore function shadows as an attribute
+explore_module = importlib.import_module("arcroots.explore")
 
 
 def tree_count(n, depth):
@@ -124,7 +126,7 @@ def test_explore_reads_each_natural_order_once(monkeypatch):
     report = explore(B3, 8, checks=ALL_CHECKS, sink=seeds.append)
     assert report.violations == ()
     assert calls == report.seeds_visited == 766
-    assert all(natural_fan(seed) is natural_fan(seed) for seed in seeds)
+    assert all(seed.natural_fan is seed.natural_fan for seed in seeds)
     assert calls == 766
 
 
@@ -150,10 +152,11 @@ def test_walks_that_never_read_reflections_derive_none(monkeypatch):
     def forbidden(*args):
         raise AssertionError("reflections derived")
 
+    target = root_to_reflection((2, 6, 1), GRAM3)
     monkeypatch.setattr(roots, "root_to_reflection", forbidden)
     monkeypatch.setattr(roots, "conjugate", forbidden)
     assert schur_by_search(canonical_reflection((3, 2, 1, 2, 3)), B3, 8).path == (3, 2, 1, 2, 3, 1)
-    assert schur_by_search((2, 6, 1), B3, 8).truncated
+    assert schur_by_search(target, B3, 8).truncated
     assert complete_arc(Arc((1, 3), 2), B3, 8).path == (1, 3, 2, 3, 2)
     assert sum(1 for _ in iter_seeds(initial_seed(B4), 5)) == tree_count(4, 5)
 
@@ -194,7 +197,16 @@ def test_explore_needs_a_vertex(checks):
 
 def test_schur_by_search_needs_a_vertex():
     with pytest.raises(ValueError, match="^a quiver needs at least one vertex$"):
-        schur_by_search((), ExchangeMatrix.from_rows([]), 2)
+        schur_by_search(canonical_reflection((1,)), ExchangeMatrix.from_rows([]), 2)
+
+
+def test_schur_by_search_rejects_a_letter_above_the_rank(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a seed was walked")
+
+    monkeypatch.setattr(explore_module, "iter_seeds", forbidden)
+    with pytest.raises(ValueError, match="^letter or ray 4 exceeds the rank 3$"):
+        schur_by_search(canonical_reflection((1, 4, 1)), B3, 2)
 
 
 def test_explore_streams_seeds_losslessly():
@@ -300,40 +312,32 @@ def test_tree_check_reports_repeated_digests(monkeypatch):
 def test_schur_by_search_finds_unit_vectors_at_the_root():
     for k in (1, 2, 3):
         u = tuple(1 if i == k - 1 else 0 for i in range(3))
-        assert schur_by_search(u, B3, 3) == SearchOutcome(True, (), 1, 0, False)
+        target = root_to_reflection(u, GRAM3)
+        assert schur_by_search(target, B3, 3) == SearchOutcome(True, (), 1, 0, False)
 
 
 def test_schur_by_search_first_mutation():
-    out = schur_by_search((2, 1, 0), B3, 5)
+    out = schur_by_search(root_to_reflection((2, 1, 0), GRAM3), B3, 5)
     assert out == SearchOutcome(True, (1,), 2, 0, False)
     assert out.to_json() == {
         "found": True, "path": [1], "seeds_visited": 2, "pruned": 0, "truncated": False,
     }
 
 
-def test_schur_by_search_negative_root_searches_positive_form():
-    assert schur_by_search((-2, -1, 0), B3, 5).found
-
-
 def test_schur_by_search_depth_validation():
     # depth 0 searches the initial seed alone, like iter_seeds
-    assert schur_by_search((1, 0, 0), B3, 0) == SearchOutcome(True, (), 1, 0, False)
+    e1, u = (root_to_reflection(v, GRAM3) for v in ((1, 0, 0), (2, 1, 0)))
+    assert schur_by_search(e1, B3, 0) == SearchOutcome(True, (), 1, 0, False)
     # the initial seed sits at the depth limit and is still live
-    assert schur_by_search((2, 1, 0), B3, 0) == SearchOutcome(False, None, 1, 0, True)
+    assert schur_by_search(u, B3, 0) == SearchOutcome(False, None, 1, 0, True)
     with pytest.raises(ValueError, match="depth -1"):
-        schur_by_search((1, 0, 0), B3, -1)
+        schur_by_search(e1, B3, -1)
 
 
 def test_schur_by_search_misses_non_schur_root():
     # root of the non-embeddable fixture arc ((2,1),3)
-    out = schur_by_search((2, 6, 1), B3, 6)
+    out = schur_by_search(root_to_reflection((2, 6, 1), GRAM3), B3, 6)
     assert out == SearchOutcome(False, None, 162, 8, True)
-
-
-@pytest.mark.parametrize("target", [(2.9, 1, 0), (True, 0, 0), ("1", 0, 0), (2, 1)])
-def test_schur_by_search_never_coerces_its_target(target):
-    with pytest.raises(ValueError, match="target"):
-        schur_by_search(target, B3, 5)
 
 
 def _reflection_digest(initial, depth):
@@ -445,7 +449,7 @@ def _unpruned(u, initial, depth):
 
 
 def _assert_matches_unpruned(target, initial, depth):
-    want = _unpruned(positive_form(target), initial, depth)
+    want = _unpruned(reflection_to_root(target, initial_seed(initial).gram), initial, depth)
     out = schur_by_search(target, initial, depth)
     assert (out.found, out.path) == (want is not None, want)
     assert 1 <= out.seeds_visited and not (out.found and out.truncated)
@@ -453,10 +457,9 @@ def _assert_matches_unpruned(target, initial, depth):
 
 
 def test_schur_by_search_matches_unpruned_walk_on_rank3_reflections():
-    gram = initial_seed(B3).gram
     found = 0
     for r in rank3_reflections_up_to_length_7():
-        found += _assert_matches_unpruned(reflection_to_root(r, gram), B3, 10)
+        found += _assert_matches_unpruned(r, B3, 10)
     assert found == 35
 
 
@@ -470,24 +473,31 @@ def test_schur_by_search_matches_unpruned_walk_on_random_matrices():
         for _ in range(deep):
             last = rng.choice([k for k in initial.vertices() if k != last])
             seed = mutate_seed(seed, last)
-        for c in seed.cvectors:
-            found += _assert_matches_unpruned(c, initial, depth)
+        for r in seed.reflections:
+            found += _assert_matches_unpruned(r, initial, depth)
     assert 0 < found < 18  # both answers occur among the 18 targets
 
 
 def test_schur_by_search_matches_unpruned_walk_on_non_cvectors():
-    for target in ((2, 6, 1), (1, 1, 1), (-2, -6, -1), (5, 2, 0)):
-        assert not _assert_matches_unpruned(target, B3, 7)
+    # real roots that no seed carries: a reflection target has no
+    # imaginary root such as (1, 1, 1), and no negative form
+    for u in ((2, 6, 1), (1, 6, 2), (12, 1, 6), (3, 10, 2)):
+        assert not _assert_matches_unpruned(root_to_reflection(u, GRAM3), B3, 7)
 
 
-def test_schur_by_search_logs_its_work(caplog):
+def test_schur_by_search_logs_its_work(caplog, monkeypatch):
     caplog.set_level(logging.DEBUG, logger="arcroots.explore")
-    b2 = ExchangeMatrix(((0, 2), (-2, 0)))
-    assert schur_by_search((1, 1), b2, 30) == SearchOutcome(False, None, 7, 2, False)
+    # no reflection target is known to exhaust a tree, so the imaginary
+    # root (1, 1), whose walk on the rank-2 line dies out, stands in for one
+    with monkeypatch.context() as patch:
+        patch.setattr(explore_module, "reflection_to_root", lambda r, gram: (1, 1))
+        b2 = ExchangeMatrix(((0, 2), (-2, 0)))
+        out = schur_by_search(canonical_reflection((1,)), b2, 30)
+    assert out == SearchOutcome(False, None, 7, 2, False)
     assert "not found; tree exhausted; 7 seeds visited, 2 pruned" in caplog.text
     caplog.clear()
-    assert not schur_by_search((2, 6, 1), B3, 6).found
+    assert not schur_by_search(root_to_reflection((2, 6, 1), GRAM3), B3, 6).found
     assert "not found; live seeds remain at the depth limit" in caplog.text
     caplog.clear()
-    assert schur_by_search((2, 1, 0), B3, 5).found
+    assert schur_by_search(root_to_reflection((2, 1, 0), GRAM3), B3, 5).found
     assert "found at path (1,)" in caplog.text

@@ -61,7 +61,7 @@ def test_all_is_exactly_the_reexported_names():
     ]
     assert len(arcroots.__all__) == len(set(arcroots.__all__))
     assert set(arcroots.__all__) == set(imported)
-    assert len(imported) == len(set(imported)) == 58
+    assert len(imported) == len(set(imported)) == 55
 
 
 def bare_constructions(source: str) -> list[int]:
@@ -89,6 +89,40 @@ def test_only_words_skips_the_reflection_validator(path):
     # builds; no other module may construct an unvalidated instance
     if path.name != "words.py":
         assert bare_constructions(path.read_text()) == []
+
+
+def arc_uses(source: str) -> list[int]:
+    """Lines that name Arc: as a bare name, an attribute or an import."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id == "Arc":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "Arc":
+            lines.append(node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            lines += [node.lineno for a in node.names if a.name.split(".")[-1] == "Arc"]
+    return sorted(lines)
+
+
+def test_arc_scan_finds_every_use():
+    source = (
+        "from .arcs import Arc, arc_to_reflection\n"
+        "Arcs = arc_to_reflection\n"
+        "def f(a: Arc) -> int:\n    return 1\n"
+        "g = arcs.Arc\n"
+    )
+    assert arc_uses(source) == [1, 3, 5]
+
+
+# the modules that draw, parse or print a curve; every other one passes
+# reflections between layers
+ARC_MODULES = {"arcs.py", "embedding.py", "explore.py", "cli.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_curve_modules_name_arc(path):
+    if path.name not in ARC_MODULES:
+        assert arc_uses(path.read_text()) == []
 
 
 def test_every_exported_name_resolves():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from arcroots import roots
-from arcroots.arcs import braid_swap
+from arcroots.arcs import braid_swap, tuple_product
 from arcroots.errors import (
     ArcrootsError,
     NotAcyclic,
@@ -25,8 +25,6 @@ from arcroots.roots import (
     inner,
     mutate_seed,
     mutate_seed_matrix,
-    natural_coxeter_product,
-    natural_fan,
     positive_form,
     reflect,
     reflection_to_root,
@@ -499,7 +497,7 @@ def test_natural_coxeter_product_on_initial_and_mutations():
         mutate_seed(S0, 2),
         mutate_seed(mutate_seed(mutate_seed(S0, 3), 2), 1),
     ):
-        assert natural_coxeter_product(seed) is True
+        assert tuple_product(seed.natural_fan) == (1, 2, 3)
 
 
 def test_natural_fan_starts_at_natural_order_position_2():
@@ -511,7 +509,7 @@ def test_natural_fan_starts_at_natural_order_position_2():
     assert [root_sign(seed.cvectors[v - 1]) for v in order] == [
         Sign.POSITIVE, Sign.NEGATIVE, Sign.POSITIVE
     ]
-    fan = natural_fan(seed)
+    fan = seed.natural_fan
     assert fan[0] == seed.reflections[order[2] - 1]
     assert [r.word for r in fan] == [(1,), (2, 3, 2), (2,)]
 
@@ -522,7 +520,7 @@ def test_natural_coxeter_product_fails_on_permuted_cvectors():
     seed = mutate_seed(S0, 2)
     c1, c2, c3 = seed.cvectors
     permuted = YSeed(seed.matrix, (c2, c1, c3), seed.gram, seed.path)
-    assert natural_coxeter_product(permuted) is False
+    assert tuple_product(permuted.natural_fan) != (1, 2, 3)
 
 
 def test_sign_run_count():
