@@ -72,9 +72,6 @@ class Arc:
         head = ",".join(map(str, self.crossings))
         return f"{head}:{self.endpoint}" if head else str(self.endpoint)
 
-    def to_json(self) -> dict:
-        return {"crossings": list(self.crossings), "endpoint": self.endpoint}
-
 
 def canonicalize_arc(crossings: Sequence[int], endpoint: int) -> Arc:
     """Reduce the crossing word, then drop a trailing crossing of the
@@ -99,14 +96,6 @@ class TupleVerdict:
     product_is_coxeter: bool
     st_pass: bool
     is_yseed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "bad_pair_count": self.bad_pair_count,
-            "product_is_coxeter": self.product_is_coxeter,
-            "st_pass": self.st_pass,
-            "is_yseed": self.is_yseed,
-        }
 
 
 def tuple_verdict(

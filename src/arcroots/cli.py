@@ -1,8 +1,11 @@
 """Command-line surface: exploration, conversions, Schur decisions, export.
 
 Every subcommand prints a single JSON value on standard output, except
-export-dot which prints DOT text.  Exit codes: 0 on success, 1 on a
-negative verdict under --strict, 2 on bad input of any kind.  Log
+export-dot which prints DOT text.  This is the only module that writes
+JSON: a result dataclass prints as dataclasses.asdict gives it, fields
+in declaration order and tuples as lists, and a seed prints as
+{"b": rows, "c": c-vectors, "path": path}.  Exit codes: 0 on success, 1
+on a negative verdict under --strict, 2 on bad input of any kind.  Log
 messages go to standard error from the level that the global --log-level
 option sets, WARNING by default.
 
@@ -19,6 +22,7 @@ import json
 import logging
 import re
 import sys
+from dataclasses import asdict
 from typing import Sequence
 
 from .arcs import (
@@ -41,6 +45,7 @@ from .explore import (
 )
 from .quiver import ExchangeMatrix, normalized
 from .roots import (
+    YSeed,
     all_weights_two_gram,
     cartan_companion,
     initial_seed,
@@ -106,6 +111,11 @@ def _parse_verify(flag: str | None) -> tuple[str, ...]:
     return names
 
 
+def seed_json(seed: YSeed) -> dict:
+    """The printed view of a seed; json.dumps writes its tuples as lists."""
+    return {"b": seed.matrix.rows, "c": seed.cvectors, "path": seed.path}
+
+
 def cmd_explore(args: argparse.Namespace) -> int:
     matrix = _load_quiver(args.quiver)
     checks = _parse_verify(args.verify)
@@ -120,10 +130,10 @@ def cmd_explore(args: argparse.Namespace) -> int:
                 nonlocal fh
                 if fh is None:
                     fh = stack.enter_context(open(args.out, "w"))
-                fh.write(json.dumps(seed.to_json()) + "\n")
+                fh.write(json.dumps(seed_json(seed)) + "\n")
 
         report = explore(matrix, args.depth, checks=checks, sink=sink)
-    print(json.dumps(report.to_json()))
+    print(json.dumps(asdict(report)))
     return 1 if args.strict and report.violations else 0
 
 
@@ -136,7 +146,7 @@ def cmd_check_tuple(args: argparse.Namespace) -> int:
     if args.quiver is not None:
         gram = cartan_companion(_load_quiver(args.quiver))
     verdict = tuple_verdict(refls, gram)
-    print(json.dumps(verdict.to_json()))
+    print(json.dumps(asdict(verdict)))
     return 1 if args.strict and not verdict.is_yseed else 0
 
 
@@ -148,7 +158,7 @@ def cmd_arc2refl(args: argparse.Namespace) -> int:
 
 def cmd_refl2arc(args: argparse.Namespace) -> int:
     r = canonical_reflection(_ints(args.word, "word"))
-    print(json.dumps(reflection_to_arc(r).to_json()))
+    print(json.dumps(asdict(reflection_to_arc(r))))
     return 0
 
 
@@ -191,7 +201,7 @@ def cmd_schur(args: argparse.Namespace) -> int:
         "embeddable": embeddable,
         "embedding": {"branches": report.branches, "search_space": report.search_space},
         "below_coxeter": below,
-        "search": outcome.to_json(),
+        "search": asdict(outcome),
     }))
     return 1 if args.strict and not embeddable else 0
 
@@ -204,7 +214,7 @@ def cmd_complete_arc(args: argparse.Namespace) -> int:
     except (NotEmbeddable, DepthExhausted) as exc:
         print(json.dumps({"found": False, "reason": str(exc)}))
         return 1 if args.strict else 0
-    print(json.dumps({"found": True, "seed": seed.to_json()}))
+    print(json.dumps({"found": True, "seed": seed_json(seed)}))
     return 0
 
 

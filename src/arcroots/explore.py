@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator
 
 from .arcs import Arc, arc_to_reflection, tuple_product, tuple_verdict
 from .embedding import probe_embedding
-from .errors import DepthExhausted, NotEmbeddable, SignIncoherent
+from .errors import DepthExhausted, NotEmbeddable, SignIncoherent, require_int
 from .quiver import ExchangeMatrix, decreasing_directions
 from .roots import (
     Root,
@@ -43,8 +43,8 @@ log = logging.getLogger(__name__)
 
 
 def require_depth(depth: int) -> None:
-    """Raise ValueError unless depth is at least 0."""
-    if depth < 0:
+    """Raise ValueError unless depth is an integer at least 0."""
+    if require_int(depth, "depth") < 0:
         raise ValueError(f"depth {depth} must be >= 0")
 
 
@@ -189,14 +189,6 @@ class ExplorationReport:
     violations: tuple[tuple[tuple[int, ...], str], ...]
     depth: int
 
-    def to_json(self) -> dict:
-        return {
-            "seeds_visited": self.seeds_visited,
-            "max_weight": self.max_weight,
-            "violations": [[list(path), name] for path, name in self.violations],
-            "depth": self.depth,
-        }
-
 
 def explore(
     initial: ExchangeMatrix,
@@ -259,15 +251,6 @@ class SearchOutcome:
     seeds_visited: int
     pruned: int
     truncated: bool
-
-    def to_json(self) -> dict:
-        return {
-            "found": self.found,
-            "path": None if self.path is None else list(self.path),
-            "seeds_visited": self.seeds_visited,
-            "pruned": self.pruned,
-            "truncated": self.truncated,
-        }
 
 
 def _height(v: Root) -> int:

@@ -30,6 +30,14 @@ from .errors import (
 Vertex = int
 
 
+def require_vertex(k: Vertex, n: int) -> Vertex:
+    """Return k if it is an integer vertex of a rank-n matrix, else raise
+    ValueError: every mutation rule checks its direction here."""
+    if not 1 <= require_int(k, "vertex") <= n:
+        raise ValueError(f"vertex {k} out of range 1..{n}")
+    return k
+
+
 @dataclass(frozen=True)
 class ExchangeMatrix:
     """Skew-symmetric integer matrix, vertices numbered 1..n."""
@@ -83,9 +91,7 @@ class ExchangeMatrix:
         exact integer because the two summands are equal or cancel.
         Mutation at the same vertex twice is the identity.
         """
-        if not 1 <= k <= self.n:
-            raise ValueError(f"vertex {k} out of range 1..{self.n}")
-        ki = k - 1
+        ki = require_vertex(k, self.n) - 1
         row_k = self.rows[ki]
         new = []
         # the correction is |b_ik| b_kj when b_kj has the sign of b_ik, else 0

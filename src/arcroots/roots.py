@@ -29,7 +29,7 @@ from enum import Enum
 from functools import cached_property, cmp_to_key
 
 from .errors import NotAcyclic, NotARealRoot, NotNormalized, SignIncoherent
-from .quiver import ExchangeMatrix, Vertex, natural_order
+from .quiver import ExchangeMatrix, Vertex, natural_order, require_vertex
 from .words import Reflection, conjugate, mul, require_rank
 
 Root = tuple[int, ...]
@@ -185,13 +185,6 @@ class YSeed:
         root; built once, on first use."""
         return tuple(self.reflections[v - 1] for v in self._natural[0])
 
-    def to_json(self) -> dict:
-        return {
-            "b": [list(row) for row in self.matrix.rows],
-            "c": [list(c) for c in self.cvectors],
-            "path": list(self.path),
-        }
-
 
 def initial_seed(matrix: ExchangeMatrix) -> YSeed:
     """Seed (B, identity c-vectors) for a normalized acyclic 2-complete B
@@ -220,9 +213,7 @@ def mutate_seed(seed: YSeed, k: Vertex) -> YSeed:
     read, it keeps a reference to them and the moved vertices, and
     conjugates on its own first read (YSeed.reflections).
     """
-    if not 1 <= k <= seed.n:
-        raise ValueError(f"vertex {k} out of range 1..{seed.n}")
-    ck = seed.cvectors[k - 1]
+    ck = seed.cvectors[require_vertex(k, seed.n) - 1]
     positive = root_sign(ck) is Sign.POSITIVE
     v = ck if positive else tuple(-x for x in ck)
     mv = [sum(map(operator.mul, row, v)) for row in seed.gram.rows]
@@ -251,9 +242,8 @@ def mutate_seed(seed: YSeed, k: Vertex) -> YSeed:
 def mutate_seed_matrix(seed: YSeed, k: Vertex) -> YSeed:
     """Independent oracle for mutate_seed: apply the plain exchange rule to
     the 2n x n matrix with B stacked over the c-vector matrix."""
-    if not 1 <= k <= seed.n:
-        raise ValueError(f"vertex {k} out of range 1..{seed.n}")
     n = seed.n
+    require_vertex(k, n)
     ext = [list(row) for row in seed.matrix.rows]
     for r in range(n):
         ext.append([seed.cvectors[j][r] for j in range(n)])

@@ -11,6 +11,7 @@ pytest verdict is the pass/fail line itself.
 import json
 import random
 import time
+from dataclasses import asdict
 from functools import lru_cache
 
 from arcroots.arcs import (
@@ -196,9 +197,9 @@ def test_criterion_5_cli_skips_the_search_only_on_proved_negatives(capsys, tmp_p
             "embeddable": rep.embeddable,
             "embedding": {"branches": rep.branches, "search_space": rep.search_space},
             "below_coxeter": below,
-            "search": search.to_json() if search.found else skipped,
+            "search": asdict(search) if search.found else skipped,
         }
-        if code != 0 or json.loads(capsys.readouterr().out) != want:
+        if code != 0 or json.loads(capsys.readouterr().out) != json.loads(json.dumps(want)):
             mismatches.append(r)
     negatives = sum(not search.found for *_, search in rows)
     report(

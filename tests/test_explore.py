@@ -5,16 +5,19 @@ import json
 import logging
 import random
 import sys
+from dataclasses import asdict, fields
 from functools import cached_property
 
 import pytest
 
 from arcroots import roots
-from arcroots.arcs import Arc, reflection_to_arc
+from arcroots.arcs import Arc, TupleVerdict, reflection_to_arc
+from arcroots.cli import main, seed_json
 from arcroots.errors import DepthExhausted, NotEmbeddable
 from arcroots.explore import (
     ALL_CHECKS,
     CHECKS,
+    ExplorationReport,
     SearchOutcome,
     complete_arc,
     explore,
@@ -39,6 +42,11 @@ B4 = ExchangeMatrix(
 GRAM3 = initial_seed(B3).gram
 # the module, which the package's explore function shadows as an attribute
 explore_module = importlib.import_module("arcroots.explore")
+
+
+def printed(result):
+    """A result dataclass as the command line prints it."""
+    return json.loads(json.dumps(asdict(result)))
 
 
 def tree_count(n, depth):
@@ -66,6 +74,25 @@ def test_iter_seeds_breadth_first_ascending_never_undoing():
 def test_iter_seeds_rejects_negative_depth():
     with pytest.raises(ValueError):
         list(iter_seeds(initial_seed(B3), -1))
+
+
+DEPTH_TAKERS = {
+    "iter_seeds": lambda depth: next(iter_seeds(initial_seed(B3), depth)),
+    "explore": lambda depth: explore(B3, depth),
+    "schur_by_search": lambda depth: schur_by_search(
+        canonical_reflection((2, 1, 3, 1, 2)), B3, depth
+    ),
+    "complete_arc": lambda depth: complete_arc(Arc((2, 1), 3), B3, depth),
+}
+
+
+@pytest.mark.parametrize("depth", [2.5, True, "2"], ids=repr)
+@pytest.mark.parametrize("name", DEPTH_TAKERS)
+def test_depth_must_be_an_integer(name, depth):
+    # 2.5 passes a bare `depth < 0` test, walks depth 3 and reads as a
+    # search that exhausted the tree
+    with pytest.raises(ValueError, match=r"^depth = .* is not an integer$"):
+        DEPTH_TAKERS[name](depth)
 
 
 def test_explore_runs_every_check_clean():
@@ -214,7 +241,7 @@ def test_explore_streams_seeds_losslessly():
     report = explore(B3, 2, sink=seen.append)
     assert len(seen) == report.seeds_visited
     for seed in seen:
-        assert json.loads(json.dumps(seed.to_json())) == {
+        assert json.loads(json.dumps(seed_json(seed))) == {
             "b": [list(row) for row in seed.matrix.rows],
             "c": [list(c) for c in seed.cvectors],
             "path": list(seed.path),
@@ -297,7 +324,7 @@ def test_explore_reports_a_failing_check(monkeypatch, caplog):
         CHECKS, "st", lambda seed: ["st"] if seed.path == (2, 3) else []
     )
     report = explore(B3, 3, checks=("two_complete", "st"))
-    assert report.to_json()["violations"] == [[[2, 3], "st"]]
+    assert printed(report)["violations"] == [[[2, 3], "st"]]
     assert "exploration found 1 violations" in caplog.text
 
 
@@ -319,7 +346,7 @@ def test_schur_by_search_finds_unit_vectors_at_the_root():
 def test_schur_by_search_first_mutation():
     out = schur_by_search(root_to_reflection((2, 1, 0), GRAM3), B3, 5)
     assert out == SearchOutcome(True, (1,), 2, 0, False)
-    assert out.to_json() == {
+    assert printed(out) == {
         "found": True, "path": [1], "seeds_visited": 2, "pruned": 0, "truncated": False,
     }
 
@@ -386,14 +413,30 @@ def test_complete_arc_depth_exhaustion():
     )
 
 
-def test_report_json_shape():
-    report = explore(B3, 1, checks=("two_complete",))
-    assert report.to_json() == {
-        "seeds_visited": 4,
-        "max_weight": 6,
-        "violations": [],
-        "depth": 1,
-    }
+def test_report_json_shape(capsys, tmp_path):
+    # every printed result has exactly its dataclass's fields, in order,
+    # and every printed seed exactly the keys b, c and path
+    quiver, seeds = tmp_path / "b3.json", tmp_path / "seeds.jsonl"
+    quiver.write_text(json.dumps({"b": [list(row) for row in B3.rows]}))
+    q = ("--quiver", str(quiver))
+
+    def run(*argv):
+        assert main(list(argv)) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def keys(result_type):
+        return [f.name for f in fields(result_type)]
+
+    report = run("explore", *q, "--depth", "1", "--verify", "two_complete", "--out", str(seeds))
+    assert list(report) == keys(ExplorationReport)
+    assert report == {"seeds_visited": 4, "max_weight": 6, "violations": [], "depth": 1}
+    streamed = [json.loads(line) for line in seeds.read_text().splitlines()]
+    assert len(streamed) == 4 and all(list(seed) == ["b", "c", "path"] for seed in streamed)
+    assert list(run("check-tuple", "--words", "1,2,1", "1,3,1", "1")) == keys(TupleVerdict)
+    assert list(run("refl2arc", "--word", "2,3,2")) == keys(Arc)
+    assert list(run("schur", "--word", "1,2,1", *q)["search"]) == keys(SearchOutcome)
+    completed = run("complete-arc", "--crossings", "2", "--endpoint", "1", *q)
+    assert list(completed["seed"]) == ["b", "c", "path"]
 
 
 def _height(v):

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from arcroots import roots
 from arcroots.arcs import braid_swap, tuple_product
+from arcroots.cli import seed_json
 from arcroots.errors import (
     ArcrootsError,
     NotAcyclic,
@@ -126,6 +127,19 @@ def test_mutate_seed_from_initial(k, cvecs):
 @pytest.mark.parametrize("k", [0, 4])
 def test_mutation_rejects_a_direction_out_of_range(mutate, k):
     with pytest.raises(ValueError, match=f"vertex {k} out of range 1..3"):
+        mutate(S0, k)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [mutate_seed, mutate_seed_matrix, lambda seed, k: seed.matrix.mutate(k)],
+    ids=["mutate_seed", "mutate_seed_matrix", "ExchangeMatrix.mutate"],
+)
+@pytest.mark.parametrize("k", [True, 1.0, "1"], ids=repr)
+def test_mutation_direction_must_be_an_integer(mutate, k):
+    # a bool is an int to Python, so a range test alone takes True as
+    # vertex 1 and the seed prints its path as [true]
+    with pytest.raises(ValueError, match=r"^vertex = .* is not an integer$"):
         mutate(S0, k)
 
 
@@ -364,7 +378,7 @@ def test_carry_leaves_equality_and_repr_alone():
     carried = mutate_seed(parent, 2)
     assert carried._carry is not None and unread._carry is None
     assert carried == unread and hash(carried) == hash(unread)
-    assert repr(carried) == repr(unread) and carried.to_json() == unread.to_json()
+    assert repr(carried) == repr(unread) and seed_json(carried) == seed_json(unread)
     assert carried.reflections == unread.reflections
 
 
