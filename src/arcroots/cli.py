@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import logging
 import re
@@ -219,6 +220,7 @@ def cmd_complete_arc(args: argparse.Namespace) -> int:
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
+    # the emitters check node_cap too; this check names the flag
     if args.cap < 1:
         raise ValueError(f"--cap must be >= 1, got {args.cap}")
     seed = initial_seed(_load_quiver(args.quiver))
@@ -242,7 +244,11 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then shared:
+    parse_args leaves a parser as it found it, so every main call in a
+    process reuses the one tree.  Callers share it and must not change it."""
     parser = argparse.ArgumentParser(
         prog="arcroots",
         description="exchange trees, reflections, arcs, and real Schur roots",

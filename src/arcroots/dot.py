@@ -13,7 +13,7 @@ tens of thousands of nodes stop being pictures.
 
 from __future__ import annotations
 
-from .errors import CapExceeded
+from .errors import CapExceeded, require_int
 from .explore import iter_seeds
 from .roots import Sign, YSeed, root_sign
 from .words import Reflection, Word
@@ -33,13 +33,20 @@ def _word_label(word: Word) -> str:
     return " ".join(f"s{i}" for i in word) if word else "e"
 
 
+def _require_cap(node_cap: int) -> None:
+    if require_int(node_cap, "node_cap") < 1:
+        raise ValueError(f"node_cap {node_cap} must be >= 1")
+
+
 def exchange_tree_dot(initial: YSeed, depth: int, node_cap: int = NODE_CAP) -> str:
     """The mutation tree to the given depth as a DOT digraph.
 
     Seeds are labeled by their mutation paths ("e" for the root), edges by
     the mutated vertex.  Raises CapExceeded once the tree grows past
-    node_cap seeds.
+    node_cap seeds, and ValueError unless node_cap is an integer at
+    least 1.
     """
+    _require_cap(node_cap)
     root_len = len(initial.path)
     lines = ["digraph exchange_tree {"]
     count = 0
@@ -64,8 +71,11 @@ def cayley_fragment_dot(seed: YSeed, node_cap: int = NODE_CAP) -> str:
     Vertices are the group elements on the geodesics from the identity to
     the seed's reflections; plain tree edges carry their generator label.
     Each reflection's own edge is split by a midpoint node labeled with
-    the reflection word and colored by the sign of its c-vector.
+    the reflection word and colored by the sign of its c-vector.  Raises
+    CapExceeded when the graph needs more than node_cap nodes, and
+    ValueError unless node_cap is an integer at least 1.
     """
+    _require_cap(node_cap)
     # midnode per reflection edge; c-vectors of one seed never share an edge
     marked: dict[tuple[Word, Word], tuple[Reflection, Sign]] = {}
     vertices: set[Word] = {()}

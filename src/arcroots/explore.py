@@ -57,17 +57,23 @@ def iter_seeds(
     seed short of the depth limit, and that seed's children are queued
     only when it returns true.  Order among the seeds still walked is the
     unpruned breadth-first order.
+
+    The queue holds (parent, direction) pairs, and a child is built only
+    when the walk reaches it, so a walk stopped early builds no seed it
+    never yields.
     """
     require_depth(depth)
-    queue = deque([root])
-    while queue:
-        seed = queue.popleft()
+    limit = depth + len(root.path)
+    queue: deque[tuple[YSeed, int]] = deque()
+    seed = root
+    while True:
         yield seed
-        if len(seed.path) < depth + len(root.path) and (expand is None or expand(seed)):
+        if len(seed.path) < limit and (expand is None or expand(seed)):
             last = seed.path[-1] if seed.path else 0
-            for k in seed.matrix.vertices():
-                if k != last:
-                    queue.append(mutate_seed(seed, k))
+            queue.extend((seed, k) for k in seed.matrix.vertices() if k != last)
+        if not queue:
+            return
+        seed = mutate_seed(*queue.popleft())
 
 
 def seed_digest(seed: YSeed) -> str:
@@ -283,6 +289,14 @@ def schur_by_search(target: Reflection, initial: ExchangeMatrix, depth: int) -> 
     moves).  Tests check the invariant on B3, B4 and random trees, and
     compare this search with the unpruned walk of iter_seeds.
     """
+    return _search(target, initial, depth)[0]
+
+
+def _search(
+    target: Reflection, initial: ExchangeMatrix, depth: int
+) -> tuple[SearchOutcome, YSeed | None]:
+    """schur_by_search's walk, returning its outcome and the seed it found
+    (None on a miss)."""
     root = initial_seed(initial)
     u = positive_form(reflection_to_root(target, root.gram))
     minus_u = tuple(-x for x in u)
@@ -302,15 +316,16 @@ def schur_by_search(target: Reflection, initial: ExchangeMatrix, depth: int) -> 
 
     visited = 0
     truncated = False
-    path = None
+    found = None
     for seed in iter_seeds(root, depth, expand):
         visited += 1
         if u in seed.cvectors:
-            path = seed.path
+            found = seed
             break
         if len(seed.path) == depth and not truncated:
             truncated = live(seed)
-    outcome = SearchOutcome(path is not None, path, visited, pruned, path is None and truncated)
+    path = None if found is None else found.path
+    outcome = SearchOutcome(found is not None, path, visited, pruned, found is None and truncated)
     if outcome.found:
         verdict = f"found at path {outcome.path}"
     elif truncated:
@@ -321,7 +336,7 @@ def schur_by_search(target: Reflection, initial: ExchangeMatrix, depth: int) -> 
         "schur search for %s to depth %d: %s; %d seeds visited, %d pruned",
         u, depth, verdict, visited, pruned,
     )
-    return outcome
+    return outcome, found
 
 
 def complete_arc(a: Arc, initial: ExchangeMatrix, depth: int) -> YSeed:
@@ -337,10 +352,7 @@ def complete_arc(a: Arc, initial: ExchangeMatrix, depth: int) -> YSeed:
     require_rank(r, initial.n)
     if not probe_embedding(a).embeddable:
         raise NotEmbeddable(f"{a} has no embedded representative")
-    outcome = schur_by_search(r, initial, depth)
-    if not outcome.found:
+    _, seed = _search(r, initial, depth)
+    if seed is None:
         raise DepthExhausted(f"no seed within depth {depth}; raise the depth")
-    seed = initial_seed(initial)
-    for k in outcome.path:
-        seed = mutate_seed(seed, k)
     return seed

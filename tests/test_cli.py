@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -623,3 +624,41 @@ def test_log_level_rejects_unknown_level(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--log-level", "LOUD", "arc2refl", "--endpoint", "1"])
     assert exc.value.code == 2
+
+
+# each step runs alone and then in sequence in one process; the pairs
+# flip a global option, a flag, and a mutually exclusive group
+PARSER_SEQUENCE = [
+    ("--log-level", "DEBUG", "schur", "--word", "2,3,2", "--quiver", "QUIVER", "--depth", "3"),
+    ("schur", "--word", "2,3,2", "--quiver", "QUIVER", "--depth", "3"),
+    ("check-tuple", "--words", "1", "1", "--strict"),
+    ("check-tuple", "--words", "1", "1"),
+    ("check-tuple", "--words", "1", "2", "3"),
+    ("check-tuple", "--arcs", "2,1:3", "1:2", "1"),
+    ("check-tuple", "--words", "1", "--arcs", "1"),
+    ("arc2refl", "--crossings", "2", "--endpoint", "3"),
+]
+
+
+def test_main_reuses_one_parser(capsys, quiver_file):
+    def call(argv):
+        try:
+            code = main([quiver_file if a == "QUIVER" else a for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    alone = []
+    for argv in PARSER_SEQUENCE:
+        cli.build_parser.cache_clear()
+        alone.append(call(argv))
+    assert [code for code, _ in alone] == [0, 0, 1, 0, 0, 0, 2, 0]
+
+    parser = cli.build_parser()
+    together, levels = [], []
+    for argv in PARSER_SEQUENCE:
+        together.append(call(argv))
+        levels.append(logging.getLogger("arcroots").level)
+    assert cli.build_parser() is parser
+    assert together == alone
+    assert levels[:2] == [logging.DEBUG, logging.WARNING]

@@ -72,3 +72,12 @@ def test_cayley_fragment_cap():
     seed = mutate_seed(mutate_seed(initial_seed(B3), 1), 2)
     with pytest.raises(CapExceeded):
         cayley_fragment_dot(seed, node_cap=4)
+
+
+@pytest.mark.parametrize("cap", [True, 2.5, 0, -3], ids=repr)
+def test_node_cap_must_be_an_integer_at_least_one(cap):
+    root = initial_seed(B3)
+    with pytest.raises(ValueError, match="^node_cap"):
+        exchange_tree_dot(root, 2, node_cap=cap)
+    with pytest.raises(ValueError, match="^node_cap"):
+        cayley_fragment_dot(root, node_cap=cap)

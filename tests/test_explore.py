@@ -5,6 +5,7 @@ import json
 import logging
 import random
 import sys
+from collections import deque
 from dataclasses import asdict, fields
 from functools import cached_property
 
@@ -13,7 +14,8 @@ import pytest
 from arcroots import roots
 from arcroots.arcs import Arc, TupleVerdict, reflection_to_arc
 from arcroots.cli import main, seed_json
-from arcroots.errors import DepthExhausted, NotEmbeddable
+from arcroots.dot import exchange_tree_dot
+from arcroots.errors import CapExceeded, DepthExhausted, NotEmbeddable
 from arcroots.explore import (
     ALL_CHECKS,
     CHECKS,
@@ -544,3 +546,81 @@ def test_schur_by_search_logs_its_work(caplog, monkeypatch):
     caplog.clear()
     assert schur_by_search(root_to_reflection((2, 1, 0), GRAM3), B3, 5).found
     assert "found at path (1,)" in caplog.text
+
+
+def _counting_mutations(monkeypatch):
+    calls = []
+    mutate = explore_module.mutate_seed
+
+    def counting(seed, k):
+        calls.append(seed.path + (k,))
+        return mutate(seed, k)
+
+    monkeypatch.setattr(explore_module, "mutate_seed", counting)
+    return calls
+
+
+def _replayed(path):
+    seed = initial_seed(B3)
+    for k in path:
+        seed = mutate_seed(seed, k)
+    return seed
+
+
+def test_schur_search_builds_only_the_seeds_it_visits(monkeypatch):
+    calls = _counting_mutations(monkeypatch)
+    found = 0
+    for r in rank3_reflections_up_to_length_7():
+        calls.clear()
+        out = schur_by_search(r, B3, 6)
+        assert len(calls) == out.seeds_visited - 1, r.word
+        if out.found:
+            found += 1
+            # complete_arc keeps the seed the walk found instead of replaying its path
+            calls.clear()
+            seed = complete_arc(reflection_to_arc(r), B3, 6)
+            assert seed == _replayed(out.path)
+            assert len(calls) == out.seeds_visited - 1, r.word
+    assert found == 33  # the other two lie deeper than 6
+
+
+def _eager_seeds(root, depth, expand):
+    # reference walk: every child is built as soon as its parent is expanded
+    queue = deque([root])
+    while queue:
+        seed = queue.popleft()
+        yield seed
+        if len(seed.path) < depth + len(root.path) and expand(seed):
+            last = seed.path[-1] if seed.path else 0
+            for k in seed.matrix.vertices():
+                if k != last:
+                    queue.append(mutate_seed(seed, k))
+
+
+@pytest.mark.parametrize("root,depth", [
+    (initial_seed(B3), 7),
+    (mutate_seed(initial_seed(B3), 2), 6),
+    (initial_seed(B4), 5),
+], ids=["B3", "B3-below-2", "B4"])
+def test_lazy_walk_matches_the_eager_walk(root, depth):
+    def events_of(walk):
+        events = []
+
+        def expand(seed):
+            events.append(("expand", seed.path))
+            return sum(seed.path) % 3 != 1
+
+        for seed in walk(root, depth, expand):
+            events.append(("seed", seed.path, seed.matrix, seed.cvectors))
+        return events
+
+    lazy = events_of(iter_seeds)
+    assert lazy == events_of(_eager_seeds)
+    assert any(e[0] == "expand" for e in lazy) and len(lazy) > 100
+
+
+def test_a_capped_dot_walk_builds_no_seed_past_the_cap(monkeypatch):
+    calls = _counting_mutations(monkeypatch)
+    with pytest.raises(CapExceeded):
+        exchange_tree_dot(initial_seed(B3), 40, node_cap=10)
+    assert len(calls) <= 10
