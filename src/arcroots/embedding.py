@@ -15,17 +15,20 @@ never changes when a later crossing is inserted, so a segment can be
 rejected as soon as both of its endpoints are placed; the search is
 nevertheless exhaustive.  The placed chords never cross, so they cut the
 disc into faces, and a new chord is clear exactly when its far end lies
-in the face of the point where the curve enters the boundary.  Every
-chord, the last one to the endpoint puncture included, is decided by one
-walk around the boundary per level, so each placement costs one lookup
-rather than a test against every placed chord.
+in the face of the point where the curve enters the boundary.  The
+search keeps one face label per boundary gap across levels.  A new
+point copies the label of the gap it lands in, a placed chord splits
+one face by relabelling that face's gaps on its side with fewer
+indices, and an undo stack restores the labels on a take-back.  Every
+chord, the last one to the endpoint puncture included, is then one
+label comparison.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import chain, permutations, product
+from itertools import permutations, product
 from math import factorial
 from typing import Iterator, Mapping, Sequence
 
@@ -91,27 +94,6 @@ def _boundary(n: int, heights: Mapping[int, Sequence[int]]) -> list[Token]:
     return tokens
 
 
-def _face(tokens: list[Token], chords: list[tuple[Token, Token]], start: Token) -> bytearray:
-    """One byte per token: 1 when the gap just after it lies in the face
-    of start, else 0.
-
-    Walk once around the circle from start, toggling a chord as each of
-    its endpoints passes.  The chords never cross, so a chord from start
-    to a new point in a gap crosses none of them exactly when no chord is
-    open there.
-    """
-    owner = {t: i for i, chord in enumerate(chords) for t in chord}
-    first = tokens.index(start)
-    reach = bytearray(len(tokens))
-    open_chords: set[int] = set()
-    for i in chain(range(first, len(tokens)), range(first)):
-        chord = owner.get(tokens[i])
-        if chord is not None:
-            open_chords ^= {chord}
-        reach[i] = not open_chords
-    return reach
-
-
 def _space_size(a: Arc) -> int:
     size = 2 ** len(a.crossings)
     for s in set(a.crossings):
@@ -128,11 +110,18 @@ def probe_embedding(a: Arc, cap: int | None = None) -> EmbeddingReport:
     including those whose slot lies outside the entering point's face;
     search_space is the unpruned 2^l * prod(m_s!) product.
 
-    Each level walks the cut boundary once, from the point where the
-    curve enters it, to find that point's face (see _face); each of the
-    level's placements is then one lookup.  The last chord is one more
-    walk, from the last exit point: neither it nor the endpoint puncture
-    is a chord endpoint, so the chord is clear when none is open there.
+    The cut boundary is kept across levels as one face label per gap, in
+    _boundary's order; the points themselves are never listed, because
+    every index follows from the heights.  Placing crossing j inserts
+    its two points, each new gap copying the label of the gap it splits,
+    and its chord splits the face of the entering point in two: the
+    gaps of that face on the side of the chord with fewer indices get a
+    fresh label.  An undo stack keeps, per placed crossing, the two
+    point indices, the relabelled gaps and their old label, so a
+    take-back restores the labels and deletes the points.  A placement
+    is then clear exactly when its slot's gap carries the entering
+    point's label, and the last chord, from the last exit point to the
+    endpoint puncture, when those two points' gaps carry the same label.
 
     Uncapped unless cap is given; then more than cap crossings raise
     CapExceeded.  The parameter stays only because the benchmark passes
@@ -142,7 +131,11 @@ def probe_embedding(a: Arc, cap: int | None = None) -> EmbeddingReport:
     and 406 over all rank-3 arcs of 4, 8 and 12 crossings, 141,444 for
     the periodic arc (1,2,3,2)^32 ending at 3, and 97,052 and 1,478,997
     for the longest c-vector arcs (378 and 1,595 crossings) of the B3
-    seeds at paths (2,1,3)x4,2 and (2,1,3)x5,2.
+    seeds at paths (2,1,3)x4,2 and (2,1,3)x5,2.  So is the relabelling,
+    because a take-back can undo a split that is then redone: those two
+    arcs took 827 and 3,402 splits, scanning 82,675 and 1,287,349 gaps
+    and relabelling 1,703 and 6,817.  The debug log line gives both
+    totals for every call.
     """
     l = len(a.crossings)
     if cap is not None and l > cap:
@@ -154,66 +147,98 @@ def probe_embedding(a: Arc, cap: int | None = None) -> EmbeddingReport:
 
     sides: list[str] = []
     heights: dict[int, list[int]] = {s: [] for s in set(a.crossings)}
-    chords: list[tuple[Token, Token]] = []
-    branches = 0
+    # labels[i] is the face of the gap just after boundary point i; with
+    # no crossing placed the points are b and the punctures, in one face
+    labels = [0] * (n + 1)
+    undo: list[tuple[int, int, list[int], int]] = []
+    branches = scanned = relabelled = fresh = 0
 
-    def level(j: int):
-        """Crossing j's options, where the curve enters the boundary
-        before it, the index of its ray's puncture, and that face."""
-        tokens = _boundary(n, heights)
-        entering = ("b", 0) if j == 0 else _exit(sides[j - 1], j - 1)
-        width = len(heights[a.crossings[j]]) + 1
-        return (
-            product(("LR", "RL"), range(width)),
-            entering,
-            tokens.index(("p", a.crossings[j])),
-            _face(tokens, chords, entering),
-        )
+    def puncture(s: int) -> int:
+        """The index of ray s's puncture: b, each higher ray's points and
+        puncture, then the right side of ray s come first."""
+        above = sum(len(order) for t, order in heights.items() if t > s)
+        return 1 + n - s + 2 * above + len(heights.get(s, ()))
+
+    def level(j: int, e: int):
+        """Crossing j's options, its ray's puncture index, and the index
+        e of the point where the curve enters the boundary before it."""
+        s = a.crossings[j]
+        return product(("LR", "RL"), range(len(heights[s]) + 1)), puncture(s), e
+
+    def place(j: int, side: str, at: int, p: int, e: int) -> int:
+        """Insert crossing j's points at height at and split the face of
+        e along the chord to its entry; return the index of its exit."""
+        nonlocal scanned, relabelled, fresh
+        sides.append(side)
+        heights[a.crossings[j]].insert(at, j)
+        # the right point goes before the puncture, shifting it by one,
+        # then the left point after it; e shifts past each one before it
+        r, left = p - at, p + at + 2
+        labels.insert(r, labels[r - 1])
+        labels.insert(left, labels[left - 1])
+        e += e >= r
+        e += e >= left
+        face = labels[e]
+        lo, hi = sorted((e, left if side == "LR" else r))
+        if 2 * (hi - lo) <= len(labels):
+            gaps = range(lo, hi)
+        else:
+            gaps = [*range(hi, len(labels)), *range(lo)]
+        moved = [i for i in gaps if labels[i] == face]
+        fresh += 1
+        for i in moved:
+            labels[i] = fresh
+        undo.append((r, left, moved, face))
+        scanned += len(gaps)
+        relabelled += len(moved)
+        return r if side == "LR" else left
+
+    def take_back(j: int) -> None:
+        r, left, moved, face = undo.pop()
+        for i in moved:
+            labels[i] = face
+        del labels[left], labels[r]
+        heights[a.crossings[j]].remove(j)
+        sides.pop()
 
     # Depth first with an explicit stack, one level per placed crossing,
     # so no arc is too long for the interpreter's recursion limit.  A
     # level's options run through sides, then insertion heights bottom
     # first.  Inserting at height `at` puts the entry of "LR" just after
-    # token p + at and the entry of "RL" just after token p - at - 1.
-    stack = [level(0)]
+    # point p + at and the entry of "RL" just after point p - at - 1.
+    stack = [level(0, 0)]
     witness = None
     while stack and witness is None:
         j = len(stack) - 1
-        options, entering, p, face = stack[-1]
-        slots = heights[a.crossings[j]]
+        options, p, e = stack[-1]
+        face = labels[e]
         for side, at in options:
             branches += 1
-            if not face[p + at if side == "LR" else p - at - 1]:
+            if labels[p + at if side == "LR" else p - at - 1] != face:
                 continue
-            sides.append(side)
-            slots.insert(at, j)
-            chords.append((entering, _entry(side, j)))
+            x = place(j, side, at, p, e)
             if j + 1 < l:
-                stack.append(level(j + 1))
+                stack.append(level(j + 1, x))
                 break
-            tokens = _boundary(n, heights)
-            if _face(tokens, chords, _exit(side, j))[tokens.index(("p", a.endpoint))]:
+            if labels[x] == labels[puncture(a.endpoint)]:
                 witness = EmbeddingWitness(
                     tuple(sides),
                     tuple(sorted((s, tuple(o)) for s, o in heights.items())),
                 )
                 break
-            chords.pop()
-            slots.pop(at)
-            sides.pop()
+            take_back(j)
         else:
             # every option at level j failed: take back crossing j - 1
             stack.pop()
             if j:
-                chords.pop()
-                heights[a.crossings[j - 1]].remove(j - 1)
-                sides.pop()
+                take_back(j - 1)
 
-    if witness is None:
-        log.debug(
-            "no embedding for %s: search tree of %d placements, leaf space %d",
-            a, branches, space,
-        )
+    log.debug(
+        "%s for %s: search tree of %d placements, leaf space %d;"
+        " %d gaps scanned, %d relabelled",
+        "no embedding" if witness is None else "embedding found", a,
+        branches, space, scanned, relabelled,
+    )
     return EmbeddingReport(witness is not None, witness, branches, space)
 
 
@@ -236,7 +261,7 @@ def witness_is_valid(a: Arc, witness: EmbeddingWitness) -> bool:
 
     The chords of a witnessed embedding must open and close like
     balanced brackets along the circle; this re-derives the verdict
-    without the face walks the search uses.
+    without the face labels the search keeps.
     """
     l = len(a.crossings)
     if len(witness.sides) != l or any(s not in ("LR", "RL") for s in witness.sides):

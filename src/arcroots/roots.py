@@ -213,7 +213,8 @@ def mutate_seed(seed: YSeed, k: Vertex) -> YSeed:
     read, it keeps a reference to them and the moved vertices, and
     conjugates on its own first read (YSeed.reflections).
     """
-    ck = seed.cvectors[require_vertex(k, seed.n) - 1]
+    matrix = seed.matrix.mutate(k)  # validates k before c_k is read
+    ck = seed.cvectors[k - 1]
     positive = root_sign(ck) is Sign.POSITIVE
     v = ck if positive else tuple(-x for x in ck)
     mv = [sum(map(operator.mul, row, v)) for row in seed.gram.rows]
@@ -232,7 +233,7 @@ def mutate_seed(seed: YSeed, k: Vertex) -> YSeed:
             moved.append(j)
         else:
             new_cvecs.append(cj)
-    child = YSeed(seed.matrix.mutate(k), tuple(new_cvecs), seed.gram, seed.path + (k,))
+    child = YSeed(matrix, tuple(new_cvecs), seed.gram, seed.path + (k,))
     read = seed.__dict__.get("reflections")
     if read is not None:
         object.__setattr__(child, "_carry", (read, k, tuple(moved)))

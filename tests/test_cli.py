@@ -618,6 +618,11 @@ def test_log_level_debug_shows_schur_search_work(quiver_file):
         " and by absolute order; search not run"
     )
     assert skip in loud.stderr.splitlines()
+    probe = (
+        "DEBUG arcroots.embedding: no embedding for 2,1:3: search tree of 6 placements,"
+        " leaf space 4; 8 gaps scanned, 8 relabelled"
+    )
+    assert probe in loud.stderr.splitlines()
 
 
 def test_log_level_rejects_unknown_level(capsys):

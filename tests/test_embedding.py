@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import random
 import sys
 from itertools import product
@@ -51,11 +52,11 @@ def all_arcs(n, max_crossings):
                 yield Arc(prefix, core)
 
 
-def random_arcs(rng, count, ranks, max_crossings):
+def random_arcs(rng, count, ranks, max_crossings, min_crossings=0):
     for _ in range(count):
         n = rng.choice(ranks)
         crossings: list[int] = []
-        for _ in range(rng.randint(0, max_crossings)):
+        for _ in range(rng.randint(min_crossings, max_crossings)):
             crossings.append(rng.choice([c for c in range(1, n + 1) if [c] != crossings[-1:]]))
         ends = [e for e in range(1, n + 1) if [e] != crossings[-1:]]
         yield Arc(tuple(crossings), rng.choice(ends))
@@ -148,7 +149,7 @@ def _interleave(pos, a, b):
 
 
 def _probe_by_clearing(a):
-    # oracle: the search before the per-level face walk, where every
+    # oracle: the search before face walks and face labels, where every
     # placement, the last chord to the endpoint included, rebuilds the
     # boundary and tests its chord against every placed chord
     l = len(a.crossings)
@@ -203,8 +204,14 @@ def _probe_by_clearing(a):
         (lambda: all_arcs(3, 6), 381, 127),
         (lambda: all_arcs(4, 4), 484, 214),
         (lambda: random_arcs(random.Random(12), 1500, (2, 3, 4, 5), 25), 1500, 571),
+        # none embeds, so each search exhausts its tree and takes back
+        # every crossing it places
+        (lambda: random_arcs(random.Random(22), 3600, (3, 4, 5), 40, 26), 3600, 0),
     ],
-    ids=["rank-3-to-6-crossings", "rank-4-to-4-crossings", "random-rank-2-to-5"],
+    ids=[
+        "rank-3-to-6-crossings", "rank-4-to-4-crossings", "random-rank-2-to-5",
+        "random-long-negatives",
+    ],
 )
 def test_face_walk_matches_clearing_each_placement(arcs, count, embeddable):
     # same verdict, first witness, branches and search space: a slot
@@ -214,6 +221,8 @@ def test_face_walk_matches_clearing_each_placement(arcs, count, embeddable):
     assert len(arcs) == count
     assert sum(rep.embeddable for rep in reports) == embeddable
     assert reports == [_probe_by_clearing(a) for a in arcs]
+    # a search leaves nothing behind for the next one
+    assert probe_embedding(arcs[-1]) == reports[-1]
 
 
 def _longest_cvector_arc(path):
@@ -224,13 +233,29 @@ def _longest_cvector_arc(path):
     return max(map(reflection_to_arc, seed.reflections), key=lambda a: len(a.crossings))
 
 
-@pytest.mark.parametrize("repeats,crossings,branches", [(3, 87, 4437), (4, 378, 97052)])
+@pytest.mark.parametrize(
+    "repeats,crossings,branches", [(3, 87, 4437), (4, 378, 97052), (5, 1595, 1478997)]
+)
 def test_long_cvector_arcs_keep_their_branch_counts(repeats, crossings, branches):
     a = _longest_cvector_arc((2, 1, 3) * repeats + (2,))
     assert len(a.crossings) == crossings
     rep = probe_embedding(a)
     assert rep.embeddable and witness_is_valid(a, rep.witness)
     assert rep.branches == branches
+
+
+def test_debug_line_reports_the_relabelling(caplog):
+    # measured totals of the face-label upkeep, for either verdict
+    caplog.set_level(logging.DEBUG, logger="arcroots.embedding")
+    probe_embedding(Arc((2, 1), 3))
+    probe_embedding(_longest_cvector_arc((2, 1, 3) * 3 + (2,)))
+    no, yes = (rec.getMessage() for rec in caplog.records)
+    assert no == (
+        "no embedding for 2,1:3: search tree of 6 placements, leaf space 4;"
+        " 8 gaps scanned, 8 relabelled"
+    )
+    assert yes.startswith("embedding found for 2,1,2,3,")
+    assert yes.endswith("; 3914 gaps scanned, 354 relabelled")
 
 
 def _stack_depth():

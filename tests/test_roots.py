@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, strategies as st
 
-from arcroots import roots
+from arcroots import quiver, roots
 from arcroots.arcs import braid_swap, tuple_product
 from arcroots.cli import seed_json
 from arcroots.errors import (
@@ -135,12 +135,28 @@ def test_mutation_rejects_a_direction_out_of_range(mutate, k):
     [mutate_seed, mutate_seed_matrix, lambda seed, k: seed.matrix.mutate(k)],
     ids=["mutate_seed", "mutate_seed_matrix", "ExchangeMatrix.mutate"],
 )
-@pytest.mark.parametrize("k", [True, 1.0, "1"], ids=repr)
+@pytest.mark.parametrize("k", [True, 1.0, 2.5, "1"], ids=repr)
 def test_mutation_direction_must_be_an_integer(mutate, k):
     # a bool is an int to Python, so a range test alone takes True as
     # vertex 1 and the seed prints its path as [true]
     with pytest.raises(ValueError, match=r"^vertex = .* is not an integer$"):
         mutate(S0, k)
+
+
+def test_mutate_seed_checks_its_direction_once(monkeypatch):
+    # the matrix mutation checks k, so mutate_seed adds no second check
+    calls, check = [], quiver.require_vertex
+
+    def counted(k, n):
+        calls.append(k)
+        return check(k, n)
+
+    monkeypatch.setattr("arcroots.quiver.require_vertex", counted)
+    monkeypatch.setattr("arcroots.roots.require_vertex", counted)
+    seed = S0
+    for k in (2, 1, 3, 2):
+        seed = mutate_seed(seed, k)
+    assert calls == [2, 1, 3, 2]
 
 
 def test_mutate_seed_twice_is_identity():
