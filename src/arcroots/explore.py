@@ -14,11 +14,12 @@ hide later ones.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import logging
-from collections import deque
+import operator
+from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import chain
+from time import perf_counter
 from typing import Callable, Iterable, Iterator
 
 from .arcs import Arc, arc_to_reflection, tuple_product, tuple_verdict
@@ -29,7 +30,6 @@ from .roots import (
     Root,
     YSeed,
     initial_seed,
-    inner,
     mutate_seed,
     positive_form,
     reflection_to_root,
@@ -76,14 +76,11 @@ def iter_seeds(
         seed = mutate_seed(*queue.popleft())
 
 
-def seed_digest(seed: YSeed) -> str:
-    """Hash of the (B, C) pair, independent of the mutation path."""
-    payload = json.dumps(
-        {"b": [list(r) for r in seed.matrix.rows], "c": [list(c) for c in seed.cvectors]},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
+def _tree_key(seed: YSeed) -> tuple[int, ...]:
+    """The (B, C) pair as one flat tuple: B's rows, then the c-vectors.
+    Seeds of one rank give keys of one length, so within a walk equal
+    keys mean equal pairs, whatever the mutation paths."""
+    return tuple(chain(*seed.matrix.rows, *seed.cvectors))
 
 
 def _two_complete(seed: YSeed) -> list[str]:
@@ -109,14 +106,15 @@ def _decreasing_unique(seed: YSeed) -> list[str]:
 
 
 def _seven(seed: YSeed) -> list[str]:
-    m = seed.matrix
-    ok = all(
-        abs(inner(seed.cvectors[i - 1], seed.cvectors[j - 1], seed.gram)) == abs(m.b(i, j))
-        for i in m.vertices()
-        for j in m.vertices()
-        if i < j
-    )
-    return [] if ok else ["seven"]
+    # |<c_i, c_j>| = |b_ij| for i < j, each pairing the dot product of c_j
+    # with the image M c_i, formed once per c_i (roots.inner is the oracle)
+    cvecs, gram = seed.cvectors, seed.gram.rows
+    for i, brow in enumerate(seed.matrix.rows[:-1]):
+        image = [sum(map(operator.mul, row, cvecs[i])) for row in gram]
+        for j in range(i + 1, len(cvecs)):
+            if abs(sum(map(operator.mul, cvecs[j], image))) != abs(brow[j]):
+                return ["seven"]
+    return []
 
 
 def _sign_coherence(seed: YSeed) -> list[str]:
@@ -206,8 +204,11 @@ def explore(
 
     checks are distinct names from ALL_CHECKS, read once from any iterable
     but a bare string.  "tree" confirms that no two tree addresses carry the
-    same (B, C) pair, hashing canonical serializations instead of trusting
-    the no-revisit argument.  Seeds are streamed to sink, never accumulated.
+    same (B, C) pair instead of trusting the no-revisit argument: it keeps
+    each seed's exact key, the entries of B's rows followed by those of the
+    c-vectors.  Seeds are streamed to sink, never accumulated; a debug log
+    line gives the seeds visited, the seeds per second and the violations
+    per check.
     """
     if isinstance(checks, str):
         raise ValueError(f"checks must be a collection of names, not the string {checks!r}")
@@ -218,10 +219,11 @@ def explore(
     repeated = sorted({name for name in checks if checks.count(name) > 1})
     if repeated:
         raise ValueError(f"repeated checks: {', '.join(repeated)}")
-    digests: set[str] = set()
+    keys: set[tuple[int, ...]] = set()
     violations: list[tuple[tuple[int, ...], str]] = []
     visited = 0
     weight = 0
+    start = perf_counter()
     for seed in iter_seeds(initial_seed(initial), depth):
         visited += 1
         weight = max(weight, seed.matrix.max_weight())
@@ -229,13 +231,20 @@ def explore(
             sink(seed)
         for name in checks:
             if name == "tree":
-                digest = seed_digest(seed)
-                if digest in digests:
+                key = _tree_key(seed)
+                if key in keys:
                     violations.append((seed.path, "tree"))
-                digests.add(digest)
+                keys.add(key)
             else:
                 for label in CHECKS[name](seed):
                     violations.append((seed.path, label))
+    elapsed = perf_counter() - start
+    per_check = Counter(label for _, label in violations)
+    log.debug(
+        "explore to depth %d: %d seeds in %.3f s (%.0f seeds/s); violations per check: %s",
+        depth, visited, elapsed, visited / elapsed if elapsed > 0 else float("inf"),
+        dict(per_check) if per_check else "none",
+    )
     if violations:
         log.warning("exploration found %d violations", len(violations))
     return ExplorationReport(visited, weight, tuple(violations), depth)

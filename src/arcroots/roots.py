@@ -100,8 +100,12 @@ class Sign(Enum):
 
 def root_sign(u: Root) -> Sign:
     """Sign of a sign-coherent nonzero vector."""
-    has_pos = any(x > 0 for x in u)
-    has_neg = any(x < 0 for x in u)
+    if not u:
+        raise SignIncoherent("the zero vector has no sign")
+    # max and min are called without the default keyword, which would
+    # send CPython down their slower argument-parsing path
+    has_pos = max(u) > 0
+    has_neg = min(u) < 0
     if has_pos and has_neg:
         raise SignIncoherent(f"{u} mixes signs")
     if not has_pos and not has_neg:
@@ -302,7 +306,8 @@ def reflection_to_root(r: Reflection, gram: GramMatrix) -> Root:
     """Apply the prefix reflections to the core's simple root, innermost
     letter first.  Canonical reflections give positive roots."""
     require_rank(r, gram.n)
-    u = list(unit_vector(gram.n, r.core))
+    u = [0] * gram.n
+    u[r.core - 1] = 1
     for i in reversed(r.prefix):
         u[i - 1] -= sum(map(operator.mul, gram.rows[i - 1], u))
     return tuple(u)
@@ -321,22 +326,27 @@ def speyer_thomas_check(
     Euler form <u, v> = u^T E v is 0, E the upper half of the pairing with
     1 on the diagonal.  No two distinct reflections of the universal
     Coxeter group commute, so no two are orthogonal and the order is unique.
+
+    Each pair in (1) is read against the image M u of its earlier root,
+    formed once per root: <u, v> is the dot product of v with M u.
     """
     n = gram.n
     if len(roots) != n or len(reflections) != n or any(len(u) != n for u in roots):
         raise ValueError(f"expected {n} roots of length {n} and {n} reflections")
     signs = [root_sign(u) for u in roots]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if signs[i] is signs[j] and inner(roots[i], roots[j], gram) > 0:
-                return False
-    words = [r.word for r in reflections]
     positives = [i for i in range(n) if signs[i] is Sign.POSITIVE]
     negatives = [i for i in range(n) if signs[i] is Sign.NEGATIVE]
+    m = gram.rows
+    for group in (positives, negatives):
+        for a in range(len(group) - 1):
+            image = [sum(map(operator.mul, row, roots[group[a]])) for row in m]
+            for j in group[a + 1 :]:
+                if sum(map(operator.mul, roots[j], image)) > 0:
+                    return False
+    words = [r.word for r in reflections]
     target = tuple(range(1, n + 1))
     if mul(*(words[i] for i in positives + negatives)) == target:
         return True
-    m = gram.rows
     ev = [[v[i] + sum(map(operator.mul, m[i][i + 1 :], v[i + 1 :])) for i in range(n)] for v in roots]
     after = cmp_to_key(lambda a, b: 1 if sum(map(operator.mul, roots[a], ev[b])) == 0 else -1)
     positives.sort(key=after)

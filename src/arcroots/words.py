@@ -76,9 +76,6 @@ class Reflection:
         """The two Cayley-tree vertices this reflection's edge joins."""
         return self.prefix, self.prefix + (self.core,)
 
-    def letters(self) -> frozenset[int]:
-        return frozenset(self.prefix) | {self.core}
-
 
 def generator(i: int) -> Reflection:
     return Reflection(IDENTITY, i)
@@ -177,11 +174,21 @@ def separates(node: Reflection, a: Reflection, b: Reflection) -> bool:
 def separating_nodes(reflections: Sequence[Reflection]) -> frozenset[int]:
     """Positions (0-based) of tuple members that separate some other pair:
     by separates, those whose precedes(node, r) takes both values over
-    the members r other than node."""
-    return frozenset(
-        k for k, node in enumerate(reflections)
-        if len({precedes(node, r) for r in reflections if r != node}) == 2
-    )
+    the members r other than node.
+
+    precedes(node, r) is read as r.prefix[:len(stem)] == stem, the stem
+    prefix(node) + (core(node),) built once per node; a shorter prefix
+    slices short and compares unequal.  No r equal to node has the stem
+    as a prefix, so only the members that fail it are compared with node.
+    """
+    out = []
+    for k, node in enumerate(reflections):
+        stem = node.prefix + (node.core,)
+        size = len(stem)
+        follows = [r.prefix[:size] == stem for r in reflections]
+        if any(follows) and any(not f and r != node for f, r in zip(follows, reflections)):
+            out.append(k)
+    return frozenset(out)
 
 
 def in_one_star(reflections: Sequence[Reflection]) -> bool:
@@ -228,7 +235,7 @@ def require_rank(r: Reflection, n: int) -> None:
     """Raise ValueError unless every letter of r is in 1..n.  Arcs in the
     n-punctured disc correspond to reflections in s_1..s_n, so a word or
     arc with a letter above n is not an input for a quiver of rank n."""
-    top = max(r.letters())
+    top = max(r.prefix + (r.core,))
     if top > require_int(n, "rank"):
         raise ValueError(f"letter or ray {top} exceeds the rank {n}")
 

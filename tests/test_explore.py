@@ -4,9 +4,8 @@ import inspect
 import json
 import logging
 import random
-import sys
 from collections import deque
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from functools import cached_property
 
 import pytest
@@ -25,12 +24,12 @@ from arcroots.explore import (
     explore,
     iter_seeds,
     schur_by_search,
-    seed_digest,
 )
 from arcroots.quiver import ExchangeMatrix, random_acyclic_two_complete
 from arcroots.roots import (
     YSeed,
     initial_seed,
+    inner,
     mutate_seed,
     reflection_to_root,
     root_to_reflection,
@@ -250,10 +249,20 @@ def test_explore_streams_seeds_losslessly():
         }
 
 
-def test_seed_digest_separates_seeds():
+def test_tree_key_separates_seeds_by_one_cvector_entry():
+    key = explore_module._tree_key
+    rng = random.Random(29)
+    for seed in iter_seeds(initial_seed(B3), 3):
+        # an equal (B, C) pair under another path has the same key
+        assert key(seed) == key(replace(seed, path=(2, 1)))
+        assert len(key(seed)) == 2 * 3 * 3
+        a, r = rng.randrange(3), rng.randrange(3)
+        c = [list(v) for v in seed.cvectors]
+        c[a][r] += rng.choice((-1, 1))
+        assert key(replace(seed, cvectors=tuple(map(tuple, c)))) != key(seed)
     s0 = initial_seed(B3)
-    assert seed_digest(s0) != seed_digest(mutate_seed(s0, 1))
-    assert seed_digest(s0) == seed_digest(initial_seed(B3))
+    assert key(s0) != key(mutate_seed(s0, 1))
+    assert key(s0) == key(initial_seed(B3))
 
 
 def test_sep_dichotomy_check_on_known_seeds():
@@ -330,12 +339,86 @@ def test_explore_reports_a_failing_check(monkeypatch, caplog):
     assert "exploration found 1 violations" in caplog.text
 
 
-def test_tree_check_reports_repeated_digests(monkeypatch):
-    # the package re-exports the explore function under the module's name
-    monkeypatch.setattr(sys.modules[explore.__module__], "seed_digest", lambda seed: "c")
-    paths = [s.path for s in iter_seeds(initial_seed(B3), 2)]
+def test_explore_logs_its_rate_and_violations_per_check(monkeypatch, caplog):
+    monkeypatch.setitem(
+        CHECKS, "st", lambda seed: ["st"] if len(seed.path) == 3 else []
+    )
+    with caplog.at_level(logging.DEBUG, logger="arcroots.explore"):
+        explore(B3, 3, checks=("two_complete", "st"))
+    (line,) = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+    assert line.startswith("explore to depth 3: 22 seeds in ")
+    assert "seeds/s); violations per check: {'st': 12}" in line
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="arcroots.explore"):
+        explore(B3, 1)
+    assert caplog.records[-1].getMessage().endswith("violations per check: none")
+
+
+def test_tree_check_reports_repeated_seeds(monkeypatch):
+    # a walk that meets every seed twice, the second time as an equal copy
+    walk = explore_module.iter_seeds
+
+    def twice(root, depth, expand=None):
+        for seed in walk(root, depth, expand):
+            yield seed
+            yield replace(seed)
+
+    monkeypatch.setattr(explore_module, "iter_seeds", twice)
+    paths = [s.path for s in walk(initial_seed(B3), 2)]
     report = explore(B3, 2, checks=("tree",))
-    assert report.violations == tuple((p, "tree") for p in paths[1:])
+    assert report.seeds_visited == 2 * len(paths)
+    assert report.violations == tuple((p, "tree") for p in paths)
+
+
+def _seven_by_inner(seed):
+    """The seven check pair by pair with roots.inner."""
+    m = seed.matrix
+    ok = all(
+        abs(inner(seed.cvectors[i - 1], seed.cvectors[j - 1], seed.gram)) == abs(m.b(i, j))
+        for i in m.vertices()
+        for j in m.vertices()
+        if i < j
+    )
+    return [] if ok else ["seven"]
+
+
+def _corrupted(seed, rng):
+    """Copies of seed with one |b_ij| changed, for each i < j, and with one
+    c-vector entry negated, for each entry."""
+    n = seed.n
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows = [list(row) for row in seed.matrix.rows]
+            weight = abs(rows[i][j])
+            new = weight + rng.choice((-1, 1, 2) if weight else (1, 2))
+            sign = -1 if rows[i][j] < 0 else 1
+            rows[i][j], rows[j][i] = sign * new, -sign * new
+            yield replace(seed, matrix=ExchangeMatrix.from_rows(rows))
+    for a in range(n):
+        for r in range(n):
+            c = [list(v) for v in seed.cvectors]
+            c[a][r] = -c[a][r]
+            yield replace(seed, cvectors=tuple(map(tuple, c)))
+
+
+def test_seven_matches_the_pairing_by_inner():
+    # the seven check reads each pair against the image M c_i; the
+    # pair-by-pair pairing must flag exactly the same seeds
+    rng = random.Random(7411)
+    tally = {"flagged": 0, "clean": 0}
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        seed = initial_seed(random_acyclic_two_complete(n, rng))
+        last = 0
+        for _ in range(rng.randint(0, 6)):
+            last = rng.choice([k for k in seed.matrix.vertices() if k != last])
+            seed = mutate_seed(seed, last)
+        assert CHECKS["seven"](seed) == _seven_by_inner(seed) == []
+        for bad in _corrupted(seed, rng):
+            want = _seven_by_inner(bad)
+            assert CHECKS["seven"](bad) == want, (bad.matrix, bad.cvectors)
+            tally["flagged" if want else "clean"] += 1
+    assert tally["flagged"] > 500 and tally["clean"] > 500
 
 
 def test_schur_by_search_finds_unit_vectors_at_the_root():

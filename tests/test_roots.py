@@ -83,13 +83,19 @@ def test_reflect_is_an_involution_fuzz():
 
 
 def test_root_sign():
-    assert root_sign((0, 2, 1)) is Sign.POSITIVE
-    assert root_sign((-1, 0, 0)) is Sign.NEGATIVE
+    for u, sign in (
+        ((0, 2, 1), Sign.POSITIVE), ((-1, 0, 0), Sign.NEGATIVE),
+        ((5,), Sign.POSITIVE), ((-1,), Sign.NEGATIVE), ((0, -3, 0, -1), Sign.NEGATIVE),
+    ):
+        assert root_sign(u) is sign
     assert positive_form((-2, -1, 0)) == (2, 1, 0)
-    with pytest.raises(SignIncoherent):
-        root_sign((1, -1, 0))
-    with pytest.raises(SignIncoherent):
-        root_sign((0, 0, 0))
+    for u in ((1, -1, 0), (-2, 0, 7), (0, 1, 0, -1)):
+        with pytest.raises(SignIncoherent, match="mixes signs"):
+            root_sign(u)
+    # the empty vector counts as a zero vector
+    for u in ((), (0,), (0, 0, 0)):
+        with pytest.raises(SignIncoherent, match="^the zero vector has no sign$"):
+            root_sign(u)
 
 
 def test_initial_seed():
