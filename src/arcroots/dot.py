@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .errors import CapExceeded, require_int
 from .explore import iter_seeds
-from .roots import Sign, YSeed, root_sign
+from .roots import YSeed, root_sign
 from .words import Reflection, Word
 
 NODE_CAP = 5000
@@ -77,7 +77,7 @@ def cayley_fragment_dot(seed: YSeed, node_cap: int = NODE_CAP) -> str:
     """
     _require_cap(node_cap)
     # midnode per reflection edge; c-vectors of one seed never share an edge
-    marked: dict[tuple[Word, Word], tuple[Reflection, Sign]] = {}
+    marked: dict[tuple[Word, Word], tuple[Reflection, int]] = {}
     vertices: set[Word] = {()}
     edges: set[tuple[Word, Word]] = set()
     for c, r in zip(seed.cvectors, seed.reflections):
@@ -98,7 +98,7 @@ def cayley_fragment_dot(seed: YSeed, node_cap: int = NODE_CAP) -> str:
         r, sign = marked[edge]
         text = _word_label(r.word)
         mid, label = _quoted("r|" + text), _quoted(text)
-        if sign is Sign.POSITIVE:
+        if sign > 0:
             lines.append(f"  {mid} [label={label}, style=filled, fillcolor=green];")
         else:
             lines.append(f"  {mid} [label={label}, color=red];")

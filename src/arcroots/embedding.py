@@ -53,9 +53,6 @@ class EmbeddingWitness:
     sides: tuple[str, ...]
     heights: tuple[tuple[int, tuple[int, ...]], ...]
 
-    def height_map(self) -> dict[int, tuple[int, ...]]:
-        return {ray: order for ray, order in self.heights}
-
     def to_json(self) -> dict:
         return {
             "sides": list(self.sides),
@@ -266,7 +263,7 @@ def witness_is_valid(a: Arc, witness: EmbeddingWitness) -> bool:
     l = len(a.crossings)
     if len(witness.sides) != l or any(s not in ("LR", "RL") for s in witness.sides):
         return False
-    heights = witness.height_map()
+    heights = dict(witness.heights)
     placed = [j for order in heights.values() for j in order]
     if sorted(placed) != list(range(l)):
         return False

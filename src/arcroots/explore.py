@@ -76,13 +76,6 @@ def iter_seeds(
         seed = mutate_seed(*queue.popleft())
 
 
-def _tree_key(seed: YSeed) -> tuple[int, ...]:
-    """The (B, C) pair as one flat tuple: B's rows, then the c-vectors.
-    Seeds of one rank give keys of one length, so within a walk equal
-    keys mean equal pairs, whatever the mutation paths."""
-    return tuple(chain(*seed.matrix.rows, *seed.cvectors))
-
-
 def _two_complete(seed: YSeed) -> list[str]:
     return [] if seed.matrix.is_two_complete() else ["two_complete"]
 
@@ -204,11 +197,13 @@ def explore(
 
     checks are distinct names from ALL_CHECKS, read once from any iterable
     but a bare string.  "tree" confirms that no two tree addresses carry the
-    same (B, C) pair instead of trusting the no-revisit argument: it keeps
-    each seed's exact key, the entries of B's rows followed by those of the
-    c-vectors.  Seeds are streamed to sink, never accumulated; a debug log
-    line gives the seeds visited, the seeds per second and the violations
-    per check.
+    same seed instead of trusting the no-revisit argument: it keeps each
+    seed's c-vector entries as one exact key.  The c-vectors alone are
+    enough, because by tropical duality (Nakanishi-Zelevinsky) they fix the
+    matrix, B_t = C_t^T B_0 C_t; equal pairs (B, C) still give equal keys,
+    and equal c-vectors under two matrices would be reported too.  Seeds
+    are streamed to sink, never accumulated; a debug log line gives the
+    seeds visited, the seeds per second and the violations per check.
     """
     if isinstance(checks, str):
         raise ValueError(f"checks must be a collection of names, not the string {checks!r}")
@@ -220,6 +215,15 @@ def explore(
     if repeated:
         raise ValueError(f"repeated checks: {', '.join(repeated)}")
     keys: set[tuple[int, ...]] = set()
+
+    def tree(seed: YSeed) -> list[str]:
+        key = tuple(chain(*seed.cvectors))
+        if key in keys:
+            return ["tree"]
+        keys.add(key)
+        return []
+
+    run = [tree if name == "tree" else CHECKS[name] for name in checks]
     violations: list[tuple[tuple[int, ...], str]] = []
     visited = 0
     weight = 0
@@ -229,15 +233,9 @@ def explore(
         weight = max(weight, seed.matrix.max_weight())
         if sink is not None:
             sink(seed)
-        for name in checks:
-            if name == "tree":
-                key = _tree_key(seed)
-                if key in keys:
-                    violations.append((seed.path, "tree"))
-                keys.add(key)
-            else:
-                for label in CHECKS[name](seed):
-                    violations.append((seed.path, label))
+        for check in run:
+            for label in check(seed):
+                violations.append((seed.path, label))
     elapsed = perf_counter() - start
     per_check = Counter(label for _, label in violations)
     log.debug(

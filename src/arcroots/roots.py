@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property, cmp_to_key
 
 from .errors import NotAcyclic, NotARealRoot, NotNormalized, SignIncoherent
@@ -93,13 +92,8 @@ def reflect(u: Root, v: Root, gram: GramMatrix) -> Root:
     return tuple(u[i] - coef * v[i] for i in range(gram.n))
 
 
-class Sign(Enum):
-    POSITIVE = 1
-    NEGATIVE = -1
-
-
-def root_sign(u: Root) -> Sign:
-    """Sign of a sign-coherent nonzero vector."""
+def root_sign(u: Root) -> int:
+    """Sign of a sign-coherent nonzero vector: 1 or -1."""
     if not u:
         raise SignIncoherent("the zero vector has no sign")
     # max and min are called without the default keyword, which would
@@ -110,11 +104,11 @@ def root_sign(u: Root) -> Sign:
         raise SignIncoherent(f"{u} mixes signs")
     if not has_pos and not has_neg:
         raise SignIncoherent("the zero vector has no sign")
-    return Sign.POSITIVE if has_pos else Sign.NEGATIVE
+    return 1 if has_pos else -1
 
 
 def positive_form(u: Root) -> Root:
-    return u if root_sign(u) is Sign.POSITIVE else tuple(-x for x in u)
+    return u if root_sign(u) > 0 else tuple(-x for x in u)
 
 
 def unit_vector(n: int, i: Vertex) -> Root:
@@ -171,7 +165,7 @@ class YSeed:
         return tuple(out)
 
     @cached_property
-    def _natural(self) -> tuple[tuple[Vertex, ...], tuple[Sign, ...]]:
+    def _natural(self) -> tuple[tuple[Vertex, ...], tuple[int, ...]]:
         """The natural order and the sign of each of its c-vectors, read in
         one pass and rotated to the first positive root whose cyclic
         predecessor is negative (left unrotated when all signs agree).
@@ -179,8 +173,7 @@ class YSeed:
         arcs around the boundary point."""
         order = natural_order(self.matrix)
         signs = tuple(root_sign(self.cvectors[v - 1]) for v in order)
-        pos = Sign.POSITIVE
-        start = next((i for i, s in enumerate(signs) if s is pos and signs[i - 1] is not pos), 0)
+        start = next((i for i, s in enumerate(signs) if s > 0 and signs[i - 1] < 0), 0)
         return order[start:] + order[:start], signs[start:] + signs[:start]
 
     @cached_property
@@ -219,7 +212,7 @@ def mutate_seed(seed: YSeed, k: Vertex) -> YSeed:
     """
     matrix = seed.matrix.mutate(k)  # validates k before c_k is read
     ck = seed.cvectors[k - 1]
-    positive = root_sign(ck) is Sign.POSITIVE
+    positive = root_sign(ck) > 0
     v = ck if positive else tuple(-x for x in ck)
     mv = [sum(map(operator.mul, row, v)) for row in seed.gram.rows]
     vv = sum(map(operator.mul, v, mv))
@@ -334,8 +327,8 @@ def speyer_thomas_check(
     if len(roots) != n or len(reflections) != n or any(len(u) != n for u in roots):
         raise ValueError(f"expected {n} roots of length {n} and {n} reflections")
     signs = [root_sign(u) for u in roots]
-    positives = [i for i in range(n) if signs[i] is Sign.POSITIVE]
-    negatives = [i for i in range(n) if signs[i] is Sign.NEGATIVE]
+    positives = [i for i in range(n) if signs[i] > 0]
+    negatives = [i for i in range(n) if signs[i] < 0]
     m = gram.rows
     for group in (positives, negatives):
         for a in range(len(group) - 1):
@@ -358,5 +351,5 @@ def sign_run_count(seed: YSeed) -> int:
     """Number of maximal constant-sign runs of the natural-order c-vectors,
     read cyclically; rotating the order leaves the count unchanged."""
     _, signs = seed._natural
-    changes = sum(1 for i in range(len(signs)) if signs[i - 1] is not signs[i])
+    changes = sum(1 for i in range(len(signs)) if signs[i - 1] != signs[i])
     return max(changes, 1)

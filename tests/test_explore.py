@@ -211,7 +211,7 @@ def test_explore_rejects_a_bare_string():
 
 @pytest.mark.parametrize("checks", [("tree", "tree"), ("st", "seven", "st", "seven", "st")])
 def test_explore_rejects_a_repeated_check(checks):
-    # a second "tree" pass would find the digest the first just added
+    # a second "tree" pass would find the key the first just added
     with pytest.raises(ValueError, match=f"repeated checks: {', '.join(sorted(set(checks)))}$"):
         explore(B3, 2, checks=checks)
 
@@ -249,20 +249,27 @@ def test_explore_streams_seeds_losslessly():
         }
 
 
-def test_tree_key_separates_seeds_by_one_cvector_entry():
-    key = explore_module._tree_key
+def _tree_violations(seeds, monkeypatch):
+    """The tree check's report on a walk that yields exactly seeds."""
+    monkeypatch.setattr(explore_module, "iter_seeds", lambda root, depth, expand=None: iter(seeds))
+    return explore(B3, 0, checks=("tree",)).violations
+
+
+def test_tree_key_separates_seeds_by_one_cvector_entry(monkeypatch):
+    # the key is the c-vectors alone: one changed entry makes a new key,
+    # while another path or another B over the same c-vectors does not
     rng = random.Random(29)
     for seed in iter_seeds(initial_seed(B3), 3):
-        # an equal (B, C) pair under another path has the same key
-        assert key(seed) == key(replace(seed, path=(2, 1)))
-        assert len(key(seed)) == 2 * 3 * 3
         a, r = rng.randrange(3), rng.randrange(3)
         c = [list(v) for v in seed.cvectors]
         c[a][r] += rng.choice((-1, 1))
-        assert key(replace(seed, cvectors=tuple(map(tuple, c)))) != key(seed)
+        changed = replace(seed, cvectors=tuple(map(tuple, c)), path=(9,))
+        assert _tree_violations([seed, changed], monkeypatch) == ()
+        moved = replace(seed, path=(2, 1))
+        assert _tree_violations([seed, moved], monkeypatch) == (((2, 1), "tree"),)
     s0 = initial_seed(B3)
-    assert key(s0) != key(mutate_seed(s0, 1))
-    assert key(s0) == key(initial_seed(B3))
+    assert _tree_violations([s0, mutate_seed(s0, 1)], monkeypatch) == ()
+    assert _tree_violations([s0, initial_seed(W3)], monkeypatch) == (((), "tree"),)
 
 
 def test_sep_dichotomy_check_on_known_seeds():
@@ -362,6 +369,27 @@ def test_tree_check_reports_repeated_seeds(monkeypatch):
         for seed in walk(root, depth, expand):
             yield seed
             yield replace(seed)
+
+    monkeypatch.setattr(explore_module, "iter_seeds", twice)
+    paths = [s.path for s in walk(initial_seed(B3), 2)]
+    report = explore(B3, 2, checks=("tree",))
+    assert report.seeds_visited == 2 * len(paths)
+    assert report.violations == tuple((p, "tree") for p in paths)
+
+
+def test_tree_check_reports_equal_cvectors_under_another_matrix(monkeypatch):
+    # a walk that meets every seed twice, the second time with its own
+    # c-vectors over another skew-symmetric B (its own mutated at 1, which
+    # negates row 1's nonzero entries); tropical duality says a true
+    # exchange tree never does this, and the check must report every copy
+    walk = explore_module.iter_seeds
+
+    def twice(root, depth, expand=None):
+        for seed in walk(root, depth, expand):
+            yield seed
+            other = replace(seed, matrix=seed.matrix.mutate(1))
+            assert other.matrix != seed.matrix
+            yield other
 
     monkeypatch.setattr(explore_module, "iter_seeds", twice)
     paths = [s.path for s in walk(initial_seed(B3), 2)]

@@ -61,7 +61,7 @@ def test_all_is_exactly_the_reexported_names():
     ]
     assert len(arcroots.__all__) == len(set(arcroots.__all__))
     assert set(arcroots.__all__) == set(imported)
-    assert len(imported) == len(set(imported)) == 54
+    assert len(imported) == len(set(imported)) == 53
 
 
 def bare_constructions(source: str) -> list[int]:
