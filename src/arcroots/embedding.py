@@ -21,7 +21,9 @@ point copies the label of the gap it lands in, a placed chord splits
 one face by relabelling that face's gaps on its side with fewer
 indices, and an undo stack restores the labels on a take-back.  Every
 chord, the last one to the endpoint puncture included, is then one
-label comparison.
+label comparison.  The search runs as one flat loop: each level of its
+stack is an integer cursor into the level's options, and a count of
+points per ray gives every puncture's index without a walk.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from math import factorial
 from typing import Iterator, Mapping, Sequence
 
 from .arcs import Arc
-from .errors import CapExceeded
+from .errors import CapExceeded, require_int
 
 log = logging.getLogger(__name__)
 
@@ -119,10 +121,13 @@ def probe_embedding(a: Arc, cap: int | None = None) -> EmbeddingReport:
     is then clear exactly when its slot's gap carries the entering
     point's label, and the last chord, from the last exit point to the
     endpoint puncture, when those two points' gaps carry the same label.
+    Each stack level keeps an integer cursor into its options, and a
+    count of points per ray gives each puncture's index.
 
     Uncapped unless cap is given; then more than cap crossings raise
-    CapExceeded.  The parameter stays only because the benchmark passes
-    it; it goes when the benchmark stops doing so.
+    CapExceeded, and a cap that is not an int at least 0 (a bool, 0.5,
+    "3") raises ValueError.  The parameter stays only because the
+    benchmark passes it; it goes when the benchmark stops doing so.
 
     The number of placements is measured, not bounded: at most 26, 140
     and 406 over all rank-3 arcs of 4, 8 and 12 crossings, 141,444 for
@@ -132,51 +137,87 @@ def probe_embedding(a: Arc, cap: int | None = None) -> EmbeddingReport:
     because a take-back can undo a split that is then redone: those two
     arcs took 827 and 3,402 splits, scanning 82,675 and 1,287,349 gaps
     and relabelling 1,703 and 6,817.  The debug log line gives both
-    totals for every call.
+    totals for every call.  They take about 0.01 s and 0.11 s of CPU
+    with CPython 3.11 on an x86_64 host.
     """
-    l = len(a.crossings)
+    crossings = a.crossings
+    l = len(crossings)
+    if cap is not None and require_int(cap, "cap") < 0:
+        raise ValueError(f"cap {cap} must be >= 0")
     if cap is not None and l > cap:
         raise CapExceeded(f"{l} crossings exceed the cap {cap}")
     space = _space_size(a)
     if l == 0:
         return EmbeddingReport(True, EmbeddingWitness((), ()), 0, space)
-    n = max(a.endpoint, max(a.crossings))
+    n = max(a.endpoint, max(crossings))
 
     sides: list[str] = []
-    heights: dict[int, list[int]] = {s: [] for s in set(a.crossings)}
+    heights: dict[int, list[int]] = {s: [] for s in set(crossings)}
+    # count[s] is the number of points on ray s; ray s's puncture comes
+    # after b, each higher ray's points and puncture, and s's right side,
+    # so its index is 1 + n - s + 2 * sum(count[s + 1:]) + count[s]
+    count = [0] * (n + 1)
     # labels[i] is the face of the gap just after boundary point i; with
     # no crossing placed the points are b and the punctures, in one face
     labels = [0] * (n + 1)
     undo: list[tuple[int, int, list[int], int]] = []
     branches = scanned = relabelled = fresh = 0
 
-    def puncture(s: int) -> int:
-        """The index of ray s's puncture: b, each higher ray's points and
-        puncture, then the right side of ray s come first."""
-        above = sum(len(order) for t, order in heights.items() if t > s)
-        return 1 + n - s + 2 * above + len(heights.get(s, ()))
+    def take_back(j: int) -> None:
+        r, left, moved, face = undo.pop()
+        for i in moved:
+            labels[i] = face
+        del labels[left], labels[r]
+        s = crossings[j]
+        heights[s].remove(j)
+        count[s] -= 1
+        sides.pop()
 
-    def level(j: int, e: int):
-        """Crossing j's options, its ray's puncture index, and the index
-        e of the point where the curve enters the boundary before it."""
-        s = a.crossings[j]
-        return product(("LR", "RL"), range(len(heights[s]) + 1)), puncture(s), e
+    # Depth first with an explicit stack, one level per placed crossing,
+    # so no arc is too long for the interpreter's recursion limit.  Each
+    # level is [next option, puncture index p, entering point e, height
+    # count h].  Options run through sides, then insertion heights bottom
+    # first: option pos <= h is "LR" at height pos, its entry just after
+    # point p + pos; any other is "RL" at height pos - h - 1, its entry
+    # just after point p + h - pos.
+    s = crossings[0]
+    stack = [[0, 1 + n - s, 0, 0]]
+    witness = None
+    while stack:
+        j = len(stack) - 1
+        cursor = stack[j]
+        start, p, e, h = cursor
+        face = labels[e]
+        for pos in range(start, 2 * h + 2):
+            if labels[p + pos if pos <= h else p + h - pos] == face:
+                break
+        else:
+            # every option at level j failed: take back crossing j - 1
+            branches += 2 * h + 2 - start
+            stack.pop()
+            if j:
+                take_back(j - 1)
+            continue
+        branches += pos + 1 - start
+        cursor[0] = pos + 1
 
-    def place(j: int, side: str, at: int, p: int, e: int) -> int:
-        """Insert crossing j's points at height at and split the face of
-        e along the chord to its entry; return the index of its exit."""
-        nonlocal scanned, relabelled, fresh
-        sides.append(side)
-        heights[a.crossings[j]].insert(at, j)
-        # the right point goes before the puncture, shifting it by one,
-        # then the left point after it; e shifts past each one before it
+        # insert crossing j's points and split the face of e along the
+        # chord to its entry; the right point goes before the puncture,
+        # shifting it by one, then the left point after it, and e shifts
+        # past each one before it
+        lr = pos <= h
+        at = pos if lr else pos - h - 1
+        s = crossings[j]
+        sides.append("LR" if lr else "RL")
+        heights[s].insert(at, j)
+        count[s] += 1
         r, left = p - at, p + at + 2
         labels.insert(r, labels[r - 1])
         labels.insert(left, labels[left - 1])
         e += e >= r
         e += e >= left
-        face = labels[e]
-        lo, hi = sorted((e, left if side == "LR" else r))
+        entry, x = (left, r) if lr else (r, left)
+        lo, hi = (e, entry) if e < entry else (entry, e)
         if 2 * (hi - lo) <= len(labels):
             gaps = range(lo, hi)
         else:
@@ -188,47 +229,19 @@ def probe_embedding(a: Arc, cap: int | None = None) -> EmbeddingReport:
         undo.append((r, left, moved, face))
         scanned += len(gaps)
         relabelled += len(moved)
-        return r if side == "LR" else left
 
-    def take_back(j: int) -> None:
-        r, left, moved, face = undo.pop()
-        for i in moved:
-            labels[i] = face
-        del labels[left], labels[r]
-        heights[a.crossings[j]].remove(j)
-        sides.pop()
-
-    # Depth first with an explicit stack, one level per placed crossing,
-    # so no arc is too long for the interpreter's recursion limit.  A
-    # level's options run through sides, then insertion heights bottom
-    # first.  Inserting at height `at` puts the entry of "LR" just after
-    # point p + at and the entry of "RL" just after point p - at - 1.
-    stack = [level(0, 0)]
-    witness = None
-    while stack and witness is None:
-        j = len(stack) - 1
-        options, p, e = stack[-1]
-        face = labels[e]
-        for side, at in options:
-            branches += 1
-            if labels[p + at if side == "LR" else p - at - 1] != face:
-                continue
-            x = place(j, side, at, p, e)
-            if j + 1 < l:
-                stack.append(level(j + 1, x))
-                break
-            if labels[x] == labels[puncture(a.endpoint)]:
-                witness = EmbeddingWitness(
-                    tuple(sides),
-                    tuple(sorted((s, tuple(o)) for s, o in heights.items())),
-                )
-                break
-            take_back(j)
-        else:
-            # every option at level j failed: take back crossing j - 1
-            stack.pop()
-            if j:
-                take_back(j - 1)
+        if j + 1 < l:
+            s = crossings[j + 1]
+            stack.append([0, 1 + n - s + 2 * sum(count[s + 1 :]) + count[s], x, count[s]])
+            continue
+        t = a.endpoint
+        if labels[x] == labels[1 + n - t + 2 * sum(count[t + 1 :]) + count[t]]:
+            witness = EmbeddingWitness(
+                tuple(sides),
+                tuple(sorted((s, tuple(o)) for s, o in heights.items())),
+            )
+            break
+        take_back(j)
 
     log.debug(
         "%s for %s: search tree of %d placements, leaf space %d;"
@@ -258,10 +271,14 @@ def witness_is_valid(a: Arc, witness: EmbeddingWitness) -> bool:
 
     The chords of a witnessed embedding must open and close like
     balanced brackets along the circle; this re-derives the verdict
-    without the face labels the search keeps.
+    without the face labels the search keeps.  A witness that names a
+    ray twice, or a ray the arc never crosses, is malformed.
     """
     l = len(a.crossings)
     if len(witness.sides) != l or any(s not in ("LR", "RL") for s in witness.sides):
+        return False
+    rays = [ray for ray, _ in witness.heights]
+    if len(set(rays)) != len(rays) or not set(rays) <= set(a.crossings):
         return False
     heights = dict(witness.heights)
     placed = [j for order in heights.values() for j in order]

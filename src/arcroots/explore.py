@@ -120,7 +120,11 @@ def _sign_coherence(seed: YSeed) -> list[str]:
 
 
 def _st(seed: YSeed) -> list[str]:
-    ok = speyer_thomas_check(seed.cvectors, seed.reflections, seed.gram)
+    # the verdict does not depend on the input order; the natural order
+    # puts the positives first in the one order the check accepts, so a
+    # passing seed needs no Euler-order sort
+    cvecs = tuple(seed.cvectors[v - 1] for v in seed._natural[0])
+    ok = speyer_thomas_check(cvecs, seed.natural_fan, seed.gram)
     return [] if ok else ["st"]
 
 

@@ -108,6 +108,13 @@ def test_cap():
     with pytest.raises(CapExceeded):
         probe_embedding(Arc((1, 2, 1), 3), cap=2)
     assert probe_embedding(Arc((1, 2, 1), 3), cap=3)
+    # the cap is an int at least 0, never coerced
+    for bad in ("3", 0.5, 3.0, True):
+        with pytest.raises(ValueError, match="cap"):
+            probe_embedding(Arc((1, 2, 1), 3), cap=bad)
+    with pytest.raises(ValueError, match="cap -1 must be >= 0"):
+        probe_embedding(Arc((1, 2, 1), 3), cap=-1)
+    assert probe_embedding(Arc((), 2), cap=0).embeddable
 
 
 def test_every_b3_schur_root_arc_embeds_uncapped():
@@ -198,6 +205,22 @@ def _probe_by_clearing(a):
     return EmbeddingReport(witness is not None, witness, branches, space)
 
 
+def schur_root_arcs():
+    """The benchmark's shape: the arc of every distinct positive c-vector
+    of B3 to depth 8 (all embeddable, up to 35 crossings), each followed
+    by a random rank-3 arc of the same length (mostly pruned early)."""
+    b3 = ExchangeMatrix(((0, 2, 2), (-2, 0, 2), (-2, -2, 0)))
+    schur = {}
+    for seed in iter_seeds(initial_seed(b3), 8):
+        for c, r in zip(seed.cvectors, seed.reflections):
+            schur.setdefault(positive_form(c), reflection_to_arc(r))
+    rng = random.Random(1)
+    for a in schur.values():
+        length = len(a.crossings)
+        yield a
+        yield from random_arcs(rng, 1, (3,), length, length)
+
+
 @pytest.mark.parametrize(
     "arcs,count,embeddable",
     [
@@ -207,10 +230,12 @@ def _probe_by_clearing(a):
         # none embeds, so each search exhausts its tree and takes back
         # every crossing it places
         (lambda: random_arcs(random.Random(22), 3600, (3, 4, 5), 40, 26), 3600, 0),
+        # 629 embeddable arcs of up to 35 crossings and 64 random ones
+        (schur_root_arcs, 1258, 629 + 64),
     ],
     ids=[
         "rank-3-to-6-crossings", "rank-4-to-4-crossings", "random-rank-2-to-5",
-        "random-long-negatives",
+        "random-long-negatives", "b3-schur-roots-and-random",
     ],
 )
 def test_face_walk_matches_clearing_each_placement(arcs, count, embeddable):
@@ -294,6 +319,12 @@ def test_rechecker_rejects_malformed_witnesses():
     assert not witness_is_valid(a, EmbeddingWitness(("LR",), ()))
     assert not witness_is_valid(a, EmbeddingWitness(("LR",), ((1, (0,)),)))
     assert not witness_is_valid(a, EmbeddingWitness(("XX",), ((2, (0,)),)))
+    # a ray named twice, or a ray the arc never crosses
+    assert not witness_is_valid(a, EmbeddingWitness(("LR",), ((2, (0,)), (2, (0,)))))
+    assert not witness_is_valid(a, EmbeddingWitness(("LR",), ((2, (0,)), (2, ()))))
+    assert not witness_is_valid(a, EmbeddingWitness(("LR",), ((1, ()), (2, (0,)))))
+    assert not witness_is_valid(a, EmbeddingWitness(("LR",), ((2, (0,)), (3, ()))))
+    assert witness_is_valid(a, EmbeddingWitness(("LR",), ((2, (0,)),)))
 
 
 @given(small_arcs())

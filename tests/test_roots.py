@@ -597,3 +597,23 @@ def test_mutate_seed_checks_the_unit_root():
 def test_yseed_rejects_short_cvectors():
     with pytest.raises(ValueError):
         YSeed(B3, ((1, 0, 0), (0, 1), (0, 0, 1)), GRAM3, ())
+
+
+def test_speyer_thomas_verdict_ignores_the_input_order():
+    # a valid positives-first order is unique and the Euler sort finds it
+    # from any start, so the st check may hand over the natural order:
+    # permuting the roots with their reflections never changes the
+    # verdict, on seeds (which pass) or on corrupted tuples (which mostly
+    # fail)
+    rng = random.Random(2026)
+    verdicts = {True: 0, False: 0}
+    for family, roots, refls, gram in _ordering_inputs(random.Random(2013)):
+        want = speyer_thomas_check(roots, refls, gram)
+        for _ in range(3):
+            perm = rng.sample(range(len(roots)), len(roots))
+            got = speyer_thomas_check(
+                tuple(roots[i] for i in perm), tuple(refls[i] for i in perm), gram
+            )
+            assert got == want, (family, roots, perm)
+        verdicts[want] += 1
+    assert verdicts[True] > 600 and verdicts[False] > 600, verdicts
