@@ -6,10 +6,11 @@ Seeds come out breadth first with children in ascending direction order,
 which makes runs reproducible and lets the Schur search return shortest
 mutation paths.
 
-Verification is a registry of named per-seed checks, each an exact
-integer statement read from the seed alone; a failure is reported as a
-(path, name) violation rather than raised, so one corrupt region cannot
-hide later ones.
+Verification is a registry of named per-seed checks, each a predicate:
+an exact integer statement read from the seed alone.  A check that
+returns false, or raises an ArcrootsError on a seed it cannot read, is
+reported as a (path, name) violation rather than raised, so one corrupt
+region cannot hide later ones.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, Iterable, Iterator
 
 from .arcs import Arc, arc_to_reflection, tuple_product, tuple_verdict
 from .embedding import probe_embedding
-from .errors import DepthExhausted, NotEmbeddable, SignIncoherent, require_int
+from .errors import ArcrootsError, DepthExhausted, NotEmbeddable, require_int
 from .quiver import ExchangeMatrix, decreasing_directions
 from .roots import (
     Root,
@@ -76,29 +77,27 @@ def iter_seeds(
         seed = mutate_seed(*queue.popleft())
 
 
-def _two_complete(seed: YSeed) -> list[str]:
-    return [] if seed.matrix.is_two_complete() else ["two_complete"]
+def _two_complete(seed: YSeed) -> bool:
+    return seed.matrix.is_two_complete()
 
 
-def _weight_monotone(seed: YSeed) -> list[str]:
+def _weight_monotone(seed: YSeed) -> bool:
     # the pairing, the initial matrix's Cartan companion, holds -|b0_ij|
     m, gram = seed.matrix, seed.gram.rows
-    ok = all(
+    return all(
         abs(m.b(i, j)) >= -gram[i - 1][j - 1]
         for i in m.vertices()
         for j in m.vertices()
         if i < j
     )
-    return [] if ok else ["weight_monotone"]
 
 
-def _decreasing_unique(seed: YSeed) -> list[str]:
+def _decreasing_unique(seed: YSeed) -> bool:
     want = 0 if seed.matrix.is_acyclic() else 1
-    ok = len(decreasing_directions(seed.matrix)) == want
-    return [] if ok else ["decreasing_unique"]
+    return len(decreasing_directions(seed.matrix)) == want
 
 
-def _seven(seed: YSeed) -> list[str]:
+def _seven(seed: YSeed) -> bool:
     # |<c_i, c_j>| = |b_ij| for i < j, each pairing the dot product of c_j
     # with the image M c_i, formed once per c_i (roots.inner is the oracle)
     cvecs, gram = seed.cvectors, seed.gram.rows
@@ -106,67 +105,55 @@ def _seven(seed: YSeed) -> list[str]:
         image = [sum(map(operator.mul, row, cvecs[i])) for row in gram]
         for j in range(i + 1, len(cvecs)):
             if abs(sum(map(operator.mul, cvecs[j], image))) != abs(brow[j]):
-                return ["seven"]
-    return []
+                return False
+    return True
 
 
-def _sign_coherence(seed: YSeed) -> list[str]:
-    try:
-        for c in seed.cvectors:
-            root_sign(c)
-    except SignIncoherent:
-        return ["sign_coherence"]
-    return []
+def _sign_coherence(seed: YSeed) -> bool:
+    # root_sign returns 1 or -1, and raises SignIncoherent on a vector
+    # with no sign
+    return all(root_sign(c) for c in seed.cvectors)
 
 
-def _st(seed: YSeed) -> list[str]:
+def _st(seed: YSeed) -> bool:
     # the verdict does not depend on the input order; the natural order
     # puts the positives first in the one order the check accepts, so a
     # passing seed needs no Euler-order sort
     cvecs = tuple(seed.cvectors[v - 1] for v in seed._natural[0])
-    ok = speyer_thomas_check(cvecs, seed.natural_fan, seed.gram)
-    return [] if ok else ["st"]
+    return speyer_thomas_check(cvecs, seed.natural_fan, seed.gram)
 
 
-def _coxeter_product(seed: YSeed) -> list[str]:
+def _coxeter_product(seed: YSeed) -> bool:
     # the paper proves that the natural fan, rotated to the first positive
     # root, always multiplies to s_1 s_2 .. s_n, so no other rotation is tried
-    ok = tuple_product(seed.natural_fan) == tuple(range(1, seed.n + 1))
-    return [] if ok else ["coxeter_product"]
+    return tuple_product(seed.natural_fan) == tuple(range(1, seed.n + 1))
 
 
-def _sign_runs(seed: YSeed) -> list[str]:
-    return [] if sign_run_count(seed) <= 2 else ["sign_runs"]
+def _sign_runs(seed: YSeed) -> bool:
+    return sign_run_count(seed) <= 2
 
 
-def _bad_pairs(seed: YSeed) -> list[str]:
-    verdict = tuple_verdict(seed.natural_fan, seed.gram)
-    out = []
-    if verdict.bad_pair_count > 1:
-        out.append("bad_pairs")
-    if not verdict.is_yseed:
-        out.append("tuple_yseed")
-    return out
+def _bad_pairs(seed: YSeed) -> bool:
+    # at most one bad pair in the natural fan, and the ordering criterion
+    # on the roots its sign rule gives: the paper's Y-seed characterization
+    return tuple_verdict(seed.natural_fan, seed.gram).is_yseed
 
 
-def _sep_dichotomy(seed: YSeed) -> list[str]:
+def _sep_dichotomy(seed: YSeed) -> bool:
     # acyclic seeds have no separating node; non-acyclic ones have exactly
     # one, at the position of the unique decreasing direction
     seps = separating_nodes(seed.reflections)
     if seed.matrix.is_acyclic():
-        return [] if not seps else ["sep_dichotomy"]
+        return not seps
     dec = decreasing_directions(seed.matrix)
-    ok = len(dec) == 1 and seps == {dec[0] - 1}
-    return [] if ok else ["sep_dichotomy"]
+    return len(dec) == 1 and seps == {dec[0] - 1}
 
 
-def _one_star(seed: YSeed) -> list[str]:
-    if not seed.matrix.is_acyclic():
-        return []
-    return [] if in_one_star(seed.reflections) else ["one_star"]
+def _one_star(seed: YSeed) -> bool:
+    return not seed.matrix.is_acyclic() or in_one_star(seed.reflections)
 
 
-CHECKS: dict[str, Callable[[YSeed], list[str]]] = {
+CHECKS: dict[str, Callable[[YSeed], bool]] = {
     "two_complete": _two_complete,
     "weight_monotone": _weight_monotone,
     "decreasing_unique": _decreasing_unique,
@@ -205,13 +192,18 @@ def explore(
     seed's c-vector entries as one exact key.  The c-vectors alone are
     enough, because by tropical duality (Nakanishi-Zelevinsky) they fix the
     matrix, B_t = C_t^T B_0 C_t; equal pairs (B, C) still give equal keys,
-    and equal c-vectors under two matrices would be reported too.  Seeds
-    are streamed to sink, never accumulated; a debug log line gives the
-    seeds visited, the seeds per second and the violations per check.
+    and equal c-vectors under two matrices would be reported too.  A check
+    that returns false, or raises an ArcrootsError (logged at debug level),
+    adds (path, name) to the violations; any other exception propagates.
+    Seeds are streamed to sink, never accumulated; a debug log line gives
+    the seeds visited, the seeds per second and the violations per check.
     """
     if isinstance(checks, str):
         raise ValueError(f"checks must be a collection of names, not the string {checks!r}")
     checks = tuple(checks)
+    for name in checks:
+        if not isinstance(name, str):
+            raise ValueError(f"check name {name!r} is not a string")
     unknown = sorted(set(checks) - set(ALL_CHECKS))
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(unknown)}")
@@ -220,14 +212,14 @@ def explore(
         raise ValueError(f"repeated checks: {', '.join(repeated)}")
     keys: set[tuple[int, ...]] = set()
 
-    def tree(seed: YSeed) -> list[str]:
+    def tree(seed: YSeed) -> bool:
         key = tuple(chain(*seed.cvectors))
         if key in keys:
-            return ["tree"]
+            return False
         keys.add(key)
-        return []
+        return True
 
-    run = [tree if name == "tree" else CHECKS[name] for name in checks]
+    run = [(name, tree if name == "tree" else CHECKS[name]) for name in checks]
     violations: list[tuple[tuple[int, ...], str]] = []
     visited = 0
     weight = 0
@@ -237,9 +229,14 @@ def explore(
         weight = max(weight, seed.matrix.max_weight())
         if sink is not None:
             sink(seed)
-        for check in run:
-            for label in check(seed):
-                violations.append((seed.path, label))
+        for name, check in run:
+            try:
+                ok = check(seed)
+            except ArcrootsError as exc:
+                log.debug("check %s raised on the seed at %s: %s", name, seed.path, exc)
+                ok = False
+            if not ok:
+                violations.append((seed.path, name))
     elapsed = perf_counter() - start
     per_check = Counter(label for _, label in violations)
     log.debug(

@@ -196,9 +196,10 @@ def _factorizations(w, k, refls):
     ids=["b3", "weighted-rank-4"],
 )
 def test_every_passing_tuple_is_a_seed_fan(rows, max_length, counts):
-    # the converse of the explore check bad_pairs/tuple_yseed: a
-    # factorization of c into short reflections passes tuple_verdict
-    # exactly when it is the natural fan of some seed
+    # the converse of the explore check bad_pairs, which asks every
+    # seed's natural fan for is_yseed: a factorization of c into short
+    # reflections passes tuple_verdict exactly when it is the natural fan
+    # of some seed
     matrix = ExchangeMatrix.from_rows(rows)
     n, gram = matrix.n, cartan_companion(matrix)
     refls = _reflections_up_to(n, max_length)

@@ -1,9 +1,11 @@
+import contextlib
 import hashlib
 import importlib
 import inspect
 import json
 import logging
 import random
+import re
 from collections import deque
 from dataclasses import asdict, fields, replace
 from functools import cached_property
@@ -14,7 +16,7 @@ from arcroots import roots
 from arcroots.arcs import Arc, TupleVerdict, reflection_to_arc
 from arcroots.cli import main, seed_json
 from arcroots.dot import exchange_tree_dot
-from arcroots.errors import CapExceeded, DepthExhausted, NotEmbeddable
+from arcroots.errors import ArcrootsError, CapExceeded, DepthExhausted, NotEmbeddable
 from arcroots.explore import (
     ALL_CHECKS,
     CHECKS,
@@ -196,11 +198,18 @@ def test_explore_unknown_check():
 
 def test_explore_reads_checks_from_an_iterator(monkeypatch):
     # the unknown-name test must not use up a generator before the walk
-    monkeypatch.setitem(CHECKS, "st", lambda seed: ["st"] if seed.path else [])
+    monkeypatch.setitem(CHECKS, "st", lambda seed: not seed.path)
     from_tuple = explore(B3, 1, checks=("st",))
     assert len(from_tuple.violations) == 3
     assert explore(B3, 1, checks=(name for name in ["st"])) == from_tuple
     assert explore(B3, 1, checks=iter(["st"])) == from_tuple
+
+
+@pytest.mark.parametrize("name", [5, ["st"]], ids=repr)
+def test_explore_rejects_a_check_name_that_is_not_a_string(name):
+    # unchecked, 5 reaches str.join and a list the set of names: a TypeError each
+    with pytest.raises(ValueError, match=rf"^check name {re.escape(repr(name))} is not a string$"):
+        explore(B3, 1, checks=["two_complete", name])
 
 
 def test_explore_rejects_a_bare_string():
@@ -249,10 +258,10 @@ def test_explore_streams_seeds_losslessly():
         }
 
 
-def _tree_violations(seeds, monkeypatch):
-    """The tree check's report on a walk that yields exactly seeds."""
+def _walk_violations(seeds, monkeypatch, checks=("tree",)):
+    """explore's violations on a walk that yields exactly seeds."""
     monkeypatch.setattr(explore_module, "iter_seeds", lambda root, depth, expand=None: iter(seeds))
-    return explore(B3, 0, checks=("tree",)).violations
+    return explore(B3, 0, checks=checks).violations
 
 
 def test_tree_key_separates_seeds_by_one_cvector_entry(monkeypatch):
@@ -264,22 +273,22 @@ def test_tree_key_separates_seeds_by_one_cvector_entry(monkeypatch):
         c = [list(v) for v in seed.cvectors]
         c[a][r] += rng.choice((-1, 1))
         changed = replace(seed, cvectors=tuple(map(tuple, c)), path=(9,))
-        assert _tree_violations([seed, changed], monkeypatch) == ()
+        assert _walk_violations([seed, changed], monkeypatch) == ()
         moved = replace(seed, path=(2, 1))
-        assert _tree_violations([seed, moved], monkeypatch) == (((2, 1), "tree"),)
+        assert _walk_violations([seed, moved], monkeypatch) == (((2, 1), "tree"),)
     s0 = initial_seed(B3)
-    assert _tree_violations([s0, mutate_seed(s0, 1)], monkeypatch) == ()
-    assert _tree_violations([s0, initial_seed(W3)], monkeypatch) == (((), "tree"),)
+    assert _walk_violations([s0, mutate_seed(s0, 1)], monkeypatch) == ()
+    assert _walk_violations([s0, initial_seed(W3)], monkeypatch) == (((), "tree"),)
 
 
 def test_sep_dichotomy_check_on_known_seeds():
     check = CHECKS["sep_dichotomy"]
-    assert check(initial_seed(B3)) == []
-    assert check(mutate_seed(initial_seed(B3), 2)) == []
+    assert check(initial_seed(B3)) is True
+    assert check(mutate_seed(initial_seed(B3), 2)) is True
 
 
 def test_one_star_check_on_acyclic_seed():
-    assert CHECKS["one_star"](initial_seed(B3)) == []
+    assert CHECKS["one_star"](initial_seed(B3)) is True
 
 
 W3 = ExchangeMatrix(((0, 3, 3), (-3, 0, 3), (-3, -3, 0)))
@@ -290,32 +299,34 @@ E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 R1, R121, R12321 = (
     reflection_to_root(canonical_reflection(w), GRAM3) for w in ((1,), (1, 2, 1), (1, 2, 3, 2, 1))
 )
+# a first c-vector that mixes signs, and the cyclic Markov quiver; most
+# checks cannot read either seed and raise an ArcrootsError
+INCOHERENT = YSeed(B3, ((1, -1, 0), E2, E3), GRAM3, ())
+MARKOV = YSeed(ExchangeMatrix(((0, 2, -2), (-2, 0, 2), (2, -2, 0))), (E1, E2, E3), GRAM3, ())
 
 
-# (check, hand-built seed, a matrix whose initial seed passes, labels the
-# check must return); every c-vector is a real root, except the one
-# sign_coherence must catch
-VIOLATIONS = [
-    ("two_complete", YSeed(ExchangeMatrix(((0, 1, 2), (-1, 0, 2), (-2, -2, 0))),
-                           (E1, E2, E3), GRAM3, ()), B3, ["two_complete"]),
+# a case names its check (the first word) and holds a hand-built seed the
+# check fails on and a matrix whose initial seed passes it; every c-vector
+# is a real root, except the one sign_coherence must catch
+VIOLATIONS = {
+    "two_complete": (YSeed(ExchangeMatrix(((0, 1, 2), (-1, 0, 2), (-2, -2, 0))),
+                           (E1, E2, E3), GRAM3, ()), B3),
     # B3's weights under W3's pairing: every weight fell below the initial one
-    ("weight_monotone", YSeed(B3, (E1, E2, E3), initial_seed(W3).gram, ()), W3,
-     ["weight_monotone"]),
+    "weight_monotone": (YSeed(B3, (E1, E2, E3), initial_seed(W3).gram, ()), W3),
     # the Markov quiver: not acyclic, and no direction decreases a weight
-    ("decreasing_unique", YSeed(ExchangeMatrix(((0, 2, -2), (-2, 0, 2), (2, -2, 0))),
-                                (E1, E2, E3), GRAM3, ()), B3, ["decreasing_unique"]),
-    ("seven", YSeed(W3, (E1, E2, E3), GRAM3, ()), B3, ["seven"]),
-    ("sign_coherence", YSeed(B3, ((1, -1, 0), E2, E3), GRAM3, ()), B3, ["sign_coherence"]),
-    ("st", YSeed(B3, (R1, R121, E3), GRAM3, ()), B3, ["st"]),
-    ("coxeter_product", YSeed(B3, (E2, E1, E3), GRAM3, ()), B3, ["coxeter_product"]),
-    ("sign_runs", YSeed(B4, ((1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1)),
-                        initial_seed(B4).gram, ()), B4, ["sign_runs"]),
-    ("bad_pairs", YSeed(B3, (R1, R121, R12321), GRAM3, ()), B3, ["bad_pairs", "tuple_yseed"]),
-    # one bad pair, but the ordering check fails
-    ("bad_pairs", YSeed(B3, (R1, R121, E3), GRAM3, ()), B3, ["tuple_yseed"]),
-    ("sep_dichotomy", YSeed(B3, (R1, R121, R12321), GRAM3, ()), B3, ["sep_dichotomy"]),
-    ("one_star", YSeed(B3, (R1, R121, R12321), GRAM3, ()), B3, ["one_star"]),
-]
+    "decreasing_unique": (MARKOV, B3),
+    "seven": (YSeed(W3, (E1, E2, E3), GRAM3, ()), B3),
+    "sign_coherence": (INCOHERENT, B3),
+    "st": (YSeed(B3, (R1, R121, E3), GRAM3, ()), B3),
+    "coxeter_product": (YSeed(B3, (E2, E1, E3), GRAM3, ()), B3),
+    "sign_runs": (YSeed(B4, ((1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1)),
+                        initial_seed(B4).gram, ()), B4),
+    "bad_pairs": (YSeed(B3, (R1, R121, R12321), GRAM3, ()), B3),
+    # one bad pair, but the ordering criterion fails
+    "bad_pairs ordering": (YSeed(B3, (R1, R121, E3), GRAM3, ()), B3),
+    "sep_dichotomy": (YSeed(B3, (R1, R121, R12321), GRAM3, ()), B3),
+    "one_star": (YSeed(B3, (R1, R121, R12321), GRAM3, ()), B3),
+}
 
 
 def test_every_check_reads_the_seed_alone():
@@ -325,31 +336,87 @@ def test_every_check_reads_the_seed_alone():
 
 
 def test_every_check_has_a_violating_seed():
-    assert {name for name, *_ in VIOLATIONS} == set(CHECKS)
+    assert {case.split()[0] for case in VIOLATIONS} == set(CHECKS)
 
 
-@pytest.mark.parametrize(
-    "name,seed,initial,labels", VIOLATIONS, ids=[" ".join(v[3]) for v in VIOLATIONS]
+@pytest.mark.parametrize("case", VIOLATIONS)
+def test_check_reports_its_violation(case, monkeypatch):
+    # a check that always passed would pass every clean exploration
+    name = case.split()[0]
+    seed, initial = VIOLATIONS[case]
+    assert CHECKS[name](initial_seed(initial)) is True
+    assert _walk_violations([seed], monkeypatch, (name,)) == (((), name),)
+
+
+def test_every_check_answers_a_bool():
+    # a check that cannot read a seed may raise an ArcrootsError instead
+    seeds = [*iter_seeds(initial_seed(B3), 3), *(seed for seed, _ in VIOLATIONS.values())]
+    for name, check in CHECKS.items():
+        for seed in seeds:
+            with contextlib.suppress(ArcrootsError):
+                assert type(check(seed)) is bool, (name, seed.path)
+
+
+def _corrupt_walk(root, depth, expand=None):
+    """B3's seeds to depth 2 with the incoherent seed at (7,) and the Markov
+    seed at (8,) between them."""
+    clean = list(iter_seeds(initial_seed(B3), 2))
+    yield from clean[:2]
+    yield replace(INCOHERENT, path=(7,))
+    yield from clean[2:5]
+    yield replace(MARKOV, path=(8,))
+    yield from clean[5:]
+
+
+# the failing predicates on the corrupt walk, in ALL_CHECKS order per seed;
+# the Markov seed's c-vectors repeat the initial seed's, so tree fails too
+CORRUPT_WALK_VIOLATIONS = (
+    *(((7,), name) for name in ("seven", "sign_coherence", "st", "coxeter_product",
+                                "sign_runs", "bad_pairs", "sep_dichotomy", "one_star")),
+    *(((8,), name) for name in ("decreasing_unique", "st", "coxeter_product", "sign_runs",
+                                "bad_pairs", "sep_dichotomy", "tree")),
 )
-def test_check_reports_its_violation(name, seed, initial, labels):
-    # a check that always answered [] would pass every clean exploration
-    assert CHECKS[name](seed) == labels
-    assert CHECKS[name](initial_seed(initial)) == []
+
+
+def test_explore_reports_every_failure_on_a_corrupt_walk(monkeypatch, caplog):
+    # a check that raises an ArcrootsError is reported under its own name,
+    # and the walk goes on to the seeds after it
+    monkeypatch.setattr(explore_module, "iter_seeds", _corrupt_walk)
+    with caplog.at_level(logging.DEBUG, logger="arcroots.explore"):
+        report = explore(B3, 2, checks=ALL_CHECKS)
+    assert report.seeds_visited == 12
+    assert report.violations == CORRUPT_WALK_VIOLATIONS
+    assert "check sign_coherence raised on the seed at (7,): (1, -1, 0) mixes signs" in caplog.text
+
+
+def test_cli_explore_strict_exits_1_on_a_corrupt_walk(monkeypatch, capsys, tmp_path):
+    quiver = tmp_path / "b3.json"
+    quiver.write_text(json.dumps({"b": [list(row) for row in B3.rows]}))
+    monkeypatch.setattr(explore_module, "iter_seeds", _corrupt_walk)
+    argv = ["explore", "--quiver", str(quiver), "--depth", "2", "--verify", "all", "--strict"]
+    assert main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["violations"] == [[list(p), name] for p, name in CORRUPT_WALK_VIOLATIONS]
+
+
+def test_explore_propagates_a_value_error_from_a_check(monkeypatch):
+    def broken(seed):
+        raise ValueError("not a violation")
+
+    monkeypatch.setitem(CHECKS, "st", broken)
+    with pytest.raises(ValueError, match="^not a violation$"):
+        explore(B3, 1, checks=("two_complete", "st"))
 
 
 def test_explore_reports_a_failing_check(monkeypatch, caplog):
-    monkeypatch.setitem(
-        CHECKS, "st", lambda seed: ["st"] if seed.path == (2, 3) else []
-    )
+    monkeypatch.setitem(CHECKS, "st", lambda seed: seed.path != (2, 3))
     report = explore(B3, 3, checks=("two_complete", "st"))
     assert printed(report)["violations"] == [[[2, 3], "st"]]
     assert "exploration found 1 violations" in caplog.text
 
 
 def test_explore_logs_its_rate_and_violations_per_check(monkeypatch, caplog):
-    monkeypatch.setitem(
-        CHECKS, "st", lambda seed: ["st"] if len(seed.path) == 3 else []
-    )
+    monkeypatch.setitem(CHECKS, "st", lambda seed: len(seed.path) != 3)
     with caplog.at_level(logging.DEBUG, logger="arcroots.explore"):
         explore(B3, 3, checks=("two_complete", "st"))
     (line,) = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
@@ -401,13 +468,12 @@ def test_tree_check_reports_equal_cvectors_under_another_matrix(monkeypatch):
 def _seven_by_inner(seed):
     """The seven check pair by pair with roots.inner."""
     m = seed.matrix
-    ok = all(
+    return all(
         abs(inner(seed.cvectors[i - 1], seed.cvectors[j - 1], seed.gram)) == abs(m.b(i, j))
         for i in m.vertices()
         for j in m.vertices()
         if i < j
     )
-    return [] if ok else ["seven"]
 
 
 def _corrupted(seed, rng):
@@ -441,11 +507,11 @@ def test_seven_matches_the_pairing_by_inner():
         for _ in range(rng.randint(0, 6)):
             last = rng.choice([k for k in seed.matrix.vertices() if k != last])
             seed = mutate_seed(seed, last)
-        assert CHECKS["seven"](seed) == _seven_by_inner(seed) == []
+        assert CHECKS["seven"](seed) is _seven_by_inner(seed) is True
         for bad in _corrupted(seed, rng):
             want = _seven_by_inner(bad)
-            assert CHECKS["seven"](bad) == want, (bad.matrix, bad.cvectors)
-            tally["flagged" if want else "clean"] += 1
+            assert CHECKS["seven"](bad) is want, (bad.matrix, bad.cvectors)
+            tally["clean" if want else "flagged"] += 1
     assert tally["flagged"] > 500 and tally["clean"] > 500
 
 
