@@ -6,6 +6,12 @@ Seeds come out breadth first with children in ascending direction order,
 which makes runs reproducible and lets the Schur search return shortest
 mutation paths.
 
+The Schur search reads nothing of a seed but its c-vectors, so it walks
+those alone: by tropical duality (Nakanishi-Zelevinsky) a seed's matrix is
+C^T B_0 C, and the signs a mutation needs come from B_0 and the c-vectors.
+iter_seeds, which explore walks, builds every seed whole with mutate_seed,
+and that walk is the search's oracle.
+
 Verification is a registry of named per-seed checks, each a predicate:
 an exact integer statement read from the seed alone.  A check that
 returns false, or raises an ArcrootsError on a seed it cannot read, is
@@ -25,8 +31,8 @@ from typing import Callable, Iterable, Iterator
 
 from .arcs import Arc, arc_to_reflection, tuple_product, tuple_verdict
 from .embedding import probe_embedding
-from .errors import ArcrootsError, DepthExhausted, NotEmbeddable, require_int
-from .quiver import ExchangeMatrix, decreasing_directions
+from .errors import ArcrootsError, DepthExhausted, NotARealRoot, NotEmbeddable, require_int
+from .quiver import ExchangeMatrix, Vertex, decreasing_directions
 from .roots import (
     Root,
     YSeed,
@@ -196,7 +202,8 @@ def explore(
     that returns false, or raises an ArcrootsError (logged at debug level),
     adds (path, name) to the violations; any other exception propagates.
     Seeds are streamed to sink, never accumulated; a debug log line gives
-    the seeds visited, the seeds per second and the violations per check.
+    the seeds visited, the seeds per second and, per check, the violations
+    that answered false apart from those that raised.
     """
     if isinstance(checks, str):
         raise ValueError(f"checks must be a collection of names, not the string {checks!r}")
@@ -221,6 +228,7 @@ def explore(
 
     run = [(name, tree if name == "tree" else CHECKS[name]) for name in checks]
     violations: list[tuple[tuple[int, ...], str]] = []
+    raised: Counter[str] = Counter()
     visited = 0
     weight = 0
     start = perf_counter()
@@ -234,15 +242,16 @@ def explore(
                 ok = check(seed)
             except ArcrootsError as exc:
                 log.debug("check %s raised on the seed at %s: %s", name, seed.path, exc)
+                raised[name] += 1
                 ok = False
             if not ok:
                 violations.append((seed.path, name))
     elapsed = perf_counter() - start
-    per_check = Counter(label for _, label in violations)
+    answered_false = Counter(label for _, label in violations) - raised
     log.debug(
         "explore to depth %d: %d seeds in %.3f s (%.0f seeds/s); violations per check: %s",
         depth, visited, elapsed, visited / elapsed if elapsed > 0 else float("inf"),
-        dict(per_check) if per_check else "none",
+        f"answered false {dict(answered_false)}, raised {dict(raised)}" if violations else "none",
     )
     if violations:
         log.warning("exploration found %d violations", len(violations))
@@ -272,13 +281,80 @@ def _height(v: Root) -> int:
     return sum(abs(x) for x in v)
 
 
+# a seed of the c-vector walk: its c-vectors, their heights and its path
+Node = tuple[tuple[Root, ...], tuple[int, ...], tuple[Vertex, ...]]
+
+
+def _mutate_cvectors(
+    cvectors: tuple[Root, ...],
+    heights: tuple[int, ...],
+    k: Vertex,
+    b0: tuple[tuple[int, ...], ...],
+    gram: tuple[tuple[int, ...], ...],
+) -> tuple[tuple[Root, ...], tuple[int, ...]]:
+    """mutate_seed's c-vectors and their heights, read from the c-vectors
+    alone; b0 is the initial exchange matrix and gram its pairing.
+
+    By tropical duality (Nakanishi-Zelevinsky) the seed's matrix is
+    b_jk = c_j^T B_0 c_k.  With v = positive_form(c_k) and w = B_0 v, c_j
+    is reflected in v exactly when c_j . w < 0, which is mutate_seed's
+    rule: b_jk < 0 for a positive c_k, b_jk > 0 for a negative one.  Only
+    the moved positions get a new height, since -c_k keeps c_k's.  Raises
+    SignIncoherent if c_k mixes signs, and NotARealRoot if some c_j is to
+    be reflected while <v, v> != 2, as mutate_seed does.
+    """
+    ck = cvectors[k - 1]
+    v = ck if root_sign(ck) > 0 else tuple([-x for x in ck])
+    w = [sum(map(operator.mul, row, v)) for row in b0]
+    mv = [sum(map(operator.mul, row, v)) for row in gram]
+    vv = sum(map(operator.mul, v, mv))
+    new_c = list(cvectors)
+    new_h = list(heights)
+    new_c[k - 1] = tuple([-x for x in ck])
+    for j, cj in enumerate(cvectors):
+        # c_k . w = ±v^T B_0 v is 0, so position k is never reflected
+        if sum(map(operator.mul, cj, w)) < 0:
+            if vv != 2:
+                raise NotARealRoot(f"<v, v> = {vv} for v = {v}")
+            coef = sum(map(operator.mul, cj, mv))
+            moved = tuple([x - coef * y for x, y in zip(cj, v)])
+            new_c[j] = moved
+            new_h[j] = sum(map(abs, moved))
+    return tuple(new_c), tuple(new_h)
+
+
+def _walk(
+    root: YSeed, depth: int, expand: Callable[[Node], bool] | None = None
+) -> Iterator[Node]:
+    """iter_seeds from an initial seed, walked by _mutate_cvectors: the
+    same seeds in the same order, each as a Node, and expand is asked about
+    the same seeds.  No exchange matrix is built past the root's."""
+    require_depth(depth)
+    b0, gram = root.matrix.rows, root.gram.rows
+    vertices = root.matrix.vertices()
+    queue: deque[tuple[Node, Vertex]] = deque()
+    node = (root.cvectors, tuple(map(_height, root.cvectors)), ())
+    while True:
+        yield node
+        path = node[2]
+        if len(path) < depth and (expand is None or expand(node)):
+            last = path[-1] if path else 0
+            queue.extend((node, k) for k in vertices if k != last)
+        if not queue:
+            return
+        (cvecs, heights, path), k = queue.popleft()
+        node = (*_mutate_cvectors(cvecs, heights, k, b0, gram), path + (k,))
+
+
 def schur_by_search(target: Reflection, initial: ExchangeMatrix, depth: int) -> SearchOutcome:
     """Breadth-first hunt for a seed carrying the target's root u as a
     c-vector.
 
     A letter of the target above the rank raises ValueError before any
     seed is walked.  Found paths are shortest because the walk is breadth
-    first.  Depth 0 looks at the initial seed alone.
+    first.  Depth 0 looks at the initial seed alone.  The walk is
+    iter_seeds's order read from c-vectors alone, each step one
+    _mutate_cvectors, so it builds no exchange matrix and no YSeed.
 
     Subtrees that cannot carry u are not walked.  Along every tree edge
     away from the root, the mutated position c_k becomes -c_k and keeps
@@ -295,47 +371,46 @@ def schur_by_search(target: Reflection, initial: ExchangeMatrix, depth: int) -> 
     the opposite sign no proof is given here: the strict growth is
     measured, not derived (on B3 to depth 10 these are 1,545 of the 3,083
     moves).  Tests check the invariant on B3, B4 and random trees, and
-    compare this search with the unpruned walk of iter_seeds.
+    compare this search, and its walk, with the unpruned walk of
+    iter_seeds.
     """
-    return _search(target, initial, depth)[0]
+    return _search(target, initial, depth)
 
 
-def _search(
-    target: Reflection, initial: ExchangeMatrix, depth: int
-) -> tuple[SearchOutcome, YSeed | None]:
-    """schur_by_search's walk, returning its outcome and the seed it found
-    (None on a miss)."""
+def _search(target: Reflection, initial: ExchangeMatrix, depth: int) -> SearchOutcome:
+    """The search behind schur_by_search and complete_arc."""
     root = initial_seed(initial)
     u = positive_form(reflection_to_root(target, root.gram))
     minus_u = tuple(-x for x in u)
     h = _height(u)
 
-    def live(seed: YSeed) -> bool:
-        return any(c == minus_u or _height(c) < h for c in seed.cvectors)
+    def live(node: Node) -> bool:
+        cvecs, heights, _ = node
+        return any(hc < h or (hc == h and c == minus_u) for c, hc in zip(cvecs, heights))
 
     pruned = 0
 
-    def expand(seed: YSeed) -> bool:
+    def expand(node: Node) -> bool:
         nonlocal pruned
-        if live(seed):
+        if live(node):
             return True
         pruned += 1
         return False
 
     visited = 0
     truncated = False
-    found = None
-    for seed in iter_seeds(root, depth, expand):
+    path = None
+    for node in _walk(root, depth, expand):
         visited += 1
-        if u in seed.cvectors:
-            found = seed
+        if u in node[0]:
+            path = node[2]
             break
-        if len(seed.path) == depth and not truncated:
-            truncated = live(seed)
-    path = None if found is None else found.path
-    outcome = SearchOutcome(found is not None, path, visited, pruned, found is None and truncated)
-    if outcome.found:
-        verdict = f"found at path {outcome.path}"
+        if len(node[2]) == depth and not truncated:
+            truncated = live(node)
+    found = path is not None
+    outcome = SearchOutcome(found, path, visited, pruned, not found and truncated)
+    if found:
+        verdict = f"found at path {path}"
     elif truncated:
         verdict = "not found; live seeds remain at the depth limit"
     else:
@@ -344,7 +419,7 @@ def _search(
         "schur search for %s to depth %d: %s; %d seeds visited, %d pruned",
         u, depth, verdict, visited, pruned,
     )
-    return outcome, found
+    return outcome
 
 
 def complete_arc(a: Arc, initial: ExchangeMatrix, depth: int) -> YSeed:
@@ -353,14 +428,26 @@ def complete_arc(a: Arc, initial: ExchangeMatrix, depth: int) -> YSeed:
     Existence is guaranteed for embeddable arcs, so a miss only means
     the depth was too small and is reported as DepthExhausted.  A negative
     depth, or a ray above the rank, raises ValueError before the embedding
-    is looked for.
+    is looked for.  The seed is rebuilt by replaying the search's path
+    with mutate_seed, and a replayed seed that lacks the root raises
+    RuntimeError: that would be a fault in the search, not in the input.
     """
     require_depth(depth)
     r = arc_to_reflection(a)
     require_rank(r, initial.n)
     if not probe_embedding(a).embeddable:
         raise NotEmbeddable(f"{a} has no embedded representative")
-    _, seed = _search(r, initial, depth)
-    if seed is None:
+    out = _search(r, initial, depth)
+    if not out.found:
         raise DepthExhausted(f"no seed within depth {depth}; raise the depth")
+    # the replay by mutate_seed, which reads the exchange matrix, is an
+    # independent certificate of the c-vector walk's answer
+    seed = initial_seed(initial)
+    for k in out.path:
+        seed = mutate_seed(seed, k)
+    if positive_form(reflection_to_root(r, seed.gram)) not in seed.cvectors:
+        raise RuntimeError(
+            f"the seed at {out.path} does not carry the root of {r}: "
+            "the c-vector walk disagrees with mutate_seed"
+        )
     return seed

@@ -13,10 +13,17 @@ from functools import cached_property
 import pytest
 
 from arcroots import roots
-from arcroots.arcs import Arc, TupleVerdict, reflection_to_arc
+from arcroots.arcs import Arc, TupleVerdict, arc_to_reflection, reflection_to_arc
 from arcroots.cli import main, seed_json
 from arcroots.dot import exchange_tree_dot
-from arcroots.errors import ArcrootsError, CapExceeded, DepthExhausted, NotEmbeddable
+from arcroots.errors import (
+    ArcrootsError,
+    CapExceeded,
+    DepthExhausted,
+    NotARealRoot,
+    NotEmbeddable,
+    SignIncoherent,
+)
 from arcroots.explore import (
     ALL_CHECKS,
     CHECKS,
@@ -241,7 +248,8 @@ def test_schur_by_search_rejects_a_letter_above_the_rank(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a seed was walked")
 
-    monkeypatch.setattr(explore_module, "iter_seeds", forbidden)
+    monkeypatch.setattr(explore_module, "_walk", forbidden)
+    monkeypatch.setattr(explore_module, "_mutate_cvectors", forbidden)
     with pytest.raises(ValueError, match="^letter or ray 4 exceeds the rank 3$"):
         schur_by_search(canonical_reflection((1, 4, 1)), B3, 2)
 
@@ -387,6 +395,20 @@ def test_explore_reports_every_failure_on_a_corrupt_walk(monkeypatch, caplog):
     assert report.seeds_visited == 12
     assert report.violations == CORRUPT_WALK_VIOLATIONS
     assert "check sign_coherence raised on the seed at (7,): (1, -1, 0) mixes signs" in caplog.text
+    # the debug line splits each check's violations into answered false
+    # and raised: on the (1, -1, 0) seed seven checks raised and one
+    # answered false, and sep_dichotomy raised there but answered false
+    # on the Markov seed
+    messages = [r.getMessage() for r in caplog.records]
+    raised_at_7 = [m for m in messages if re.match(r"check \w+ raised on the seed at \(7,\)", m)]
+    assert len(raised_at_7) == 7
+    assert sum(path == (7,) for path, _ in report.violations) == 8
+    assert messages[-2].endswith(
+        "violations per check: answered false {'seven': 1, 'sep_dichotomy': 1, "
+        "'decreasing_unique': 1, 'tree': 1}, raised {'sign_coherence': 1, 'st': 2, "
+        "'coxeter_product': 2, 'sign_runs': 2, 'bad_pairs': 2, 'sep_dichotomy': 1, "
+        "'one_star': 1}"
+    )
 
 
 def test_cli_explore_strict_exits_1_on_a_corrupt_walk(monkeypatch, capsys, tmp_path):
@@ -421,7 +443,7 @@ def test_explore_logs_its_rate_and_violations_per_check(monkeypatch, caplog):
         explore(B3, 3, checks=("two_complete", "st"))
     (line,) = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
     assert line.startswith("explore to depth 3: 22 seeds in ")
-    assert "seeds/s); violations per check: {'st': 12}" in line
+    assert line.endswith("seeds/s); violations per check: answered false {'st': 12}, raised {}")
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="arcroots.explore"):
         explore(B3, 1)
@@ -745,20 +767,115 @@ def _replayed(path):
 
 
 def test_schur_search_builds_only_the_seeds_it_visits(monkeypatch):
+    # the search steps once per seed it visits past the root and builds no
+    # YSeed; complete_arc replays the path it found, one mutate_seed per letter
     calls = _counting_mutations(monkeypatch)
+    steps = 0
+    step = explore_module._mutate_cvectors
+
+    def counting_step(*args):
+        nonlocal steps
+        steps += 1
+        return step(*args)
+
+    monkeypatch.setattr(explore_module, "_mutate_cvectors", counting_step)
     found = 0
     for r in rank3_reflections_up_to_length_7():
         calls.clear()
+        steps = 0
         out = schur_by_search(r, B3, 6)
-        assert len(calls) == out.seeds_visited - 1, r.word
+        assert len(calls) == 0 and steps == out.seeds_visited - 1, r.word
         if out.found:
             found += 1
-            # complete_arc keeps the seed the walk found instead of replaying its path
-            calls.clear()
+            steps = 0
             seed = complete_arc(reflection_to_arc(r), B3, 6)
+            assert len(calls) == len(out.path), r.word
+            assert steps == out.seeds_visited - 1, r.word
             assert seed == _replayed(out.path)
-            assert len(calls) == out.seeds_visited - 1, r.word
     assert found == 33  # the other two lie deeper than 6
+
+
+def test_complete_arc_raises_when_the_replay_lacks_the_root(monkeypatch):
+    # a walk that reports each seed under its parent's path: the replay,
+    # one mutation short, must not be returned as the completion
+    walk = explore_module._walk
+
+    def wrong_paths(root, depth, expand=None):
+        for cvecs, heights, path in walk(root, depth, expand):
+            yield cvecs, heights, path[:-1]
+
+    a = Arc((1, 3), 2)
+    assert complete_arc(a, B3, 8).path == (1, 3, 2, 3, 2)
+    monkeypatch.setattr(explore_module, "_walk", wrong_paths)
+    assert schur_by_search(arc_to_reflection(a), B3, 8).path == (1, 3, 2, 3)
+    with pytest.raises(RuntimeError, match=r"^the seed at \(1, 3, 2, 3\) does not carry the root"):
+        complete_arc(a, B3, 8)
+
+
+# the weighted rank-4 matrix with upper rows (2, 3, 2), (2, 4), (2)
+W4 = ExchangeMatrix.from_rows([[0, 2, 3, 2], [-2, 0, 2, 4], [-3, -2, 0, 2], [-2, -4, -2, 0]])
+
+
+def _walk_trees():
+    rng = random.Random(2027)
+    return [
+        pytest.param(B3, 9, id="B3"),
+        pytest.param(W4, 5, id="W4"),
+        pytest.param(random_acyclic_two_complete(5, rng), 4, id="rank-5"),
+        pytest.param(random_acyclic_two_complete(6, rng), 3, id="rank-6"),
+    ]
+
+
+@pytest.mark.parametrize("initial,depth", _walk_trees())
+def test_cvector_walk_matches_iter_seeds(initial, depth):
+    # the Schur search's walk yields iter_seeds's c-vectors and paths in
+    # iter_seeds's order, and on every seed b_jk = c_j^T B_0 c_k, the
+    # tropical duality that its sign test reads
+    root = initial_seed(initial)
+    b0 = initial.rows
+    seeds = list(iter_seeds(root, depth))
+    nodes = list(explore_module._walk(root, depth))
+    assert len(nodes) == len(seeds) == tree_count(initial.n, depth)
+    for seed, (cvecs, heights, path) in zip(seeds, nodes):
+        assert (cvecs, path) == (seed.cvectors, seed.path)
+        assert heights == tuple(_height(c) for c in cvecs)
+        images = [[sum(b * x for b, x in zip(row, c)) for row in b0] for c in cvecs]
+        for j in initial.vertices():
+            for k in initial.vertices():
+                assert sum(x * y for x, y in zip(cvecs[j - 1], images[k - 1])) == seed.matrix.b(j, k)
+
+
+def test_cvector_walk_asks_expand_about_the_seeds_iter_seeds_does():
+    def events_of(walk, path_of):
+        events = []
+
+        def expand(seed):
+            events.append(("expand", path_of(seed)))
+            return sum(path_of(seed)) % 3 != 1
+
+        events += [("seed", path_of(s)) for s in walk(initial_seed(B3), 7, expand)]
+        return events
+
+    want = events_of(iter_seeds, lambda seed: seed.path)
+    assert events_of(explore_module._walk, lambda node: node[2]) == want
+    assert any(e[0] == "expand" for e in want) and len(want) > 100
+
+
+# (seed, k) on which mutate_seed raises: c_k mixes signs, and c_k is no
+# real root while other c-vectors are to be reflected in it
+BAD_STEPS = [
+    (INCOHERENT, 1, SignIncoherent),
+    (YSeed(B3, ((1, 1, 1), (0, 1, 0), (0, 0, 1)), GRAM3, ()), 1, NotARealRoot),
+]
+
+
+@pytest.mark.parametrize("seed,k,error", BAD_STEPS, ids=["incoherent", "imaginary"])
+def test_cvector_step_raises_where_mutate_seed_does(seed, k, error):
+    with pytest.raises(error):
+        mutate_seed(seed, k)
+    heights = tuple(_height(c) for c in seed.cvectors)
+    with pytest.raises(error):
+        explore_module._mutate_cvectors(seed.cvectors, heights, k, B3.rows, GRAM3.rows)
 
 
 def _eager_seeds(root, depth, expand):
