@@ -9,8 +9,8 @@ mutation paths.
 The Schur search reads nothing of a seed but its c-vectors, so it walks
 those alone: by tropical duality (Nakanishi-Zelevinsky) a seed's matrix is
 C^T B_0 C, and the signs a mutation needs come from B_0 and the c-vectors.
-iter_seeds, which explore walks, builds every seed whole with mutate_seed,
-and that walk is the search's oracle.
+iter_seeds, which explore walks, builds every seed whole with mutate_seed
+in the same breadth-first walk, and it is the search's oracle.
 
 Verification is a registry of named per-seed checks, each a predicate:
 an exact integer statement read from the seed alone.  A check that
@@ -27,7 +27,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain
 from time import perf_counter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .arcs import Arc, arc_to_reflection, tuple_product, tuple_verdict
 from .embedding import probe_embedding
@@ -48,6 +48,8 @@ from .words import Reflection, in_one_star, require_rank, separating_nodes
 
 log = logging.getLogger(__name__)
 
+_T = TypeVar("_T")
+
 
 def require_depth(depth: int) -> None:
     """Raise ValueError unless depth is an integer at least 0."""
@@ -65,22 +67,37 @@ def iter_seeds(
     only when it returns true.  Order among the seeds still walked is the
     unpruned breadth-first order.
 
-    The queue holds (parent, direction) pairs, and a child is built only
-    when the walk reaches it, so a walk stopped early builds no seed it
-    never yields.
+    A child is built only when the walk reaches it, so a walk stopped
+    early builds no seed it never yields.
     """
+    yield from _breadth_first(
+        root, depth, root.matrix.vertices(), operator.attrgetter("path"), mutate_seed, expand
+    )
+
+
+def _breadth_first(
+    node: _T,
+    depth: int,
+    vertices: range,
+    path_of: Callable[[_T], tuple[Vertex, ...]],
+    child: Callable[[_T, Vertex], _T],
+    expand: Callable[[_T], bool] | None,
+) -> Iterator[_T]:
+    """iter_seeds's walk over nodes of any kind, shared with _walk: path_of
+    reads a node's path, and the queue holds (parent, direction) pairs that
+    child(parent, k) turns into nodes as they are popped."""
     require_depth(depth)
-    limit = depth + len(root.path)
-    queue: deque[tuple[YSeed, int]] = deque()
-    seed = root
+    limit = depth + len(path_of(node))
+    queue: deque[tuple[_T, Vertex]] = deque()
     while True:
-        yield seed
-        if len(seed.path) < limit and (expand is None or expand(seed)):
-            last = seed.path[-1] if seed.path else 0
-            queue.extend((seed, k) for k in seed.matrix.vertices() if k != last)
+        yield node
+        path = path_of(node)
+        if len(path) < limit and (expand is None or expand(node)):
+            last = path[-1] if path else 0
+            queue.extend((node, k) for k in vertices if k != last)
         if not queue:
             return
-        seed = mutate_seed(*queue.popleft())
+        node = child(*queue.popleft())
 
 
 def _two_complete(seed: YSeed) -> bool:
@@ -278,30 +295,28 @@ class SearchOutcome:
 
 def _height(v: Root) -> int:
     """Sum of the absolute values of the entries."""
-    return sum(abs(x) for x in v)
+    return sum(map(abs, v))
 
 
-# a seed of the c-vector walk: its c-vectors, their heights and its path
-Node = tuple[tuple[Root, ...], tuple[int, ...], tuple[Vertex, ...]]
+# a seed of the c-vector walk: its c-vectors and its path
+Node = tuple[tuple[Root, ...], tuple[Vertex, ...]]
 
 
 def _mutate_cvectors(
     cvectors: tuple[Root, ...],
-    heights: tuple[int, ...],
     k: Vertex,
     b0: tuple[tuple[int, ...], ...],
     gram: tuple[tuple[int, ...], ...],
-) -> tuple[tuple[Root, ...], tuple[int, ...]]:
-    """mutate_seed's c-vectors and their heights, read from the c-vectors
-    alone; b0 is the initial exchange matrix and gram its pairing.
+) -> tuple[Root, ...]:
+    """mutate_seed's c-vectors, read from the c-vectors alone; b0 is the
+    initial exchange matrix and gram its pairing.
 
     By tropical duality (Nakanishi-Zelevinsky) the seed's matrix is
     b_jk = c_j^T B_0 c_k.  With v = positive_form(c_k) and w = B_0 v, c_j
     is reflected in v exactly when c_j . w < 0, which is mutate_seed's
-    rule: b_jk < 0 for a positive c_k, b_jk > 0 for a negative one.  Only
-    the moved positions get a new height, since -c_k keeps c_k's.  Raises
-    SignIncoherent if c_k mixes signs, and NotARealRoot if some c_j is to
-    be reflected while <v, v> != 2, as mutate_seed does.
+    rule: b_jk < 0 for a positive c_k, b_jk > 0 for a negative one.
+    Raises SignIncoherent if c_k mixes signs, and NotARealRoot if some c_j
+    is to be reflected while <v, v> != 2, as mutate_seed does.
     """
     ck = cvectors[k - 1]
     v = ck if root_sign(ck) > 0 else tuple([-x for x in ck])
@@ -309,7 +324,6 @@ def _mutate_cvectors(
     mv = [sum(map(operator.mul, row, v)) for row in gram]
     vv = sum(map(operator.mul, v, mv))
     new_c = list(cvectors)
-    new_h = list(heights)
     new_c[k - 1] = tuple([-x for x in ck])
     for j, cj in enumerate(cvectors):
         # c_k . w = ±v^T B_0 v is 0, so position k is never reflected
@@ -317,33 +331,25 @@ def _mutate_cvectors(
             if vv != 2:
                 raise NotARealRoot(f"<v, v> = {vv} for v = {v}")
             coef = sum(map(operator.mul, cj, mv))
-            moved = tuple([x - coef * y for x, y in zip(cj, v)])
-            new_c[j] = moved
-            new_h[j] = sum(map(abs, moved))
-    return tuple(new_c), tuple(new_h)
+            new_c[j] = tuple([x - coef * y for x, y in zip(cj, v)])
+    return tuple(new_c)
 
 
 def _walk(
     root: YSeed, depth: int, expand: Callable[[Node], bool] | None = None
 ) -> Iterator[Node]:
     """iter_seeds from an initial seed, walked by _mutate_cvectors: the
-    same seeds in the same order, each as a Node, and expand is asked about
-    the same seeds.  No exchange matrix is built past the root's."""
-    require_depth(depth)
+    same seeds in the same order, each as a (c-vectors, path) Node, and
+    expand is asked about the same seeds.  No exchange matrix is built past
+    the root's."""
     b0, gram = root.matrix.rows, root.gram.rows
-    vertices = root.matrix.vertices()
-    queue: deque[tuple[Node, Vertex]] = deque()
-    node = (root.cvectors, tuple(map(_height, root.cvectors)), ())
-    while True:
-        yield node
-        path = node[2]
-        if len(path) < depth and (expand is None or expand(node)):
-            last = path[-1] if path else 0
-            queue.extend((node, k) for k in vertices if k != last)
-        if not queue:
-            return
-        (cvecs, heights, path), k = queue.popleft()
-        node = (*_mutate_cvectors(cvecs, heights, k, b0, gram), path + (k,))
+
+    def child(node: Node, k: Vertex) -> Node:
+        return _mutate_cvectors(node[0], k, b0, gram), node[1] + (k,)
+
+    return _breadth_first(
+        (root.cvectors, ()), depth, root.matrix.vertices(), operator.itemgetter(1), child, expand
+    )
 
 
 def schur_by_search(target: Reflection, initial: ExchangeMatrix, depth: int) -> SearchOutcome:
@@ -352,9 +358,9 @@ def schur_by_search(target: Reflection, initial: ExchangeMatrix, depth: int) -> 
 
     A letter of the target above the rank raises ValueError before any
     seed is walked.  Found paths are shortest because the walk is breadth
-    first.  Depth 0 looks at the initial seed alone.  The walk is
-    iter_seeds's order read from c-vectors alone, each step one
-    _mutate_cvectors, so it builds no exchange matrix and no YSeed.
+    first.  Depth 0 looks at the initial seed alone.  The walk is _walk,
+    iter_seeds's order read from c-vectors alone, so it builds no exchange
+    matrix and no YSeed.
 
     Subtrees that cannot carry u are not walked.  Along every tree edge
     away from the root, the mutated position c_k becomes -c_k and keeps
@@ -374,25 +380,19 @@ def schur_by_search(target: Reflection, initial: ExchangeMatrix, depth: int) -> 
     compare this search, and its walk, with the unpruned walk of
     iter_seeds.
     """
-    return _search(target, initial, depth)
-
-
-def _search(target: Reflection, initial: ExchangeMatrix, depth: int) -> SearchOutcome:
-    """The search behind schur_by_search and complete_arc."""
     root = initial_seed(initial)
     u = positive_form(reflection_to_root(target, root.gram))
     minus_u = tuple(-x for x in u)
     h = _height(u)
 
-    def live(node: Node) -> bool:
-        cvecs, heights, _ = node
-        return any(hc < h or (hc == h and c == minus_u) for c, hc in zip(cvecs, heights))
+    def live(cvecs: tuple[Root, ...]) -> bool:
+        return any(c == minus_u or _height(c) < h for c in cvecs)
 
     pruned = 0
 
     def expand(node: Node) -> bool:
         nonlocal pruned
-        if live(node):
+        if live(node[0]):
             return True
         pruned += 1
         return False
@@ -400,13 +400,13 @@ def _search(target: Reflection, initial: ExchangeMatrix, depth: int) -> SearchOu
     visited = 0
     truncated = False
     path = None
-    for node in _walk(root, depth, expand):
+    for cvecs, at in _walk(root, depth, expand):
         visited += 1
-        if u in node[0]:
-            path = node[2]
+        if u in cvecs:
+            path = at
             break
-        if len(node[2]) == depth and not truncated:
-            truncated = live(node)
+        if len(at) == depth and not truncated:
+            truncated = live(cvecs)
     found = path is not None
     outcome = SearchOutcome(found, path, visited, pruned, not found and truncated)
     if found:
@@ -437,7 +437,7 @@ def complete_arc(a: Arc, initial: ExchangeMatrix, depth: int) -> YSeed:
     require_rank(r, initial.n)
     if not probe_embedding(a).embeddable:
         raise NotEmbeddable(f"{a} has no embedded representative")
-    out = _search(r, initial, depth)
+    out = schur_by_search(r, initial, depth)
     if not out.found:
         raise DepthExhausted(f"no seed within depth {depth}; raise the depth")
     # the replay by mutate_seed, which reads the exchange matrix, is an

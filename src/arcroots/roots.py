@@ -17,8 +17,8 @@ the matrix weight up to sign.  Positive c-vectors are real Schur roots;
 each corresponds to a reflection in the universal Coxeter group.  The
 initial seed writes its reflections in the simple generators by repeated
 descent.  A mutation that reflects c_j in c_k conjugates the reflection
-t_j by t_k, so a child whose parent's reflections were already read
-carries them over by conjugation instead; descent stays the oracle.
+t_j by t_k, so mutating a seed whose reflections were already read gives
+the child its reflections by conjugation; descent stays the oracle.
 """
 
 from __future__ import annotations
@@ -124,10 +124,6 @@ class YSeed:
     cvectors: tuple[Root, ...]
     gram: GramMatrix
     path: tuple[Vertex, ...]
-    # (the parent's reflections, k, the vertices reflected in c_k), set by
-    # mutate_seed only when the parent's reflections were already read; a
-    # class attribute, not a field, so equality, hash and repr ignore it
-    _carry = None
 
     def __post_init__(self) -> None:
         n = self.matrix.n
@@ -144,25 +140,13 @@ class YSeed:
 
     @cached_property
     def reflections(self) -> tuple[Reflection, ...]:
-        """The reflection of each c-vector, in vertex order, derived on first
-        access.  A seed is immutable, so every check and view of it shares
-        this one derivation.
-
-        A child of mutation at k whose parent's reflections were read keeps
-        t_k and every unmoved t_j, and conjugates each moved t_j by t_k;
-        every other seed descends each c-vector with root_to_reflection.
-        Nothing here reads a parent that was never read, so a walk that
-        never asks for reflections derives none."""
-        carry = self._carry
-        if carry is None:
-            return tuple(root_to_reflection(c, self.gram) for c in self.cvectors)
-        # the parent's tuple is no longer needed once this one exists
-        object.__setattr__(self, "_carry", None)
-        parent, k, moved = carry
-        out = list(parent)
-        for j in moved:
-            out[j - 1] = conjugate(parent[j - 1], parent[k - 1])
-        return tuple(out)
+        """The reflection of each c-vector, in vertex order, descended with
+        root_to_reflection on first access.  A seed is immutable, so every
+        check and view of it shares this one derivation.  mutate_seed fills
+        it in for a child whose parent's reflections were read, so only a
+        seed with no such parent descends, and a walk that never asks for
+        reflections derives none."""
+        return tuple(root_to_reflection(c, self.gram) for c in self.cvectors)
 
     @cached_property
     def _natural(self) -> tuple[tuple[Vertex, ...], tuple[int, ...]]:
@@ -206,9 +190,9 @@ def mutate_seed(seed: YSeed, k: Vertex) -> YSeed:
     The reflection of c_j in v = positive_form(c_k) is c_j - <c_j, v> v,
     so M v is computed once and each <c_j, v> is one dot product with it.
 
-    The child derives no reflections here.  If the parent's were already
-    read, it keeps a reference to them and the moved vertices, and
-    conjugates on its own first read (YSeed.reflections).
+    If the parent's reflections were already read, the child's are written
+    at once: t_k and every unmoved t_j are kept, and each moved t_j is
+    conjugated by t_k.  Otherwise the child derives none here.
     """
     matrix = seed.matrix.mutate(k)  # validates k before c_k is read
     ck = seed.cvectors[k - 1]
@@ -217,7 +201,8 @@ def mutate_seed(seed: YSeed, k: Vertex) -> YSeed:
     mv = [sum(map(operator.mul, row, v)) for row in seed.gram.rows]
     vv = sum(map(operator.mul, v, mv))
     new_cvecs = []
-    moved = []
+    read = seed.__dict__.get("reflections")
+    refls = None if read is None else list(read)
     for j, (cj, row) in enumerate(zip(seed.cvectors, seed.matrix.rows), 1):
         bjk = row[k - 1]
         if j == k:
@@ -227,13 +212,14 @@ def mutate_seed(seed: YSeed, k: Vertex) -> YSeed:
                 raise NotARealRoot(f"<v, v> = {vv} for v = {v}")
             coef = sum(map(operator.mul, cj, mv))
             new_cvecs.append(tuple([x - coef * y for x, y in zip(cj, v)]))
-            moved.append(j)
+            if refls is not None:
+                refls[j - 1] = conjugate(read[j - 1], read[k - 1])
         else:
             new_cvecs.append(cj)
     child = YSeed(matrix, tuple(new_cvecs), seed.gram, seed.path + (k,))
-    read = seed.__dict__.get("reflections")
-    if read is not None:
-        object.__setattr__(child, "_carry", (read, k, tuple(moved)))
+    if refls is not None:
+        # the cached_property's own slot, so child.reflections reads it
+        child.__dict__["reflections"] = tuple(refls)
     return child
 
 

@@ -26,7 +26,7 @@ from arcroots.arcs import (
 from arcroots.cli import main
 from arcroots.embedding import candidate_witnesses, probe_embedding, witness_is_valid
 from arcroots.errors import TwinDisjunctionError
-from arcroots.explore import ALL_CHECKS, explore, schur_by_search
+from arcroots.explore import ALL_CHECKS, SearchOutcome, explore, schur_by_search
 from arcroots.quiver import ExchangeMatrix, random_acyclic_two_complete
 from arcroots.roots import (
     all_weights_two_gram,
@@ -182,6 +182,63 @@ def test_criterion_5_embeddability_agrees_with_search():
         f"{len(rows)} reflections, {positives} positive, {len(disagreements)} disagreements, "
         f"{len(broken_trips)} roundtrip failures, {elapsed:.2f}s",
     )
+
+
+# every SearchOutcome of the depth-14 searches above, counters included, so a
+# rewrite of the walk or its pruning cannot change the work it reports
+SEARCH_OUTCOMES = {
+    (1,): SearchOutcome(True, (), 1, 0, False),
+    (2,): SearchOutcome(True, (), 1, 0, False),
+    (3,): SearchOutcome(True, (), 1, 0, False),
+    (1, 2, 1): SearchOutcome(True, (1,), 2, 0, False),
+    (1, 3, 1): SearchOutcome(True, (1,), 2, 0, False),
+    (2, 1, 2): SearchOutcome(True, (2, 1, 2, 1), 19, 2, False),
+    (2, 3, 2): SearchOutcome(True, (2,), 3, 0, False),
+    (3, 1, 3): SearchOutcome(True, (3, 1, 3, 1), 29, 6, False),
+    (3, 2, 3): SearchOutcome(True, (3, 2, 3, 2), 34, 8, False),
+    (1, 2, 1, 2, 1): SearchOutcome(True, (1, 2), 5, 0, False),
+    (1, 2, 3, 2, 1): SearchOutcome(True, (1, 2), 5, 0, False),
+    (1, 3, 1, 3, 1): SearchOutcome(True, (1, 3), 6, 0, False),
+    (1, 3, 2, 3, 1): SearchOutcome(True, (1, 3, 2, 3, 2), 56, 2, False),
+    (2, 1, 2, 1, 2): SearchOutcome(True, (2, 1, 2, 1, 2), 51, 6, False),
+    (2, 1, 3, 1, 2): SearchOutcome(False, None, 1402, 534, True),
+    (2, 3, 1, 3, 2): SearchOutcome(False, None, 1402, 534, True),
+    (2, 3, 2, 3, 2): SearchOutcome(True, (2, 3), 8, 0, False),
+    (3, 1, 2, 1, 3): SearchOutcome(True, (3, 1, 2, 3, 2), 76, 8, False),
+    (3, 1, 3, 1, 3): SearchOutcome(True, (3, 1, 3, 1, 3), 72, 16, False),
+    (3, 2, 1, 2, 3): SearchOutcome(True, (3, 2, 1, 2, 3, 1), 149, 26, False),
+    (3, 2, 3, 2, 3): SearchOutcome(True, (3, 2, 3, 2, 3), 82, 16, False),
+    (1, 2, 1, 2, 1, 2, 1): SearchOutcome(True, (1, 2, 1), 11, 0, False),
+    (1, 2, 1, 3, 1, 2, 1): SearchOutcome(True, (3, 1, 3, 2), 42, 1, False),
+    (1, 2, 3, 1, 3, 2, 1): SearchOutcome(True, (1, 2, 3), 12, 0, False),
+    (1, 2, 3, 2, 3, 2, 1): SearchOutcome(True, (1, 2, 3), 12, 0, False),
+    (1, 3, 1, 2, 1, 3, 1): SearchOutcome(False, None, 2694, 896, True),
+    (1, 3, 1, 3, 1, 3, 1): SearchOutcome(True, (1, 3, 1), 13, 1, False),
+    (1, 3, 2, 1, 2, 3, 1): SearchOutcome(False, None, 3170, 1026, True),
+    (1, 3, 2, 3, 2, 3, 1): SearchOutcome(True, (1, 3, 2, 3, 2, 3), 114, 12, False),
+    (2, 1, 2, 1, 2, 1, 2): SearchOutcome(True, (2, 1, 2, 1, 2, 1), 103, 16, False),
+    (2, 1, 2, 3, 2, 1, 2): SearchOutcome(True, (2, 1, 3, 2, 3), 68, 2, False),
+    (2, 1, 3, 1, 3, 1, 2): SearchOutcome(False, None, 2274, 794, True),
+    (2, 1, 3, 2, 3, 1, 2): SearchOutcome(False, None, 3170, 1026, True),
+    (2, 3, 1, 2, 1, 3, 2): SearchOutcome(False, None, 3170, 1026, True),
+    (2, 3, 1, 3, 1, 3, 2): SearchOutcome(False, None, 2274, 794, True),
+    (2, 3, 2, 1, 2, 3, 2): SearchOutcome(True, (2, 3, 1, 3, 1), 71, 4, False),
+    (2, 3, 2, 3, 2, 3, 2): SearchOutcome(True, (2, 3, 2), 18, 1, False),
+    (3, 1, 2, 1, 2, 1, 3): SearchOutcome(True, (3, 1, 2, 1, 3, 1), 141, 22, False),
+    (3, 1, 2, 3, 2, 1, 3): SearchOutcome(False, None, 3170, 1026, True),
+    (3, 1, 3, 1, 3, 1, 3): SearchOutcome(True, (3, 1, 3, 1, 3, 1), 137, 32, False),
+    (3, 1, 3, 2, 3, 1, 3): SearchOutcome(False, None, 2694, 896, True),
+    (3, 2, 1, 2, 1, 2, 3): SearchOutcome(True, (3, 2, 1, 2, 1, 3, 2), 266, 58, False),
+    (3, 2, 1, 3, 1, 2, 3): SearchOutcome(True, (3, 2, 1, 3, 1, 2, 3), 320, 60, False),
+    (3, 2, 3, 1, 3, 2, 3): SearchOutcome(True, (3, 2, 3, 1, 2, 1), 171, 22, False),
+    (3, 2, 3, 2, 3, 2, 3): SearchOutcome(True, (3, 2, 3, 2, 3, 2), 158, 35, False),
+}
+
+
+def test_criterion_5_search_outcomes_are_pinned():
+    rows, _ = desk_scale_run()
+    got = {r.word: search for r, *_, search in rows}
+    assert got == SEARCH_OUTCOMES
 
 
 def test_criterion_5_cli_skips_the_search_only_on_proved_negatives(capsys, tmp_path):

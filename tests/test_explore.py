@@ -801,8 +801,8 @@ def test_complete_arc_raises_when_the_replay_lacks_the_root(monkeypatch):
     walk = explore_module._walk
 
     def wrong_paths(root, depth, expand=None):
-        for cvecs, heights, path in walk(root, depth, expand):
-            yield cvecs, heights, path[:-1]
+        for cvecs, path in walk(root, depth, expand):
+            yield cvecs, path[:-1]
 
     a = Arc((1, 3), 2)
     assert complete_arc(a, B3, 8).path == (1, 3, 2, 3, 2)
@@ -836,9 +836,18 @@ def test_cvector_walk_matches_iter_seeds(initial, depth):
     seeds = list(iter_seeds(root, depth))
     nodes = list(explore_module._walk(root, depth))
     assert len(nodes) == len(seeds) == tree_count(initial.n, depth)
-    for seed, (cvecs, heights, path) in zip(seeds, nodes):
+    by_path = {path: cvecs for cvecs, path in nodes}
+    for seed, (cvecs, path) in zip(seeds, nodes):
         assert (cvecs, path) == (seed.cvectors, seed.path)
-        assert heights == tuple(_height(c) for c in cvecs)
+        if path:
+            # the heights the search prunes by: position k keeps its own,
+            # every other position keeps its vector or grows
+            k, parent = path[-1], by_path[path[:-1]]
+            for j, (before, after) in enumerate(zip(parent, cvecs), 1):
+                if j == k:
+                    assert _height(after) == _height(before), path
+                else:
+                    assert after == before or _height(after) > _height(before), path
         images = [[sum(b * x for b, x in zip(row, c)) for row in b0] for c in cvecs]
         for j in initial.vertices():
             for k in initial.vertices():
@@ -857,7 +866,7 @@ def test_cvector_walk_asks_expand_about_the_seeds_iter_seeds_does():
         return events
 
     want = events_of(iter_seeds, lambda seed: seed.path)
-    assert events_of(explore_module._walk, lambda node: node[2]) == want
+    assert events_of(explore_module._walk, lambda node: node[1]) == want
     assert any(e[0] == "expand" for e in want) and len(want) > 100
 
 
@@ -873,9 +882,8 @@ BAD_STEPS = [
 def test_cvector_step_raises_where_mutate_seed_does(seed, k, error):
     with pytest.raises(error):
         mutate_seed(seed, k)
-    heights = tuple(_height(c) for c in seed.cvectors)
     with pytest.raises(error):
-        explore_module._mutate_cvectors(seed.cvectors, heights, k, B3.rows, GRAM3.rows)
+        explore_module._mutate_cvectors(seed.cvectors, k, B3.rows, GRAM3.rows)
 
 
 def _eager_seeds(root, depth, expand):

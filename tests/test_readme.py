@@ -1,0 +1,67 @@
+"""The README's Library tour runs, and every value its comments state is
+the value its line computes.
+
+A comment states a value when it starts with a Python literal, up to its
+end or to a colon: `# (1, 2, 1): each c-vector ...` states (1, 2, 1).  It
+belongs to the expression on its own line, or, alone on a line, to the
+expression on the line before.
+"""
+
+import ast
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def tour_source() -> str:
+    text = README.read_text()
+    start = text.index("```python\n", text.index("## Library tour")) + len("```python\n")
+    return text[start : text.index("```", start)]
+
+
+def stated_value(comment: str) -> tuple[bool, object]:
+    """(True, value) when the comment starts with a literal, else (False, None)."""
+    cuts = [len(comment)] + [i for i, ch in enumerate(comment) if ch == ":"]
+    for cut in cuts:
+        try:
+            return True, ast.literal_eval(comment[:cut].strip())
+        except (ValueError, SyntaxError):
+            continue
+    return False, None
+
+
+def stated_values(source: str) -> dict[int, object]:
+    """The stated values by the line number of the expression they belong to."""
+    out = {}
+    for number, line in enumerate(source.splitlines(), 1):
+        code, sep, comment = line.partition("#")
+        if not sep:
+            continue
+        states, value = stated_value(comment)
+        if states:
+            out[number if code.strip() else number - 1] = value
+    return out
+
+
+def test_stated_value_reads_a_literal_up_to_a_colon():
+    assert stated_value(" (1, 2, 1): each c-vector") == (True, (1, 2, 1))
+    assert stated_value(" {'found': False, 'path': None}") == (True, {"found": False, "path": None})
+    assert stated_value(" True: one bad pair") == (True, True)
+    assert stated_value(" the same reflections, rotated") == (False, None)
+
+
+def test_library_tour_computes_what_its_comments_state():
+    source = tour_source()
+    want = stated_values(source)
+    namespace: dict[str, object] = {}
+    got = {}
+    for statement in ast.parse(source).body:
+        if isinstance(statement, ast.Expr):
+            code = compile(ast.Expression(statement.value), str(README), "eval")
+            got[statement.end_lineno] = eval(code, namespace)
+        else:
+            exec(compile(ast.Module([statement], []), str(README), "exec"), namespace)
+    assert len(want) == 8
+    for line, value in want.items():
+        assert line in got, f"the value stated at tour line {line} belongs to no expression"
+        assert got[line] == value and type(got[line]) is type(value), (line, got[line])

@@ -391,12 +391,28 @@ def test_carried_reflections_match_descent(monkeypatch, initial, depth):
     assert seeds > 400
 
 
-def test_carry_leaves_equality_and_repr_alone():
+def test_carry_leaves_equality_and_repr_alone(monkeypatch):
+    # a child of a read parent gets its reflections as it is built, one
+    # conjugation per moved vertex; a child of an unread parent gets none
+    calls = 0
+
+    def counting(r, *by):
+        nonlocal calls
+        calls += 1
+        return conjugate(r, *by)
+
+    monkeypatch.setattr(roots, "conjugate", counting)
     parent = mutate_seed(S0, 1)
     unread = mutate_seed(parent, 2)
+    assert "reflections" not in unread.__dict__ and calls == 0
     assert parent.reflections  # read, so the next child carries
+    positive = root_sign(parent.cvectors[1]) > 0
+    moved = [
+        j for j in parent.matrix.vertices()
+        if j != 2 and (parent.matrix.b(j, 2) < 0 if positive else parent.matrix.b(j, 2) > 0)
+    ]
     carried = mutate_seed(parent, 2)
-    assert carried._carry is not None and unread._carry is None
+    assert "reflections" in carried.__dict__ and calls == len(moved) > 0
     assert carried == unread and hash(carried) == hash(unread)
     assert repr(carried) == repr(unread) and seed_json(carried) == seed_json(unread)
     assert carried.reflections == unread.reflections
