@@ -31,7 +31,7 @@ from .errors import (
     WrongArity,
     require_int,
 )
-from .roots import GramMatrix, all_weights_two_gram, reflection_to_root, speyer_thomas_check
+from .roots import GramMatrix, Root, _ordering_check, all_weights_two_gram, reflection_to_root
 from .words import (
     Reflection,
     Word,
@@ -120,14 +120,27 @@ def tuple_verdict(
         gram = all_weights_two_gram(n)
     elif gram.n != n:
         raise WrongArity(f"pairing rank {gram.n} != tuple length {n}")
+    return _tuple_verdict(refls, gram, tuple_product(refls))
+
+
+def _tuple_verdict(
+    refls: tuple[Reflection, ...], gram: GramMatrix, product: Word,
+    known: tuple[tuple[Root, ...], bool] | None = None,
+) -> TupleVerdict:
+    """tuple_verdict on a nonempty tuple of the pairing's rank, given the
+    product of refls in order.  The sign rule puts the positive roots first
+    in that order, so the product is also the ordering check's first try.
+    known, a seed's _fan_ordering, is a (roots, verdict) pair of the
+    ordering check on refls, reused when the sign rule gives those roots."""
+    n = len(refls)
     bad = [i for i in range(n - 1) if comparable(refls[i], refls[i + 1])]
-    product_ok = tuple_product(refls) == tuple(range(1, n + 1))
     roots = [reflection_to_root(r, gram) for r in refls]
     if bad:
         cut = bad[0]
         roots = roots[: cut + 1] + [tuple(-x for x in u) for u in roots[cut + 1 :]]
-    st = speyer_thomas_check(tuple(roots), refls, gram)
-    return TupleVerdict(len(bad), product_ok, st, len(bad) <= 1 and st)
+    roots = tuple(roots)
+    st = known[1] if known and known[0] == roots else _ordering_check(roots, refls, gram, product)
+    return TupleVerdict(len(bad), product == tuple(range(1, n + 1)), st, len(bad) <= 1 and st)
 
 
 def braid_swap(

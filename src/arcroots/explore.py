@@ -29,7 +29,7 @@ from itertools import chain
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, TypeVar
 
-from .arcs import Arc, arc_to_reflection, tuple_product, tuple_verdict
+from .arcs import Arc, _tuple_verdict, arc_to_reflection
 from .embedding import probe_embedding
 from .errors import ArcrootsError, DepthExhausted, NotARealRoot, NotEmbeddable, require_int
 from .quiver import ExchangeMatrix, Vertex, decreasing_directions
@@ -42,7 +42,6 @@ from .roots import (
     reflection_to_root,
     root_sign,
     sign_run_count,
-    speyer_thomas_check,
 )
 from .words import Reflection, in_one_star, require_rank, separating_nodes
 
@@ -142,14 +141,13 @@ def _st(seed: YSeed) -> bool:
     # the verdict does not depend on the input order; the natural order
     # puts the positives first in the one order the check accepts, so a
     # passing seed needs no Euler-order sort
-    cvecs = tuple(seed.cvectors[v - 1] for v in seed._natural[0])
-    return speyer_thomas_check(cvecs, seed.natural_fan, seed.gram)
+    return seed._fan_ordering[1]
 
 
 def _coxeter_product(seed: YSeed) -> bool:
     # the paper proves that the natural fan, rotated to the first positive
     # root, always multiplies to s_1 s_2 .. s_n, so no other rotation is tried
-    return tuple_product(seed.natural_fan) == tuple(range(1, seed.n + 1))
+    return seed._fan_product == tuple(range(1, seed.n + 1))
 
 
 def _sign_runs(seed: YSeed) -> bool:
@@ -158,8 +156,10 @@ def _sign_runs(seed: YSeed) -> bool:
 
 def _bad_pairs(seed: YSeed) -> bool:
     # at most one bad pair in the natural fan, and the ordering criterion
-    # on the roots its sign rule gives: the paper's Y-seed characterization
-    return tuple_verdict(seed.natural_fan, seed.gram).is_yseed
+    # on the roots its sign rule gives: the paper's Y-seed characterization,
+    # read with the seed's fan product and, where it applies, its verdict
+    fan = seed.natural_fan
+    return _tuple_verdict(fan, seed.gram, seed._fan_product, seed._fan_ordering).is_yseed
 
 
 def _sep_dichotomy(seed: YSeed) -> bool:

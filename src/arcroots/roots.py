@@ -18,7 +18,10 @@ each corresponds to a reflection in the universal Coxeter group.  The
 initial seed writes its reflections in the simple generators by repeated
 descent.  A mutation that reflects c_j in c_k conjugates the reflection
 t_j by t_k, so mutating a seed whose reflections were already read gives
-the child its reflections by conjugation; descent stays the oracle.
+the child its reflections by conjugation; descent stays the oracle.  A seed
+also keeps, once read, its natural fan's product and the ordering
+criterion's verdict on its natural-order c-vectors, which the per-seed
+checks share.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from functools import cached_property, cmp_to_key
 
 from .errors import NotAcyclic, NotARealRoot, NotNormalized, SignIncoherent
 from .quiver import ExchangeMatrix, Vertex, natural_order, require_vertex
-from .words import Reflection, conjugate, mul, require_rank
+from .words import Reflection, Word, conjugate, mul, require_rank
 
 Root = tuple[int, ...]
 
@@ -165,6 +168,18 @@ class YSeed:
         """The reflections in natural order, rotated to the first positive
         root; built once, on first use."""
         return tuple(self.reflections[v - 1] for v in self._natural[0])
+
+    @cached_property
+    def _fan_product(self) -> Word:
+        """The natural fan's product, formed once."""
+        return mul(*(r.word for r in self.natural_fan))
+
+    @cached_property
+    def _fan_ordering(self) -> tuple[tuple[Root, ...], bool]:
+        """The natural-order c-vectors and speyer_thomas_check's verdict on
+        them with the natural fan, whose product is its first try."""
+        cvecs = tuple(self.cvectors[v - 1] for v in self._natural[0])
+        return cvecs, _ordering_check(cvecs, self.natural_fan, self.gram, self._fan_product)
 
 
 def initial_seed(matrix: ExchangeMatrix) -> YSeed:
@@ -312,6 +327,17 @@ def speyer_thomas_check(
     n = gram.n
     if len(roots) != n or len(reflections) != n or any(len(u) != n for u in roots):
         raise ValueError(f"expected {n} roots of length {n} and {n} reflections")
+    return _ordering_check(roots, reflections, gram, None)
+
+
+def _ordering_check(
+    roots: tuple[Root, ...], reflections: tuple[Reflection, ...],
+    gram: GramMatrix, product: Word | None,
+) -> bool:
+    """speyer_thomas_check on input of the right lengths.  product, when
+    given, is the reflections' product in the given order, and is the first
+    try's product when every positive root comes before every negative one."""
+    n = gram.n
     signs = [root_sign(u) for u in roots]
     positives = [i for i in range(n) if signs[i] > 0]
     negatives = [i for i in range(n) if signs[i] < 0]
@@ -324,7 +350,9 @@ def speyer_thomas_check(
                     return False
     words = [r.word for r in reflections]
     target = tuple(range(1, n + 1))
-    if mul(*(words[i] for i in positives + negatives)) == target:
+    if product is None or positives != list(range(len(positives))):
+        product = mul(*(words[i] for i in positives + negatives))
+    if product == target:
         return True
     ev = [[v[i] + sum(map(operator.mul, m[i][i + 1 :], v[i + 1 :])) for i in range(n)] for v in roots]
     after = cmp_to_key(lambda a, b: 1 if sum(map(operator.mul, roots[a], ev[b])) == 0 else -1)

@@ -5,8 +5,10 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
+from arcroots import arcs as arcs_module, roots as roots_module
 from arcroots.arcs import (
     Arc,
+    TupleVerdict,
     arc_to_reflection,
     braid_swap,
     canonicalize_arc,
@@ -30,6 +32,8 @@ from arcroots.roots import (
     cartan_companion,
     initial_seed,
     mutate_seed,
+    reflection_to_root,
+    speyer_thomas_check,
 )
 from arcroots.words import (
     Reflection,
@@ -187,6 +191,22 @@ def _factorizations(w, k, refls):
                 yield (t, *tail)
 
 
+def _composed_verdict(refls, gram):
+    """tuple_verdict composed from the public functions, with the product
+    and the ordering check's first try formed apart."""
+    n = len(refls)
+    bad = [i for i in range(n - 1) if comparable(refls[i], refls[i + 1])]
+    product_ok = tuple_product(refls) == tuple(range(1, n + 1))
+    roots = [reflection_to_root(r, gram) for r in refls]
+    if bad:
+        roots = roots[: bad[0] + 1] + [tuple(-x for x in u) for u in roots[bad[0] + 1 :]]
+    st_pass = speyer_thomas_check(tuple(roots), refls, gram)
+    return TupleVerdict(len(bad), product_ok, st_pass, len(bad) <= 1 and st_pass)
+
+
+B3_GRAM = cartan_companion(ExchangeMatrix.from_rows([[0, 2, 2], [-2, 0, 2], [-2, -2, 0]]))
+
+
 @pytest.mark.parametrize(
     "rows,max_length,counts",
     [
@@ -205,6 +225,7 @@ def test_every_passing_tuple_is_a_seed_fan(rows, max_length, counts):
     refls = _reflections_up_to(n, max_length)
     factorizations = list(_factorizations(tuple(range(1, n + 1)), n, refls))
     verdicts = {f: tuple_verdict(f, gram) for f in factorizations}
+    assert all(v == _composed_verdict(f, gram) for f, v in verdicts.items())
     passing = {f for f, v in verdicts.items() if v.is_yseed}
     # reflection lengths never shrink away from the root, so a seed
     # with a longer member has no descendant short enough to count
@@ -219,17 +240,44 @@ def test_every_passing_tuple_is_a_seed_fan(rows, max_length, counts):
     assert all(v.bad_pair_count >= 2 for f, v in verdicts.items() if f not in passing)
 
 
+def test_tuple_verdict_forms_its_product_once(monkeypatch):
+    # the sign rule puts the positive roots first in the given order, so
+    # the product the verdict reports is also the ordering check's first try
+    products = 0
+    multiply = roots_module.mul
+
+    def counting(*words):
+        nonlocal products
+        products += 1
+        return multiply(*words)
+
+    for module in (arcs_module, roots_module):
+        monkeypatch.setattr(module, "mul", counting)
+    for fan in (
+        (fan_arc([1], 2), fan_arc([1], 3), fan_arc([], 1)),
+        tuple(fan_arc([], i) for i in range(1, 4)),
+    ):
+        products = 0
+        assert tuple_verdict(fan, B3_GRAM).is_yseed
+        assert products == 1
+
+
 def test_the_ordering_check_decides_most_tuples_with_few_bad_pairs():
     # every triple of short rank-3 reflections: most of those with at
     # most one bad pair fail the ordering check, so a verdict that
     # dropped it would pass them
-    gram = cartan_companion(ExchangeMatrix.from_rows([[0, 2, 2], [-2, 0, 2], [-2, -2, 0]]))
     refls = _reflections_up_to(3, 5)
     assert len(refls) == 21
     tally = Counter()
+    products = Counter()
     for f in itertools.product(refls, repeat=3):
-        v = tuple_verdict(f, gram)
+        v = tuple_verdict(f, B3_GRAM)
+        assert v == _composed_verdict(f, B3_GRAM), f
         tally[min(v.bad_pair_count, 2), v.st_pass, v.is_yseed] += 1
+        products[v.product_is_coxeter, v.st_pass] += 1
+    # most triples do not multiply to c, so the ordering check's first try
+    # fails and the Euler-order sort runs; nine of them still pass it
+    assert products == {(False, False): 9_221, (False, True): 9, (True, True): 27, (True, False): 4}
     # (bad pairs, capped at 2; ordering check; verdict)
     assert tally == {
         (0, True, True): 6,

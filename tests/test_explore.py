@@ -6,14 +6,21 @@ import json
 import logging
 import random
 import re
-from collections import deque
+from collections import Counter, deque
 from dataclasses import asdict, fields, replace
 from functools import cached_property
 
 import pytest
 
-from arcroots import roots
-from arcroots.arcs import Arc, TupleVerdict, arc_to_reflection, reflection_to_arc
+from arcroots import arcs, roots
+from arcroots.arcs import (
+    Arc,
+    TupleVerdict,
+    arc_to_reflection,
+    reflection_to_arc,
+    tuple_product,
+    tuple_verdict,
+)
 from arcroots.cli import main, seed_json
 from arcroots.dot import exchange_tree_dot
 from arcroots.errors import (
@@ -42,6 +49,7 @@ from arcroots.roots import (
     mutate_seed,
     reflection_to_root,
     root_to_reflection,
+    speyer_thomas_check,
 )
 from arcroots.words import canonical_reflection, separating_nodes
 
@@ -165,6 +173,54 @@ def test_explore_reads_each_natural_order_once(monkeypatch):
     assert calls == report.seeds_visited == 766
     assert all(seed.natural_fan is seed.natural_fan for seed in seeds)
     assert calls == 766
+
+
+def test_explore_judges_each_natural_fan_once(monkeypatch):
+    # st, coxeter_product and bad_pairs share one fan product and one
+    # ordering verdict per seed.  bad_pairs runs the ordering criterion
+    # again only where its sign rule, all roots positive when no pair is
+    # bad, differs from the seed's c-vectors: at the three seeds whose fan
+    # is the initial simple reflections
+    at = []
+    path = None
+    products = 0
+    judge, multiply = roots._ordering_check, roots.mul
+
+    def counting_judge(roots_, reflections, gram, product):
+        assert product is not None
+        at.append(path)
+        return judge(roots_, reflections, gram, product)
+
+    def counting_mul(*words):
+        nonlocal products
+        products += 1
+        return multiply(*words)
+
+    for module in (roots, arcs):
+        monkeypatch.setattr(module, "_ordering_check", counting_judge)
+        monkeypatch.setattr(module, "mul", counting_mul)
+
+    def following(check):
+        def run(seed):
+            nonlocal path
+            path = seed.path
+            return check(seed)
+
+        return run
+
+    for name, check in list(CHECKS.items()):
+        monkeypatch.setitem(CHECKS, name, following(check))
+    seeds = []
+    report = explore(B3, 8, checks=ALL_CHECKS, sink=seeds.append)
+    assert report.violations == () and report.seeds_visited == 766
+    assert len(at) == 769
+    runs = Counter(at)
+    assert set(runs) == {seed.path for seed in seeds}
+    assert {p: c for p, c in runs.items() if c != 1} == {(3,): 2, (3, 2): 2, (3, 2, 1): 2}
+    # the product is formed once per seed, and every run of the criterion
+    # above took it as its first try instead of forming its own
+    assert products == 766
+    assert all("_fan_product" in seed.__dict__ for seed in seeds)
 
 
 def test_explore_descends_only_the_root_seed(monkeypatch):
@@ -824,6 +880,52 @@ def _walk_trees():
         pytest.param(random_acyclic_two_complete(5, rng), 4, id="rank-5"),
         pytest.param(random_acyclic_two_complete(6, rng), 3, id="rank-6"),
     ]
+
+
+def _fan_check_trees():
+    rng = random.Random(2027)
+    return [
+        pytest.param(B3, 8, id="B3"),
+        pytest.param(W4, 5, id="W4"),
+        pytest.param(random_acyclic_two_complete(5, rng), 4, id="rank-5"),
+        pytest.param(random_acyclic_two_complete(6, rng), 3, id="rank-6"),
+    ]
+
+
+FAN_CHECKS = ("st", "coxeter_product", "bad_pairs")
+
+
+def _composed_fan_answers(seed):
+    """st, coxeter_product and bad_pairs composed from the public functions
+    on a copy of the seed with nothing cached."""
+    fresh = YSeed(seed.matrix, seed.cvectors, seed.gram, seed.path)
+    fan = fresh.natural_fan
+    cvecs = tuple(fresh.cvectors[v - 1] for v in fresh._natural[0])
+    return {
+        "st": speyer_thomas_check(cvecs, fan, fresh.gram),
+        "coxeter_product": tuple_product(fan) == tuple(range(1, fresh.n + 1)),
+        "bad_pairs": tuple_verdict(fan, fresh.gram).is_yseed,
+    }
+
+
+@pytest.mark.parametrize("initial,depth", _fan_check_trees())
+def test_fan_checks_match_their_compositions(initial, depth):
+    # the three checks read the product and ordering verdict a seed keeps;
+    # each answer must be the one the public functions give, whichever
+    # check reads the seed first
+    for seed in iter_seeds(initial_seed(initial), depth):
+        want = _composed_fan_answers(seed)
+        assert {name: CHECKS[name](seed) for name in FAN_CHECKS} == want, seed.path
+        fresh = YSeed(seed.matrix, seed.cvectors, seed.gram, seed.path)
+        assert {name: CHECKS[name](fresh) for name in reversed(FAN_CHECKS)} == want, seed.path
+
+
+@pytest.mark.parametrize("case", [c for c in VIOLATIONS if c.split()[0] in FAN_CHECKS])
+def test_fan_checks_match_their_compositions_where_they_fail(case):
+    seed = VIOLATIONS[case][0]
+    want = _composed_fan_answers(seed)
+    assert want[case.split()[0]] is False
+    assert {name: CHECKS[name](seed) for name in FAN_CHECKS} == want
 
 
 @pytest.mark.parametrize("initial,depth", _walk_trees())

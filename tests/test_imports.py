@@ -253,6 +253,8 @@ NO_PROGRAM_CALLER = {
     "twin_replace_walk": "paper construction: twinning an arc past a fan",
     "acyclic_representative": "paper construction: descent to the acyclic seed",
     "generator": "public constructor of the simple reflections",
+    "speyer_thomas_check": "public ordering criterion; the package runs its body with a product"
+    " it already formed",
 }
 
 
