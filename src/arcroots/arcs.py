@@ -12,9 +12,9 @@ is a bijection onto the reflections of the universal Coxeter group.
 
 Two consecutive arcs of a clockwise fan at b form a bad pair when their
 reflections are comparable in the prefix order.  A tuple of arcs comes
-from a Y-seed exactly when at most one consecutive pair is bad; the
-verdict below packages that test together with the sign assignment and
-the ordering criterion on the associated roots.
+from a Y-seed exactly when at most one consecutive pair is bad and the
+ordering criterion holds on its roots as the sign rule signs them; the
+verdict below packages both tests with the tuple's product.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import (
     WrongArity,
     require_int,
 )
-from .roots import GramMatrix, Root, _ordering_check, all_weights_two_gram, reflection_to_root
+from .roots import GramMatrix, all_weights_two_gram, reflection_to_root, speyer_thomas_check
 from .words import (
     Reflection,
     Word,
@@ -105,12 +105,10 @@ def tuple_verdict(
 
     The arcs are given by their reflections, the same (prefix, core) data
     under arc_to_reflection.  Bad pairs are counted over consecutive pairs
-    in the given linear order.  Signs follow the reconstruction that
-    proves the criterion: all roots positive when no pair is bad,
-    otherwise positive up to the first bad pair and negative after it.
-    The ordering check runs against the given pairing, by default the
-    all-weights-2 one of the right rank; reflection_to_root rejects a
-    letter beyond that rank.
+    in the given linear order, and the roots signed by _sign_rule, the
+    reconstruction that proves the criterion.  The ordering check runs
+    against the given pairing, by default the all-weights-2 one of the
+    right rank; reflection_to_root rejects a letter beyond that rank.
     """
     refls = tuple(refls)
     n = len(refls)
@@ -120,27 +118,20 @@ def tuple_verdict(
         gram = all_weights_two_gram(n)
     elif gram.n != n:
         raise WrongArity(f"pairing rank {gram.n} != tuple length {n}")
-    return _tuple_verdict(refls, gram, tuple_product(refls))
+    bad, signs = _sign_rule(refls)
+    roots = tuple(tuple(s * x for x in reflection_to_root(r, gram)) for r, s in zip(refls, signs))
+    st = speyer_thomas_check(roots, refls, gram)
+    product_ok = tuple_product(refls) == tuple(range(1, n + 1))
+    return TupleVerdict(bad, product_ok, st, bad <= 1 and st)
 
 
-def _tuple_verdict(
-    refls: tuple[Reflection, ...], gram: GramMatrix, product: Word,
-    known: tuple[tuple[Root, ...], bool] | None = None,
-) -> TupleVerdict:
-    """tuple_verdict on a nonempty tuple of the pairing's rank, given the
-    product of refls in order.  The sign rule puts the positive roots first
-    in that order, so the product is also the ordering check's first try.
-    known, a seed's _fan_ordering, is a (roots, verdict) pair of the
-    ordering check on refls, reused when the sign rule gives those roots."""
-    n = len(refls)
-    bad = [i for i in range(n - 1) if comparable(refls[i], refls[i + 1])]
-    roots = [reflection_to_root(r, gram) for r in refls]
-    if bad:
-        cut = bad[0]
-        roots = roots[: cut + 1] + [tuple(-x for x in u) for u in roots[cut + 1 :]]
-    roots = tuple(roots)
-    st = known[1] if known and known[0] == roots else _ordering_check(roots, refls, gram, product)
-    return TupleVerdict(len(bad), product == tuple(range(1, n + 1)), st, len(bad) <= 1 and st)
+def _sign_rule(refls: Sequence[Reflection]) -> tuple[int, tuple[int, ...]]:
+    """The bad pairs among consecutive members, counted, and each member's
+    root sign, read from the reflections alone: positive up to the first
+    bad pair, negative after it, and all positive when no pair is bad."""
+    bad = [i for i in range(len(refls) - 1) if comparable(refls[i], refls[i + 1])]
+    cut = bad[0] + 1 if bad else len(refls)
+    return len(bad), (1,) * cut + (-1,) * (len(refls) - cut)
 
 
 def braid_swap(

@@ -18,6 +18,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from typing import Iterable
 
 from .errors import (
     IncompleteTournament,
@@ -38,14 +40,28 @@ def require_vertex(k: Vertex, n: int) -> Vertex:
     return k
 
 
+def _int_rows(rows: Iterable[Iterable[int]], name: str) -> tuple[tuple[int, ...], ...]:
+    """The rows as tuples, once require_int has passed every entry, named
+    name[i][j], in row-major order: a matrix's rule before its shape's."""
+    rows = tuple(map(tuple, rows))
+    # one pass over the types spares a matrix of ints the named checks
+    if set(map(type, chain.from_iterable(rows))) - {int}:
+        for i, row in enumerate(rows, 1):
+            for j, x in enumerate(row, 1):
+                require_int(x, f"{name}[{i}][{j}]")
+    return rows
+
+
 @dataclass(frozen=True)
 class ExchangeMatrix:
-    """Skew-symmetric integer matrix, vertices numbered 1..n."""
+    """Skew-symmetric integer matrix, vertices numbered 1..n.  Entries are
+    never coerced: a weight of 2.9 or true raises ValueError naming it."""
 
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = self.rows
+        rows = _int_rows(self.rows, "b")
+        object.__setattr__(self, "rows", rows)
         n = len(rows)
         for row in rows:
             if len(row) != n:
@@ -60,17 +76,16 @@ class ExchangeMatrix:
     def from_rows(cls, rows: list[list[int]]) -> ExchangeMatrix:
         """Matrix from a list of rows of ints, the shape JSON gives.
 
-        Entries are never coerced: a bool, float or string entry raises
-        ValueError naming it, so a weight of 2.9 cannot load as 2.
+        A b or row that is not a list raises ValueError naming it, after
+        any bad entry of an earlier row; the constructor checks entries.
         """
         if not isinstance(rows, list):
             raise ValueError(f"b must be a list of rows, got {type(rows).__name__}")
         for i, row in enumerate(rows, 1):
             if not isinstance(row, list):
+                _int_rows(rows[: i - 1], "b")
                 raise ValueError(f"row {i} of b must be a list, got {type(row).__name__}")
-            for j, x in enumerate(row, 1):
-                require_int(x, f"b[{i}][{j}]")
-        return cls(tuple(tuple(row) for row in rows))
+        return cls(rows)
 
     @property
     def n(self) -> int:

@@ -19,9 +19,8 @@ initial seed writes its reflections in the simple generators by repeated
 descent.  A mutation that reflects c_j in c_k conjugates the reflection
 t_j by t_k, so mutating a seed whose reflections were already read gives
 the child its reflections by conjugation; descent stays the oracle.  A seed
-also keeps, once read, its natural fan's product and the ordering
-criterion's verdict on its natural-order c-vectors, which the per-seed
-checks share.
+also keeps, once read, the ordering criterion's verdict on its
+natural-order c-vectors, which the per-seed checks share.
 """
 
 from __future__ import annotations
@@ -31,19 +30,20 @@ from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
 
 from .errors import NotAcyclic, NotARealRoot, NotNormalized, SignIncoherent
-from .quiver import ExchangeMatrix, Vertex, natural_order, require_vertex
-from .words import Reflection, Word, conjugate, mul, require_rank
+from .quiver import ExchangeMatrix, Vertex, _int_rows, natural_order, require_vertex
+from .words import Reflection, conjugate, mul, require_rank
 
 Root = tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Symmetric pairing matrix with diagonal 2."""
+    """Symmetric integer pairing matrix with diagonal 2, built as ExchangeMatrix is."""
 
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "rows", _int_rows(self.rows, "m"))
         n = len(self.rows)
         for row in self.rows:
             if len(row) != n:
@@ -170,16 +170,11 @@ class YSeed:
         return tuple(self.reflections[v - 1] for v in self._natural[0])
 
     @cached_property
-    def _fan_product(self) -> Word:
-        """The natural fan's product, formed once."""
-        return mul(*(r.word for r in self.natural_fan))
-
-    @cached_property
-    def _fan_ordering(self) -> tuple[tuple[Root, ...], bool]:
-        """The natural-order c-vectors and speyer_thomas_check's verdict on
-        them with the natural fan, whose product is its first try."""
+    def _fan_ordering(self) -> bool:
+        """speyer_thomas_check's verdict on the natural-order c-vectors
+        with the natural fan, read once."""
         cvecs = tuple(self.cvectors[v - 1] for v in self._natural[0])
-        return cvecs, _ordering_check(cvecs, self.natural_fan, self.gram, self._fan_product)
+        return speyer_thomas_check(cvecs, self.natural_fan, self.gram)
 
 
 def initial_seed(matrix: ExchangeMatrix) -> YSeed:
@@ -322,22 +317,13 @@ def speyer_thomas_check(
     Coxeter group commute, so no two are orthogonal and the order is unique.
 
     Each pair in (1) is read against the image M u of its earlier root,
-    formed once per root: <u, v> is the dot product of v with M u.
+    formed once per root: <u, v> is the dot product of v with M u.  For
+    (2) the given order, with the positives moved before the negatives, is
+    tried before the Euler-order sort.
     """
     n = gram.n
     if len(roots) != n or len(reflections) != n or any(len(u) != n for u in roots):
         raise ValueError(f"expected {n} roots of length {n} and {n} reflections")
-    return _ordering_check(roots, reflections, gram, None)
-
-
-def _ordering_check(
-    roots: tuple[Root, ...], reflections: tuple[Reflection, ...],
-    gram: GramMatrix, product: Word | None,
-) -> bool:
-    """speyer_thomas_check on input of the right lengths.  product, when
-    given, is the reflections' product in the given order, and is the first
-    try's product when every positive root comes before every negative one."""
-    n = gram.n
     signs = [root_sign(u) for u in roots]
     positives = [i for i in range(n) if signs[i] > 0]
     negatives = [i for i in range(n) if signs[i] < 0]
@@ -350,9 +336,7 @@ def _ordering_check(
                     return False
     words = [r.word for r in reflections]
     target = tuple(range(1, n + 1))
-    if product is None or positives != list(range(len(positives))):
-        product = mul(*(words[i] for i in positives + negatives))
-    if product == target:
+    if mul(*(words[i] for i in positives + negatives)) == target:
         return True
     ev = [[v[i] + sum(map(operator.mul, m[i][i + 1 :], v[i + 1 :])) for i in range(n)] for v in roots]
     after = cmp_to_key(lambda a, b: 1 if sum(map(operator.mul, roots[a], ev[b])) == 0 else -1)

@@ -5,7 +5,6 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from arcroots import arcs as arcs_module, roots as roots_module
 from arcroots.arcs import (
     Arc,
     TupleVerdict,
@@ -238,28 +237,6 @@ def test_every_passing_tuple_is_a_seed_fan(rows, max_length, counts):
     assert (len(refls), len(factorizations), len(passing)) == counts
     assert passing == fans
     assert all(v.bad_pair_count >= 2 for f, v in verdicts.items() if f not in passing)
-
-
-def test_tuple_verdict_forms_its_product_once(monkeypatch):
-    # the sign rule puts the positive roots first in the given order, so
-    # the product the verdict reports is also the ordering check's first try
-    products = 0
-    multiply = roots_module.mul
-
-    def counting(*words):
-        nonlocal products
-        products += 1
-        return multiply(*words)
-
-    for module in (arcs_module, roots_module):
-        monkeypatch.setattr(module, "mul", counting)
-    for fan in (
-        (fan_arc([1], 2), fan_arc([1], 3), fan_arc([], 1)),
-        tuple(fan_arc([], i) for i in range(1, 4)),
-    ):
-        products = 0
-        assert tuple_verdict(fan, B3_GRAM).is_yseed
-        assert products == 1
 
 
 def test_the_ordering_check_decides_most_tuples_with_few_bad_pairs():

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import importlib
 import inspect
+import itertools
 import json
 import logging
 import random
@@ -175,30 +176,31 @@ def test_explore_reads_each_natural_order_once(monkeypatch):
     assert calls == 766
 
 
-def test_explore_judges_each_natural_fan_once(monkeypatch):
-    # st, coxeter_product and bad_pairs share one fan product and one
-    # ordering verdict per seed.  bad_pairs runs the ordering criterion
-    # again only where its sign rule, all roots positive when no pair is
-    # bad, differs from the seed's c-vectors: at the three seeds whose fan
-    # is the initial simple reflections
+def _fan_work(monkeypatch, checks):
+    """explore(B3, 8, checks) with its fan work counted: the paths at which
+    the ordering criterion ran, the calls to reflection_to_root and the
+    products formed, each patched wherever the package imported it."""
     at = []
     path = None
-    products = 0
-    judge, multiply = roots._ordering_check, roots.mul
+    calls = Counter()
+    judge, multiply, ascend = roots.speyer_thomas_check, roots.mul, roots.reflection_to_root
 
-    def counting_judge(roots_, reflections, gram, product):
-        assert product is not None
+    def counting_judge(roots_, reflections, gram):
         at.append(path)
-        return judge(roots_, reflections, gram, product)
+        return judge(roots_, reflections, gram)
 
-    def counting_mul(*words):
-        nonlocal products
-        products += 1
-        return multiply(*words)
+    def counting(name, fn):
+        def run(*args):
+            calls[name] += 1
+            return fn(*args)
 
+        return run
+
+    for module in (roots, arcs, explore_module):
+        monkeypatch.setattr(module, "speyer_thomas_check", counting_judge)
+        monkeypatch.setattr(module, "reflection_to_root", counting("ascend", ascend))
     for module in (roots, arcs):
-        monkeypatch.setattr(module, "_ordering_check", counting_judge)
-        monkeypatch.setattr(module, "mul", counting_mul)
+        monkeypatch.setattr(module, "mul", counting("mul", multiply))
 
     def following(check):
         def run(seed):
@@ -211,16 +213,44 @@ def test_explore_judges_each_natural_fan_once(monkeypatch):
     for name, check in list(CHECKS.items()):
         monkeypatch.setitem(CHECKS, name, following(check))
     seeds = []
-    report = explore(B3, 8, checks=ALL_CHECKS, sink=seeds.append)
+    report = explore(B3, 8, checks=checks, sink=seeds.append)
     assert report.violations == () and report.seeds_visited == 766
-    assert len(at) == 769
     runs = Counter(at)
     assert set(runs) == {seed.path for seed in seeds}
+    return runs, calls
+
+
+def test_explore_judges_each_natural_fan_once(monkeypatch):
+    # st and bad_pairs share one ordering verdict per seed.  bad_pairs runs
+    # the criterion again only where its sign rule, all roots positive when
+    # no pair is bad, differs from the seed's c-vectors: at the three seeds
+    # whose fan is the initial simple reflections
+    runs, calls = _fan_work(monkeypatch, ALL_CHECKS)
+    assert sum(runs.values()) == 769
     assert {p: c for p, c in runs.items() if c != 1} == {(3,): 2, (3, 2): 2, (3, 2, 1): 2}
-    # the product is formed once per seed, and every run of the criterion
-    # above took it as its first try instead of forming its own
-    assert products == 766
-    assert all("_fan_product" in seed.__dict__ for seed in seeds)
+    # bad_pairs reads its roots from the c-vectors, never from the fan's
+    # reflections; each criterion run forms its first-try product and
+    # coxeter_product forms the fan's
+    assert calls["ascend"] == 0
+    assert calls["mul"] == 769 + 766
+
+
+def test_bad_pairs_alone_judges_each_natural_fan_once(monkeypatch):
+    # on its own, bad_pairs runs the criterion once per seed: the seed's
+    # verdict where the sign rule gives its signs, a fresh run elsewhere
+    runs, calls = _fan_work(monkeypatch, ("bad_pairs",))
+    assert sum(runs.values()) == 766 and set(runs.values()) == {1}
+    assert calls["ascend"] == 0
+
+
+def test_bad_pairs_fails_two_bad_pairs_whatever_the_ordering(monkeypatch):
+    # no short rank-3 tuple with two bad pairs passes the ordering
+    # criterion, so the count is pinned apart: the initial seed, whose
+    # criterion passes, read as if its fan had two bad pairs
+    assert CHECKS["bad_pairs"](initial_seed(B3)) is True
+    monkeypatch.setattr(explore_module, "_sign_rule", lambda refls: (2, (1, 1, 1)))
+    seed = initial_seed(B3)
+    assert CHECKS["bad_pairs"](seed) is False and seed._fan_ordering is True
 
 
 def test_explore_descends_only_the_root_seed(monkeypatch):
@@ -918,6 +948,22 @@ def test_fan_checks_match_their_compositions(initial, depth):
         assert {name: CHECKS[name](seed) for name in FAN_CHECKS} == want, seed.path
         fresh = YSeed(seed.matrix, seed.cvectors, seed.gram, seed.path)
         assert {name: CHECKS[name](fresh) for name in reversed(FAN_CHECKS)} == want, seed.path
+
+
+def test_fan_checks_match_their_compositions_on_every_signing():
+    # B3's matrix with every triple of signed roots of reflections of
+    # length at most 3: most are no seed, and bad_pairs's re-signed
+    # c-vectors must still give tuple_verdict's answer from the reflections
+    roots_ = [reflection_to_root(canonical_reflection(w), GRAM3) for w in
+              ((1,), (2,), (3,), (1, 2, 1), (1, 3, 1), (2, 1, 2), (2, 3, 2), (3, 1, 3), (3, 2, 3))]
+    signed = roots_ + [tuple(-x for x in u) for u in roots_]
+    passing = 0
+    for cvecs in itertools.product(signed, repeat=3):
+        seed = YSeed(B3, cvecs, GRAM3, ())
+        want = _composed_fan_answers(seed)
+        assert {name: CHECKS[name](seed) for name in FAN_CHECKS} == want, cvecs
+        passing += want["bad_pairs"]
+    assert passing == 128
 
 
 @pytest.mark.parametrize("case", [c for c in VIOLATIONS if c.split()[0] in FAN_CHECKS])

@@ -19,6 +19,7 @@ from arcroots.quiver import (
     random_acyclic_two_complete,
     separating_vertex,
 )
+from arcroots.roots import initial_seed
 
 B3 = ExchangeMatrix.from_rows([[0, 2, 2], [-2, 0, 2], [-2, -2, 0]])
 
@@ -75,6 +76,45 @@ def test_rejects_non_square_and_non_skew():
         ExchangeMatrix.from_rows([[0, 1], [-1, 0], [0, 0]])
     with pytest.raises(ValueError):
         ExchangeMatrix.from_rows([[0, 1], [1, 0]])
+
+
+@pytest.mark.parametrize(
+    "rows,name",
+    [
+        ([[0, 2.0], [-2.0, 0]], r"b\[1\]\[2\] = 2\.0"),
+        ([[0, True], [-1, 0]], r"b\[1\]\[2\] = True"),
+        (((0, 2), (-2, "0")), r"b\[2\]\[2\] = '0'"),
+        # entries are read before the shape, in row-major order
+        ([[0, 2, 2.5], [-2, 0]], r"b\[1\]\[3\] = 2\.5"),
+        ([[0, 2], [None, 0, 1]], r"b\[2\]\[1\] = None"),
+    ],
+    ids=["float", "bool", "string", "before-the-shape", "ragged"],
+)
+def test_direct_construction_checks_every_entry(rows, name):
+    # ExchangeMatrix(...) holds the same integer rule as from_rows
+    with pytest.raises(ValueError, match=f"^{name} is not an integer$"):
+        ExchangeMatrix(rows)
+    if isinstance(rows, list):
+        with pytest.raises(ValueError, match=f"^{name} is not an integer$"):
+            ExchangeMatrix.from_rows(rows)
+
+
+def test_from_rows_names_an_entry_before_a_later_row_that_is_no_list():
+    with pytest.raises(ValueError, match=r"^b\[1\]\[2\] = 2\.0 is not an integer$"):
+        ExchangeMatrix.from_rows([[0, 2.0], 5])
+    with pytest.raises(ValueError, match="^row 2 of b must be a list, got int$"):
+        ExchangeMatrix.from_rows([[0, 2], 5])
+
+
+def test_list_built_matrix_equals_and_hashes_as_tuple_built():
+    rows = [[0, 2, 2], [-2, 0, 2], [-2, -2, 0]]
+    listed = ExchangeMatrix(rows)
+    assert listed.rows == B3.rows and type(listed.rows[0]) is tuple
+    assert listed == B3 and hash(listed) == hash(B3)
+    assert hash(initial_seed(listed)) == hash(initial_seed(B3))
+    # the stored rows do not follow the list they were built from
+    rows[0][1] = 5
+    assert listed == B3
 
 
 def test_acyclic_and_two_complete_flags():

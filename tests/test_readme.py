@@ -1,5 +1,6 @@
 """The README's Library tour runs, and every value its comments state is
-the value its line computes.
+the value its line computes; every line of its Command line block runs
+and exits 0.
 
 A comment states a value when it starts with a Python literal, up to its
 end or to a colon: `# (1, 2, 1): each c-vector ...` states (1, 2, 1).  It
@@ -8,15 +9,25 @@ expression on the line before.
 """
 
 import ast
+import json
+import logging
+import shlex
 from pathlib import Path
+
+from arcroots.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def tour_source() -> str:
+def block_after(heading: str, fence: str) -> str:
+    """The first fenced block, opened by fence, after the heading."""
     text = README.read_text()
-    start = text.index("```python\n", text.index("## Library tour")) + len("```python\n")
+    start = text.index(fence, text.index(heading)) + len(fence)
     return text[start : text.index("```", start)]
+
+
+def tour_source() -> str:
+    return block_after("## Library tour", "```python\n")
 
 
 def stated_value(comment: str) -> tuple[bool, object]:
@@ -65,3 +76,30 @@ def test_library_tour_computes_what_its_comments_state():
     for line, value in want.items():
         assert line in got, f"the value stated at tour line {line} belongs to no expression"
         assert got[line] == value and type(got[line]) is type(value), (line, got[line])
+
+
+def test_command_line_block_runs(tmp_path, monkeypatch, capsys):
+    # each line through cli.main, in a directory holding the b3.json the
+    # block names
+    lines = block_after("## Command line", "```\n").splitlines()
+    assert len(lines) == 10 and all(line.startswith("arcroots ") for line in lines)
+    (tmp_path / "b3.json").write_text('{"b": [[0, 2, 2], [-2, 0, 2], [-2, -2, 0]]}\n')
+    monkeypatch.chdir(tmp_path)
+    logger = logging.getLogger("arcroots")
+    level = logger.level
+    printed = {}
+    try:
+        for line in lines:
+            assert main(shlex.split(line)[1:]) == 0, line
+            printed[line] = capsys.readouterr().out
+    finally:
+        logger.setLevel(level)
+
+    def output(start):
+        [line] = [line for line in lines if line.startswith(start)]
+        return json.loads(printed[line])
+
+    assert output("arcroots schur --word 1,2,1 ")["embeddable"] is True
+    assert output("arcroots --log-level DEBUG schur --word 2,1,3,1,2 ")["search"]["seeds_visited"] == 0
+    assert output("arcroots check-tuple ")["is_yseed"] is True
+    assert (tmp_path / "seeds.jsonl").read_text().count("\n") == 766

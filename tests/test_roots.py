@@ -63,6 +63,19 @@ def test_gram_matrix_validation():
         GramMatrix(((2,), (2, -1)))
 
 
+def test_gram_matrix_checks_every_entry_before_its_shape():
+    for rows, name in (
+        ([[2, -2.0], [-2, 2]], r"m\[1\]\[2\] = -2\.0"),
+        ([[True, 0], [0, 2]], r"m\[1\]\[1\] = True"),
+        ([[2], [-2, 2.0]], r"m\[2\]\[2\] = 2\.0"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} is not an integer$"):
+            GramMatrix(rows)
+    listed = GramMatrix([[2, -2], [-2, 2]])
+    assert listed == all_weights_two_gram(2) and hash(listed) == hash(all_weights_two_gram(2))
+    assert type(listed.rows[0]) is tuple
+
+
 def test_inner_and_reflect():
     assert inner((2, 1, 0), (2, 0, 1), GRAM3) == -2
     assert inner((1, 0, 0), (1, 0, 0), GRAM3) == 2
