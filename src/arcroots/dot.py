@@ -73,7 +73,8 @@ def cayley_fragment_dot(seed: YSeed, node_cap: int = NODE_CAP) -> str:
     Each reflection's own edge is split by a midpoint node labeled with
     the reflection word and colored by the sign of its c-vector.  Raises
     CapExceeded when the graph needs more than node_cap nodes, and
-    ValueError unless node_cap is an integer at least 1.
+    ValueError unless node_cap is an integer at least 1, or when two
+    c-vectors give one reflection, which no seed does.
     """
     _require_cap(node_cap)
     # midnode per reflection edge; c-vectors of one seed never share an edge
@@ -81,7 +82,14 @@ def cayley_fragment_dot(seed: YSeed, node_cap: int = NODE_CAP) -> str:
     vertices: set[Word] = {()}
     edges: set[tuple[Word, Word]] = set()
     for c, r in zip(seed.cvectors, seed.reflections):
-        marked[r.edge()] = (r, root_sign(c))
+        edge = r.edge()
+        if edge in marked:
+            ends = " -- ".join(map(_word_label, edge))
+            raise ValueError(
+                f"c-vector {c} repeats the reflection {_word_label(r.word)} of an earlier "
+                f"c-vector: both would mark the edge {ends}"
+            )
+        marked[edge] = (r, root_sign(c))
         stem = r.prefix + (r.core,)
         for cut in range(len(stem)):
             vertices.add(stem[: cut + 1])

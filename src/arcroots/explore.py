@@ -9,6 +9,8 @@ mutation paths.
 The Schur search reads nothing of a seed but its c-vectors, so it walks
 those alone: by tropical duality (Nakanishi-Zelevinsky) a seed's matrix is
 C^T B_0 C, and the signs a mutation needs come from B_0 and the c-vectors.
+What a mutation reads of its pivot c-vector (B_0 v, M v and <v, v>) is
+read once per distinct pivot in a walk and dropped when the walk ends.
 iter_seeds, which explore walks, builds every seed whole with mutate_seed
 in the same breadth-first walk, and it is the search's oracle.
 
@@ -309,30 +311,39 @@ def _height(v: Root) -> int:
 # a seed of the c-vector walk: its c-vectors and its path
 Node = tuple[tuple[Root, ...], tuple[Vertex, ...]]
 
+# what a mutation reads of its pivot c_k: v = positive_form(c_k), B_0 v,
+# M v and <v, v>
+Pivot = tuple[Root, tuple[int, ...], tuple[int, ...], int]
 
-def _mutate_cvectors(
-    cvectors: tuple[Root, ...],
-    k: Vertex,
-    b0: tuple[tuple[int, ...], ...],
-    gram: tuple[tuple[int, ...], ...],
-) -> tuple[Root, ...]:
-    """mutate_seed's c-vectors, read from the c-vectors alone; b0 is the
-    initial exchange matrix and gram its pairing.
+
+def _pivot(
+    ck: Root, b0: tuple[tuple[int, ...], ...], gram: tuple[tuple[int, ...], ...]
+) -> Pivot:
+    """What mutation at k reads of c_k: v = positive_form(c_k), w = B_0 v,
+    M v and <v, v>, with b0 the initial exchange matrix and gram its
+    pairing.  Raises SignIncoherent if c_k mixes signs, as mutate_seed
+    does; an imaginary v is returned, since a step that reflects nothing
+    in it is still a mutation."""
+    v = ck if root_sign(ck) > 0 else tuple([-x for x in ck])
+    w = tuple([sum(map(operator.mul, row, v)) for row in b0])
+    mv = tuple([sum(map(operator.mul, row, v)) for row in gram])
+    return v, w, mv, sum(map(operator.mul, v, mv))
+
+
+def _mutate_cvectors(cvectors: tuple[Root, ...], k: Vertex, pivot: Pivot) -> tuple[Root, ...]:
+    """mutate_seed's c-vectors, read from the c-vectors alone and the
+    pivot, _pivot of c_k.
 
     By tropical duality (Nakanishi-Zelevinsky) the seed's matrix is
     b_jk = c_j^T B_0 c_k.  With v = positive_form(c_k) and w = B_0 v, c_j
     is reflected in v exactly when c_j . w < 0, which is mutate_seed's
     rule: b_jk < 0 for a positive c_k, b_jk > 0 for a negative one.
-    Raises SignIncoherent if c_k mixes signs, and NotARealRoot if some c_j
-    is to be reflected while <v, v> != 2, as mutate_seed does.
+    Raises NotARealRoot if some c_j is to be reflected while <v, v> != 2,
+    as mutate_seed does.
     """
-    ck = cvectors[k - 1]
-    v = ck if root_sign(ck) > 0 else tuple([-x for x in ck])
-    w = [sum(map(operator.mul, row, v)) for row in b0]
-    mv = [sum(map(operator.mul, row, v)) for row in gram]
-    vv = sum(map(operator.mul, v, mv))
+    v, w, mv, vv = pivot
     new_c = list(cvectors)
-    new_c[k - 1] = tuple([-x for x in ck])
+    new_c[k - 1] = tuple([-x for x in cvectors[k - 1]])
     for j, cj in enumerate(cvectors):
         # c_k . w = ±v^T B_0 v is 0, so position k is never reflected
         if sum(map(operator.mul, cj, w)) < 0:
@@ -349,11 +360,23 @@ def _walk(
     """iter_seeds from an initial seed, walked by _mutate_cvectors: the
     same seeds in the same order, each as a (c-vectors, path) Node, and
     expand is asked about the same seeds.  No exchange matrix is built past
-    the root's."""
+    the root's.
+
+    Many steps of one walk pivot on the same c-vector, so the walk keeps
+    each pivot's _pivot in a dict keyed by c_k and reads each distinct
+    pivot once.  The dict lives as long as the walk: no other walk, and
+    no later call, sees it.  A c_k on which _pivot raised is not kept.
+    """
     b0, gram = root.matrix.rows, root.gram.rows
+    pivots: dict[Root, Pivot] = {}
 
     def child(node: Node, k: Vertex) -> Node:
-        return _mutate_cvectors(node[0], k, b0, gram), node[1] + (k,)
+        cvecs = node[0]
+        ck = cvecs[k - 1]
+        pivot = pivots.get(ck)
+        if pivot is None:
+            pivot = pivots[ck] = _pivot(ck, b0, gram)
+        return _mutate_cvectors(cvecs, k, pivot), node[1] + (k,)
 
     return _breadth_first(
         (root.cvectors, ()), depth, root.matrix.vertices(), operator.itemgetter(1), child, expand

@@ -3,7 +3,8 @@ import pytest
 from arcroots.dot import cayley_fragment_dot, exchange_tree_dot
 from arcroots.errors import CapExceeded
 from arcroots.quiver import ExchangeMatrix
-from arcroots.roots import initial_seed, mutate_seed
+from arcroots.explore import iter_seeds
+from arcroots.roots import YSeed, initial_seed, mutate_seed
 
 B3 = ExchangeMatrix(((0, 2, 2), (-2, 0, 2), (-2, -2, 0)))
 
@@ -66,6 +67,24 @@ def test_cayley_fragment_splits_only_marked_edges():
     # a reflection edge is split around the midnode
     assert '  "w|s1" -- "r|s1 s2 s1" [label="s2"];' in text
     assert '  "r|s1 s2 s1" -- "w|s1 s2";' in text
+
+
+@pytest.mark.parametrize("cvectors", [
+    ((1, 0, 0), (-1, 0, 0), (0, 0, 1)),
+    ((1, 0, 0), (0, 0, 1), (1, 0, 0)),
+], ids=["negated", "repeated"])
+def test_cayley_fragment_refuses_a_repeated_reflection(cvectors):
+    # two c-vectors of one reflection would share its edge's midpoint, and
+    # the later sign would paint the earlier one's node
+    seed = YSeed(B3, cvectors, initial_seed(B3).gram, ())
+    with pytest.raises(ValueError, match=r"^c-vector .* repeats the reflection s1 .* edge e -- s1$"):
+        cayley_fragment_dot(seed)
+
+
+def test_cayley_fragment_draws_one_midpoint_per_cvector_of_every_seed():
+    for seed in iter_seeds(initial_seed(B3), 4):
+        nodes, _ = statements(cayley_fragment_dot(seed))
+        assert sum(node.startswith('  "r|') for node in nodes) == seed.n, seed.path
 
 
 def test_cayley_fragment_cap():

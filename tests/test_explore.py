@@ -881,6 +881,45 @@ def test_schur_search_builds_only_the_seeds_it_visits(monkeypatch):
     assert found == 33  # the other two lie deeper than 6
 
 
+def test_schur_search_reads_each_pivot_once_per_walk(monkeypatch):
+    # the 35 positives of the depth-14 sweep: one step per seed past the
+    # root, and one _pivot call per distinct pivot c-vector of each walk
+    steps = pivots = 0
+    step, pivot = explore_module._mutate_cvectors, explore_module._pivot
+
+    def counting_step(*args):
+        nonlocal steps
+        steps += 1
+        return step(*args)
+
+    def counting_pivot(*args):
+        nonlocal pivots
+        pivots += 1
+        return pivot(*args)
+
+    monkeypatch.setattr(explore_module, "_mutate_cvectors", counting_step)
+    monkeypatch.setattr(explore_module, "_pivot", counting_pivot)
+    found = visited = total_steps = total_pivots = 0
+    for r in rank3_reflections_up_to_length_7():
+        steps = pivots = 0
+        out = schur_by_search(r, B3, 14)
+        assert steps == out.seeds_visited - 1, r.word
+        if out.found:
+            found += 1
+            visited += out.seeds_visited
+            total_steps += steps
+            total_pivots += pivots
+    assert (found, visited, total_steps, total_pivots) == (35, 2259, 2224, 1170)
+    # a second search starts from an empty memo
+    r = canonical_reflection((3, 2, 1, 2, 3))
+    counts = []
+    for _ in range(2):
+        pivots = 0
+        schur_by_search(r, B3, 14)
+        counts.append(pivots)
+    assert counts[0] == counts[1] > 0
+
+
 def test_complete_arc_raises_when_the_replay_lacks_the_root(monkeypatch):
     # a walk that reports each seed under its parent's path: the replay,
     # one mutation short, must not be returned as the completion
@@ -1028,10 +1067,19 @@ BAD_STEPS = [
 
 @pytest.mark.parametrize("seed,k,error", BAD_STEPS, ids=["incoherent", "imaginary"])
 def test_cvector_step_raises_where_mutate_seed_does(seed, k, error):
+    # a mixed c_k raises when its pivot is read; an imaginary one is read,
+    # and the step raises once it reflects some c_j in it
     with pytest.raises(error):
         mutate_seed(seed, k)
-    with pytest.raises(error):
-        explore_module._mutate_cvectors(seed.cvectors, k, B3.rows, GRAM3.rows)
+    ck = seed.cvectors[k - 1]
+    if error is SignIncoherent:
+        with pytest.raises(SignIncoherent):
+            explore_module._pivot(ck, B3.rows, GRAM3.rows)
+        return
+    pivot = explore_module._pivot(ck, B3.rows, GRAM3.rows)
+    assert pivot == ((1, 1, 1), (4, 0, -4), (-2, -2, -2), -6)
+    with pytest.raises(NotARealRoot):
+        explore_module._mutate_cvectors(seed.cvectors, k, pivot)
 
 
 def _eager_seeds(root, depth, expand):

@@ -14,7 +14,7 @@ from arcroots.errors import (
     NotNormalized,
     SignIncoherent,
 )
-from arcroots.explore import iter_seeds
+from arcroots.explore import ALL_CHECKS, explore, iter_seeds
 from arcroots.quiver import ExchangeMatrix, natural_order, random_acyclic_two_complete
 from arcroots.roots import (
     GramMatrix,
@@ -448,6 +448,39 @@ def test_one_reflection_tree_per_rank():
         ]
         paths += 1
     assert paths == 766
+
+
+def _all_two(n):
+    return ExchangeMatrix.from_rows([[2 * ((j > i) - (j < i)) for j in range(n)] for i in range(n)])
+
+
+# (rank, depth) rungs of the ladder: the seed count stays in the hundreds
+RANK_LADDER = [(2, 12), (3, 8), (4, 5), (5, 4), (6, 3), (7, 3), (8, 3), (10, 2), (12, 2)]
+
+
+@pytest.mark.parametrize("n,depth", RANK_LADDER, ids=[f"{n}-{d}" for n, d in RANK_LADDER])
+def test_one_reflection_tree_per_rank_up_the_ladder(n, depth):
+    # the all-2 matrix and two random weightings (weights 2-9) put the same
+    # natural fan, with the same signs, at every tree address
+    initials = [_all_two(n)]
+    initials += [random_acyclic_two_complete(n, random.Random(s), 2, 9) for s in (1, 2)]
+    assert any(m != initials[0] for m in initials[1:])
+    trees = [iter_seeds(initial_seed(m), depth) for m in initials]
+    seeds = 0
+    for first, *others in zip(*trees, strict=True):
+        want = (first.path, first.natural_fan, first._natural[1])
+        for other in others:
+            assert (other.path, other.natural_fan, other._natural[1]) == want, first.path
+        seeds += 1
+    # the rooted tree: n children at the root, n - 1 below it
+    assert seeds == (1 + 2 * depth if n == 2 else 1 + n * ((n - 1) ** depth - 1) // (n - 2))
+
+
+@pytest.mark.parametrize("n", [7, 8, 10, 12])
+def test_every_check_passes_on_a_random_weighting_of_high_rank(n):
+    report = explore(random_acyclic_two_complete(n, random.Random(1), 2, 9), 2, checks=ALL_CHECKS)
+    assert report.violations == ()
+    assert report.seeds_visited == 1 + n + n * (n - 1)
 
 
 def test_speyer_thomas_examples():
