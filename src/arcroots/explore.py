@@ -124,10 +124,11 @@ def _decreasing_unique(seed: YSeed) -> bool:
 
 def _seven(seed: YSeed) -> bool:
     # |<c_i, c_j>| = |b_ij| for i < j, each pairing the dot product of c_j
-    # with the image M c_i, formed once per c_i (roots.inner is the oracle)
-    cvecs, gram = seed.cvectors, seed.gram.rows
+    # with the image M c_i, which the walk's pairing forms once per distinct
+    # c_i (roots.inner is the oracle)
+    cvecs, image_of = seed.cvectors, seed.gram.image
     for i, brow in enumerate(seed.matrix.rows[:-1]):
-        image = [sum(map(operator.mul, row, cvecs[i])) for row in gram]
+        image = image_of(cvecs[i])
         for j in range(i + 1, len(cvecs)):
             if abs(sum(map(operator.mul, cvecs[j], image))) != abs(brow[j]):
                 return False
@@ -228,9 +229,11 @@ def explore(
     and equal c-vectors under two matrices would be reported too.  A check
     that returns false, or raises an ArcrootsError (logged at debug level),
     adds (path, name) to the violations; any other exception propagates.
-    Seeds are streamed to sink, never accumulated; a debug log line gives
-    the seeds visited, the seeds per second and, per check, the violations
-    that answered false apart from those that raised.
+    Seeds are streamed to sink, never accumulated; only the pairing they
+    share keeps, until the walk ends, the image M c of each distinct
+    c-vector a check or a mutation read (GramMatrix.image).  A debug log
+    line gives the seeds visited, the seeds per second and, per check, the
+    violations that answered false apart from those that raised.
     """
     if isinstance(checks, str):
         raise ValueError(f"checks must be a collection of names, not the string {checks!r}")

@@ -40,16 +40,29 @@ def require_vertex(k: Vertex, n: int) -> Vertex:
     return k
 
 
+# one pass over the entry types spares a matrix or vector of ints the
+# named checks; issuperset stops at the first other type and builds no set
+_INT = frozenset([int])
+
+
 def _int_rows(rows: Iterable[Iterable[int]], name: str) -> tuple[tuple[int, ...], ...]:
     """The rows as tuples, once require_int has passed every entry, named
     name[i][j], in row-major order: a matrix's rule before its shape's."""
     rows = tuple(map(tuple, rows))
-    # one pass over the types spares a matrix of ints the named checks
-    if set(map(type, chain.from_iterable(rows))) - {int}:
+    if not _INT.issuperset(map(type, chain(*rows))):
         for i, row in enumerate(rows, 1):
             for j, x in enumerate(row, 1):
                 require_int(x, f"{name}[{i}][{j}]")
     return rows
+
+
+def _int_vector(u: Iterable[int], name: str) -> tuple[int, ...]:
+    """u as a tuple, once require_int has passed every entry, named name[i]."""
+    u = tuple(u)
+    if not _INT.issuperset(map(type, u)):
+        for i, x in enumerate(u, 1):
+            require_int(x, f"{name}[{i}]")
+    return u
 
 
 @dataclass(frozen=True)

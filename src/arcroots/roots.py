@@ -4,7 +4,11 @@ The Cartan companion of a normalized acyclic matrix B is the symmetric
 matrix M with diagonal 2 and off-diagonal entries -|b[i][j]|.  It fixes a
 bilinear pairing <u, v> = u^T M v on integer vectors in the simple-root
 basis; every simple root e_i has <e_i, e_i> = 2, and reflecting in a vector
-of self-pairing 2 preserves the pairing.
+of self-pairing 2 preserves the pairing.  The pairing forms the image M u
+of each vector once, on the first request, and keeps it for its lifetime;
+initial_seed builds one pairing per walk and every seed of the walk shares
+it, so mutation and the checks read each distinct c-vector's image once.
+inner stays the independent oracle and never reads the kept images.
 
 A Y-seed is an exchange matrix together with n c-vectors.  Mutation at k
 negates c_k and reflects the other c-vectors in c_k, but only those on one
@@ -26,11 +30,11 @@ natural-order c-vectors, which the per-seed checks share.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, cmp_to_key
 
 from .errors import NotAcyclic, NotARealRoot, NotNormalized, SignIncoherent
-from .quiver import ExchangeMatrix, Vertex, _int_rows, natural_order, require_vertex
+from .quiver import ExchangeMatrix, Vertex, _int_rows, _int_vector, natural_order, require_vertex
 from .words import Reflection, conjugate, mul, require_rank
 
 Root = tuple[int, ...]
@@ -38,9 +42,16 @@ Root = tuple[int, ...]
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Symmetric integer pairing matrix with diagonal 2, built as ExchangeMatrix is."""
+    """Symmetric integer pairing matrix with diagonal 2, built as ExchangeMatrix is.
+
+    The pairing forms each vector's image M u once, on the first request,
+    and keeps it for its own lifetime; equality and hashing read the rows
+    alone."""
 
     rows: tuple[tuple[int, ...], ...]
+    _images: dict[Root, Root] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rows", _int_rows(self.rows, "m"))
@@ -58,6 +69,20 @@ class GramMatrix:
     @property
     def n(self) -> int:
         return len(self.rows)
+
+    def image(self, u: Root) -> Root:
+        """M u, the tuple whose entry i is <e_i, u>, so <v, u> is the dot
+        product of v with it; formed on the first request for u and kept
+        for the pairing's lifetime.  u is a tuple of n ints, and a vector
+        asked for the first time is checked (ValueError naming a bad
+        length or entry), so the kept images are exact."""
+        mu = self._images.get(u)
+        if mu is None:
+            if len(u) != self.n:
+                raise ValueError(f"vector length {len(u)} != pairing rank {self.n}")
+            u = _int_vector(u, "u")
+            mu = self._images[u] = tuple([sum(map(operator.mul, row, u)) for row in self.rows])
+        return mu
 
 
 def cartan_companion(matrix: ExchangeMatrix) -> GramMatrix:
@@ -129,12 +154,11 @@ class YSeed:
     path: tuple[Vertex, ...]
 
     def __post_init__(self) -> None:
+        # c-vectors are exact int tuples: the pairing's memo is keyed by them
+        cvecs = _int_rows(self.cvectors, "c")
+        object.__setattr__(self, "cvectors", cvecs)
         n = self.matrix.n
-        if (
-            len(self.cvectors) != n
-            or self.gram.n != n
-            or any(len(c) != n for c in self.cvectors)
-        ):
+        if len(cvecs) != n or self.gram.n != n or set(map(len, cvecs)) - {n}:
             raise ValueError("rank mismatch between matrix, c-vectors, and pairing")
 
     @property
@@ -198,7 +222,8 @@ def mutate_seed(seed: YSeed, k: Vertex) -> YSeed:
     if some c_j is to be reflected while <c_k, c_k> != 2.
 
     The reflection of c_j in v = positive_form(c_k) is c_j - <c_j, v> v,
-    so M v is computed once and each <c_j, v> is one dot product with it.
+    so each <c_j, v> is one dot product with M v, read from the pairing,
+    which forms it once for all the seeds that share it.
 
     If the parent's reflections were already read, the child's are written
     at once: t_k and every unmoved t_j are kept, and each moved t_j is
@@ -207,8 +232,8 @@ def mutate_seed(seed: YSeed, k: Vertex) -> YSeed:
     matrix = seed.matrix.mutate(k)  # validates k before c_k is read
     ck = seed.cvectors[k - 1]
     positive = root_sign(ck) > 0
-    v = ck if positive else tuple(-x for x in ck)
-    mv = [sum(map(operator.mul, row, v)) for row in seed.gram.rows]
+    v = ck if positive else tuple([-x for x in ck])
+    mv = seed.gram.image(v)
     vv = sum(map(operator.mul, v, mv))
     new_cvecs = []
     read = seed.__dict__.get("reflections")
@@ -216,7 +241,8 @@ def mutate_seed(seed: YSeed, k: Vertex) -> YSeed:
     for j, (cj, row) in enumerate(zip(seed.cvectors, seed.matrix.rows), 1):
         bjk = row[k - 1]
         if j == k:
-            new_cvecs.append(tuple(-x for x in cj))
+            # -c_k is v when c_k is negative
+            new_cvecs.append(tuple([-x for x in cj]) if positive else v)
         elif (bjk < 0) if positive else (bjk > 0):
             if vv != 2:
                 raise NotARealRoot(f"<v, v> = {vv} for v = {v}")
@@ -263,8 +289,10 @@ def root_to_reflection(u: Root, gram: GramMatrix) -> Reflection:
     e_i with u_i > 0 and <u, e_i> > 0, which lowers u_i alone by <u, e_i>;
     the indices picked, in order, form the prefix and the surviving simple
     root is the core.  Negative roots are negated first.  Raises
-    NotARealRoot when <u, u> != 2 or the descent stalls.
+    NotARealRoot when <u, u> != 2 or the descent stalls, and ValueError
+    naming the entry when some entry of u is not an int.
     """
+    u = _int_vector(u, "u")
     if inner(u, u, gram) != 2:
         raise NotARealRoot(f"<u, u> = {inner(u, u, gram)} for u = {u}")
     try:
@@ -317,12 +345,14 @@ def speyer_thomas_check(
     Coxeter group commute, so no two are orthogonal and the order is unique.
 
     Each pair in (1) is read against the image M u of its earlier root,
-    formed once per root: <u, v> is the dot product of v with M u.  For
-    (2) the given order, with the positives moved before the negatives, is
-    tried before the Euler-order sort.
+    which the pairing forms once and keeps: <u, v> is the dot product of v
+    with M u.  For (2) the given order, with the positives moved before the
+    negatives, is tried before the Euler-order sort.  A root entry that is
+    not an int raises ValueError naming it.
     """
     n = gram.n
-    if len(roots) != n or len(reflections) != n or any(len(u) != n for u in roots):
+    roots = _int_rows(roots, "root")
+    if len(roots) != n or len(reflections) != n or set(map(len, roots)) - {n}:
         raise ValueError(f"expected {n} roots of length {n} and {n} reflections")
     signs = [root_sign(u) for u in roots]
     positives = [i for i in range(n) if signs[i] > 0]
@@ -330,7 +360,7 @@ def speyer_thomas_check(
     m = gram.rows
     for group in (positives, negatives):
         for a in range(len(group) - 1):
-            image = [sum(map(operator.mul, row, roots[group[a]])) for row in m]
+            image = gram.image(roots[group[a]])
             for j in group[a + 1 :]:
                 if sum(map(operator.mul, roots[j], image)) > 0:
                     return False

@@ -44,6 +44,7 @@ from arcroots.explore import (
 )
 from arcroots.quiver import ExchangeMatrix, random_acyclic_two_complete
 from arcroots.roots import (
+    GramMatrix,
     YSeed,
     initial_seed,
     inner,
@@ -137,6 +138,29 @@ def test_explore_mutates_each_matrix_once_per_tree_edge(monkeypatch):
     assert report.violations == ()
     assert report.seeds_visited - 1 == 765
     assert calls == 765
+
+
+def test_explore_forms_each_image_once_per_walk(monkeypatch):
+    # mutate_seed, seven, st and bad_pairs ask the walk's one pairing for
+    # 3,071 images on B3 at depth 8, and it forms one per distinct vector:
+    # 793 image objects come back, each as often as its vector is asked
+    # for.  A second walk has a pairing of its own and forms them again
+    asked = []
+    image = GramMatrix.image
+
+    def counting(self, u):
+        asked.append((self, image(self, u)))
+        return asked[-1][1]
+
+    monkeypatch.setattr(GramMatrix, "image", counting)
+    counts = []
+    for _ in range(2):
+        asked.clear()
+        assert explore(B3, 8, checks=ALL_CHECKS).violations == ()
+        (gram,) = {id(g): g for g, _ in asked}.values()
+        formed = {id(mu) for _, mu in asked}
+        counts.append((len(asked), len(formed), len(gram._images)))
+    assert counts == [(3071, 793, 793), (3071, 793, 793)]
 
 
 def test_explore_tests_each_matrix_for_cycles_once(monkeypatch):

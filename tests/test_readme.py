@@ -72,7 +72,7 @@ def test_library_tour_computes_what_its_comments_state():
             got[statement.end_lineno] = eval(code, namespace)
         else:
             exec(compile(ast.Module([statement], []), str(README), "exec"), namespace)
-    assert len(want) == 8
+    assert len(want) == 9
     for line, value in want.items():
         assert line in got, f"the value stated at tour line {line} belongs to no expression"
         assert got[line] == value and type(got[line]) is type(value), (line, got[line])

@@ -229,6 +229,7 @@ def test_weight_pairing_invariant_fuzz():
         ((2, 0, 1), (1, 3, 1)),
         ((0, 2, 1), (2, 3, 2)),
         ((-2, -1, 0), (1, 2, 1)),
+        ([2, 1, 0], (1, 2, 1)),
     ],
 )
 def test_root_to_reflection(root, word):
@@ -679,3 +680,91 @@ def test_speyer_thomas_verdict_ignores_the_input_order():
             assert got == want, (family, roots, perm)
         verdicts[want] += 1
     assert verdicts[True] > 600 and verdicts[False] > 600, verdicts
+
+
+def test_gram_image_matches_the_double_sum():
+    # image(u)_i = <e_i, u>, read against inner's double sum, with entries
+    # of both signs and beyond 2**63; a vector asked for twice gets the
+    # image kept from the first request
+    rng = random.Random(2013)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        gram = cartan_companion(random_acyclic_two_complete(n, rng)) if n > 1 else GramMatrix(((2,),))
+        bound = rng.choice([9, 2**70])
+        u = tuple(rng.randint(-bound, bound) for _ in range(n))
+        v = tuple(rng.randint(-bound, bound) for _ in range(n))
+        mu = gram.image(u)
+        assert type(mu) is tuple
+        assert mu == tuple(inner(unit_vector(n, i), u, gram) for i in range(1, n + 1))
+        assert sum(x * y for x, y in zip(v, mu)) == inner(v, u, gram)
+        assert gram.image(u) is mu
+
+
+@pytest.mark.parametrize(
+    "u,message",
+    [
+        ((1, 0), r"^vector length 2 != pairing rank 3$"),
+        ((1.0, 0, 0), r"^u\[1\] = 1\.0 is not an integer$"),
+        ((0, True, 0), r"^u\[2\] = True is not an integer$"),
+    ],
+    ids=["short", "float", "bool"],
+)
+def test_gram_image_refuses_what_it_cannot_keep(u, message):
+    gram = all_weights_two_gram(3)
+    with pytest.raises(ValueError, match=message):
+        gram.image(u)
+    assert gram._images == {}
+
+
+def test_seeds_of_one_walk_share_the_image_memo():
+    # one pairing per initial_seed, kept by every seed of its walk; a
+    # second initial seed of the same matrix starts with no images
+    first = initial_seed(B3)
+    seeds = list(iter_seeds(first, 4))
+    assert all(s.gram is first.gram for s in seeds)
+    assert speyer_thomas_check(seeds[-1].cvectors, seeds[-1].reflections, seeds[-1].gram)
+    formed = dict(first.gram._images)
+    assert formed
+    second = initial_seed(B3)
+    assert second.gram is not first.gram and second.gram._images == {}
+    assert all(s._fan_ordering for s in iter_seeds(second, 2))
+    assert first.gram._images == formed
+    # the images are no part of the pairing's value
+    assert second.gram == first.gram and hash(second.gram) == hash(first.gram)
+    assert repr(second.gram) == repr(first.gram) == f"GramMatrix(rows={GRAM3.rows!r})"
+
+
+@pytest.mark.parametrize(
+    "cvecs,message",
+    [
+        (((1.0, 0, 0), (0, 1, 0), (0, 0, 1)), r"^c\[1\]\[1\] = 1\.0 is not an integer$"),
+        (((True, 0, 0), (0, 1, 0), (0, 0, 1)), r"^c\[1\]\[1\] = True is not an integer$"),
+        (((1, 0, 0), (0, 1, 0), (0, 0, "1")), r"^c\[3\]\[3\] = '1' is not an integer$"),
+    ],
+    ids=["float", "bool", "str"],
+)
+def test_yseed_refuses_cvector_entries_that_are_not_ints(cvecs, message):
+    with pytest.raises(ValueError, match=message):
+        YSeed(B3, cvecs, GRAM3, ())
+
+
+def test_yseed_keeps_cvectors_as_tuples():
+    seed = YSeed(B3, ([1, 0, 0], (0, 1, 0), [0, 0, 1]), GRAM3, ())
+    assert seed.cvectors == S0.cvectors
+    assert all(type(c) is tuple for c in seed.cvectors)
+    assert mutate_seed(seed, 1).cvectors == ((-1, 0, 0), (2, 1, 0), (2, 0, 1))
+
+
+@pytest.mark.parametrize("u", [(1.0, 0, 0), (True, 0, 0), (1, 0, "0")], ids=repr)
+def test_root_to_reflection_refuses_entries_that_are_not_ints(u):
+    with pytest.raises(ValueError, match=r"^u\[\d\] = .* is not an integer$"):
+        root_to_reflection(u, all_weights_two_gram(3))
+
+
+def test_speyer_thomas_check_refuses_root_entries_that_are_not_ints():
+    refls = S0.reflections
+    with pytest.raises(ValueError, match=r"^root\[3\]\[3\] = True is not an integer$"):
+        speyer_thomas_check(((1, 0, 0), (0, 1, 0), (0, 0, True)), refls, GRAM3)
+    with pytest.raises(ValueError, match=r"^root\[1\]\[2\] = 0\.0 is not an integer$"):
+        speyer_thomas_check(((1, 0.0, 0), (0, 1, 0), (0, 0, 1)), refls, GRAM3)
+    assert speyer_thomas_check([[1, 0, 0], [0, 1, 0], [0, 0, 1]], list(refls), GRAM3)
