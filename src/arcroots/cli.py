@@ -295,7 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_refl2arc)
 
     p = sub.add_parser("root2refl", help="root vector to reflection word")
-    p.add_argument("--root", required=True, help="comma-separated coordinates")
+    p.add_argument(
+        "--root",
+        required=True,
+        help="comma-separated coordinates; write a negative root as --root=-1,0,0",
+    )
     p.add_argument("--quiver", default=None, help="pairing from this quiver instead of all weights 2")
     p.set_defaults(func=cmd_root2refl)
 

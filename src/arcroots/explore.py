@@ -7,12 +7,10 @@ which makes runs reproducible and lets the Schur search return shortest
 mutation paths.
 
 The Schur search reads nothing of a seed but its c-vectors, so it walks
-those alone: by tropical duality (Nakanishi-Zelevinsky) a seed's matrix is
-C^T B_0 C, and the signs a mutation needs come from B_0 and the c-vectors.
-What a mutation reads of its pivot c-vector (B_0 v, M v and <v, v>) is
-read once per distinct pivot in a walk and dropped when the walk ends.
-iter_seeds, which explore walks, builds every seed whole with mutate_seed
-in the same breadth-first walk, and it is the search's oracle.
+those alone, by the c-vector step that mutate_seed takes too
+(roots._mutate_cvectors).  iter_seeds, which explore walks, builds every
+seed whole with mutate_seed in the same breadth-first walk; unpruned, it
+is the pruned search's oracle, and mutate_seed_matrix is the step's.
 
 Verification is a registry of named per-seed checks, each a predicate:
 an exact integer statement read from the seed alone.  A check that
@@ -33,13 +31,15 @@ from typing import Callable, Iterable, Iterator, TypeVar
 
 from .arcs import Arc, _sign_rule, arc_to_reflection, tuple_product
 from .embedding import probe_embedding
-from .errors import ArcrootsError, DepthExhausted, NotARealRoot, NotEmbeddable, require_int
+from .errors import ArcrootsError, DepthExhausted, NotEmbeddable, require_int
 from .quiver import ExchangeMatrix, Vertex, decreasing_directions
 from .roots import (
     Root,
     YSeed,
+    _mutate_cvectors,
     initial_seed,
     mutate_seed,
+    mutate_seed_matrix,
     positive_form,
     reflection_to_root,
     root_sign,
@@ -126,7 +126,7 @@ def _seven(seed: YSeed) -> bool:
     # |<c_i, c_j>| = |b_ij| for i < j, each pairing the dot product of c_j
     # with the image M c_i, which the walk's pairing forms once per distinct
     # c_i (roots.inner is the oracle)
-    cvecs, image_of = seed.cvectors, seed.gram.image
+    cvecs, image_of = seed.cvectors, seed.gram._image
     for i, brow in enumerate(seed.matrix.rows[:-1]):
         image = image_of(cvecs[i])
         for j in range(i + 1, len(cvecs)):
@@ -231,9 +231,10 @@ def explore(
     adds (path, name) to the violations; any other exception propagates.
     Seeds are streamed to sink, never accumulated; only the pairing they
     share keeps, until the walk ends, the image M c of each distinct
-    c-vector a check or a mutation read (GramMatrix.image).  A debug log
-    line gives the seeds visited, the seeds per second and, per check, the
-    violations that answered false apart from those that raised.
+    c-vector a check or a mutation read, and what each pivot c-vector gave
+    its mutations.  A debug log line gives the seeds visited, the seeds
+    per second and, per check, the violations that answered false apart
+    from those that raised.
     """
     if isinstance(checks, str):
         raise ValueError(f"checks must be a collection of names, not the string {checks!r}")
@@ -314,72 +315,20 @@ def _height(v: Root) -> int:
 # a seed of the c-vector walk: its c-vectors and its path
 Node = tuple[tuple[Root, ...], tuple[Vertex, ...]]
 
-# what a mutation reads of its pivot c_k: v = positive_form(c_k), B_0 v,
-# M v and <v, v>
-Pivot = tuple[Root, tuple[int, ...], tuple[int, ...], int]
-
-
-def _pivot(
-    ck: Root, b0: tuple[tuple[int, ...], ...], gram: tuple[tuple[int, ...], ...]
-) -> Pivot:
-    """What mutation at k reads of c_k: v = positive_form(c_k), w = B_0 v,
-    M v and <v, v>, with b0 the initial exchange matrix and gram its
-    pairing.  Raises SignIncoherent if c_k mixes signs, as mutate_seed
-    does; an imaginary v is returned, since a step that reflects nothing
-    in it is still a mutation."""
-    v = ck if root_sign(ck) > 0 else tuple([-x for x in ck])
-    w = tuple([sum(map(operator.mul, row, v)) for row in b0])
-    mv = tuple([sum(map(operator.mul, row, v)) for row in gram])
-    return v, w, mv, sum(map(operator.mul, v, mv))
-
-
-def _mutate_cvectors(cvectors: tuple[Root, ...], k: Vertex, pivot: Pivot) -> tuple[Root, ...]:
-    """mutate_seed's c-vectors, read from the c-vectors alone and the
-    pivot, _pivot of c_k.
-
-    By tropical duality (Nakanishi-Zelevinsky) the seed's matrix is
-    b_jk = c_j^T B_0 c_k.  With v = positive_form(c_k) and w = B_0 v, c_j
-    is reflected in v exactly when c_j . w < 0, which is mutate_seed's
-    rule: b_jk < 0 for a positive c_k, b_jk > 0 for a negative one.
-    Raises NotARealRoot if some c_j is to be reflected while <v, v> != 2,
-    as mutate_seed does.
-    """
-    v, w, mv, vv = pivot
-    new_c = list(cvectors)
-    new_c[k - 1] = tuple([-x for x in cvectors[k - 1]])
-    for j, cj in enumerate(cvectors):
-        # c_k . w = ±v^T B_0 v is 0, so position k is never reflected
-        if sum(map(operator.mul, cj, w)) < 0:
-            if vv != 2:
-                raise NotARealRoot(f"<v, v> = {vv} for v = {v}")
-            coef = sum(map(operator.mul, cj, mv))
-            new_c[j] = tuple([x - coef * y for x, y in zip(cj, v)])
-    return tuple(new_c)
-
-
 def _walk(
     root: YSeed, depth: int, expand: Callable[[Node], bool] | None = None
 ) -> Iterator[Node]:
-    """iter_seeds from an initial seed, walked by _mutate_cvectors: the
-    same seeds in the same order, each as a (c-vectors, path) Node, and
-    expand is asked about the same seeds.  No exchange matrix is built past
-    the root's.
-
-    Many steps of one walk pivot on the same c-vector, so the walk keeps
-    each pivot's _pivot in a dict keyed by c_k and reads each distinct
-    pivot once.  The dict lives as long as the walk: no other walk, and
-    no later call, sees it.  A c_k on which _pivot raised is not kept.
+    """iter_seeds from an initial seed, walked by mutate_seed's c-vector
+    step alone: the same seeds in the same order, each as a (c-vectors,
+    path) Node, and expand is asked about the same seeds.  No exchange
+    matrix is built past the root's.  Many steps of one walk pivot on the
+    same c-vector; the root's pairing keeps what each distinct pivot
+    reads, so a walk from a fresh initial_seed starts from an empty memo.
     """
-    b0, gram = root.matrix.rows, root.gram.rows
-    pivots: dict[Root, Pivot] = {}
+    gram = root.gram
 
     def child(node: Node, k: Vertex) -> Node:
-        cvecs = node[0]
-        ck = cvecs[k - 1]
-        pivot = pivots.get(ck)
-        if pivot is None:
-            pivot = pivots[ck] = _pivot(ck, b0, gram)
-        return _mutate_cvectors(cvecs, k, pivot), node[1] + (k,)
+        return _mutate_cvectors(node[0], k, gram), node[1] + (k,)
 
     return _breadth_first(
         (root.cvectors, ()), depth, root.matrix.vertices(), operator.itemgetter(1), child, expand
@@ -463,7 +412,7 @@ def complete_arc(a: Arc, initial: ExchangeMatrix, depth: int) -> YSeed:
     the depth was too small and is reported as DepthExhausted.  A negative
     depth, or a ray above the rank, raises ValueError before the embedding
     is looked for.  The seed is rebuilt by replaying the search's path
-    with mutate_seed, and a replayed seed that lacks the root raises
+    with mutate_seed_matrix, and a replayed seed that lacks the root raises
     RuntimeError: that would be a fault in the search, not in the input.
     """
     require_depth(depth)
@@ -474,14 +423,14 @@ def complete_arc(a: Arc, initial: ExchangeMatrix, depth: int) -> YSeed:
     out = schur_by_search(r, initial, depth)
     if not out.found:
         raise DepthExhausted(f"no seed within depth {depth}; raise the depth")
-    # the replay by mutate_seed, which reads the exchange matrix, is an
-    # independent certificate of the c-vector walk's answer
+    # the replay by the stacked exchange rule, which reads the side of each
+    # step from the matrix column, is independent of the walk's c-vector step
     seed = initial_seed(initial)
     for k in out.path:
-        seed = mutate_seed(seed, k)
+        seed = mutate_seed_matrix(seed, k)
     if positive_form(reflection_to_root(r, seed.gram)) not in seed.cvectors:
         raise RuntimeError(
             f"the seed at {out.path} does not carry the root of {r}: "
-            "the c-vector walk disagrees with mutate_seed"
+            "the c-vector walk disagrees with mutate_seed_matrix"
         )
     return seed

@@ -8,13 +8,16 @@ of self-pairing 2 preserves the pairing.  The pairing forms the image M u
 of each vector once, on the first request, and keeps it for its lifetime;
 initial_seed builds one pairing per walk and every seed of the walk shares
 it, so mutation and the checks read each distinct c-vector's image once.
-inner stays the independent oracle and never reads the kept images.
+inner stays the independent oracle and never reads the kept images.  With
+E the Euler form, M = E + E^T, and the pairing gives back B = E^T - E.
 
 A Y-seed is an exchange matrix together with n c-vectors.  Mutation at k
 negates c_k and reflects the other c-vectors in c_k, but only those on one
-side of k as read off from the sign of c_k against the matrix column.  The
-same update is also computed by mutating the stacked (B over C) matrix with
-the plain exchange rule, which serves as an independent oracle.
+side of k, read by tropical duality from B and the c-vectors alone: one
+step, which mutate_seed and the Schur search share.  The same update is
+also computed by mutating the stacked (B over C) matrix with the plain
+exchange rule, which reads the side from the matrix column and serves as
+an independent oracle.
 
 All c-vectors stay sign-coherent, and the pairing of two c-vectors recovers
 the matrix weight up to sign.  Positive c-vectors are real Schur roots;
@@ -45,11 +48,15 @@ class GramMatrix:
     """Symmetric integer pairing matrix with diagonal 2, built as ExchangeMatrix is.
 
     The pairing forms each vector's image M u once, on the first request,
-    and keeps it for its own lifetime; equality and hashing read the rows
-    alone."""
+    and keeps it, and what mutation reads of each pivot, for its own
+    lifetime; equality and hashing read the rows alone."""
 
     rows: tuple[tuple[int, ...], ...]
     _images: dict[Root, Root] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    # c_k -> (v = positive_form(c_k), B_0 v, M v, <v, v>)
+    _pivots: dict[Root, tuple[Root, Root, Root, int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -70,7 +77,17 @@ class GramMatrix:
     def n(self) -> int:
         return len(self.rows)
 
-    def image(self, u: Root) -> Root:
+    @cached_property
+    def _b0(self) -> tuple[tuple[int, ...], ...]:
+        """The normalized exchange matrix whose Cartan companion this is:
+        -m_ij above the diagonal, m_ij below it and 0 on it."""
+        m = self.rows
+        return tuple(
+            tuple(-m[i][j] if i < j else 0 if i == j else m[i][j] for j in range(self.n))
+            for i in range(self.n)
+        )
+
+    def _image(self, u: Root) -> Root:
         """M u, the tuple whose entry i is <e_i, u>, so <v, u> is the dot
         product of v with it; formed on the first request for u and kept
         for the pairing's lifetime.  u is a tuple of n ints, and a vector
@@ -213,49 +230,71 @@ def initial_seed(matrix: ExchangeMatrix) -> YSeed:
     return YSeed(matrix, cvecs, gram, ())
 
 
+def _mutate_cvectors(cvectors: tuple[Root, ...], k: Vertex, gram: GramMatrix) -> tuple[Root, ...]:
+    """The c-vectors of the mutation at k, read from the c-vectors and the
+    pairing alone: the package's one c-vector step.
+
+    By tropical duality (Nakanishi-Zelevinsky) a seed's matrix is
+    b_jk = c_j^T B_0 c_k, B_0 the pairing's matrix (GramMatrix._b0).  With
+    v = positive_form(c_k) and w = B_0 v, c_k is negated and c_j is
+    reflected in v, to c_j - <c_j, v> v, exactly when c_j . w < 0.  An
+    unreflected c_j is kept as the same object.  Raises SignIncoherent if
+    c_k mixes signs, and NotARealRoot if some c_j is to be reflected while
+    <v, v> != 2.  What the step reads of c_k (v, w, M v and <v, v>) is
+    kept on the pairing, keyed by c_k, and M v among its images, where the
+    checks find it; a c_k that mixes signs is not kept.
+    """
+    ck = cvectors[k - 1]
+    pivot = gram._pivots.get(ck)
+    if pivot is None:
+        v = ck if root_sign(ck) > 0 else tuple([-x for x in ck])
+        w = tuple([sum(map(operator.mul, row, v)) for row in gram._b0])
+        mv = gram._images.get(v)
+        if mv is None:
+            # formed here, not by _image: v comes from checked c-vectors,
+            # and _image's first-request check cost about 4% of a Schur
+            # walk on CPython 3.11
+            mv = gram._images[v] = tuple([sum(map(operator.mul, row, v)) for row in gram.rows])
+        pivot = gram._pivots[ck] = (v, w, mv, sum(map(operator.mul, v, mv)))
+    v, w, mv, vv = pivot
+    new_c = list(cvectors)
+    new_c[k - 1] = tuple([-x for x in ck])
+    for j, cj in enumerate(cvectors):
+        # c_k . w = ±v^T B_0 v is 0, so position k is never reflected
+        if sum(map(operator.mul, cj, w)) < 0:
+            if vv != 2:
+                raise NotARealRoot(f"<v, v> = {vv} for v = {v}")
+            coef = sum(map(operator.mul, cj, mv))
+            new_c[j] = tuple([x - coef * y for x, y in zip(cj, v)])
+    return tuple(new_c)
+
+
 def mutate_seed(seed: YSeed, k: Vertex) -> YSeed:
-    """Y-seed mutation at k by the partial reflection rule.
+    """Y-seed mutation at k: ExchangeMatrix.mutate for the matrix and
+    _mutate_cvectors, which raises as it says, for the c-vectors.
 
-    With c_k positive, reflect exactly the c_j with b[j][k] < 0; with c_k
-    negative, exactly those with b[j][k] > 0.  Then negate c_k and mutate
-    the matrix.  Raises SignIncoherent if c_k mixes signs, and NotARealRoot
-    if some c_j is to be reflected while <c_k, c_k> != 2.
-
-    The reflection of c_j in v = positive_form(c_k) is c_j - <c_j, v> v,
-    so each <c_j, v> is one dot product with M v, read from the pairing,
-    which forms it once for all the seeds that share it.
+    With c_k positive, c_j is reflected when c_j^T B_0 c_k < 0; with c_k
+    negative, when it is > 0.  B_0 is the pairing's initial matrix, so on
+    every seed of an exchange tree this is the sign of b_jk, the column
+    rule of mutate_seed_matrix, while a hand-built seed whose matrix
+    disagrees with its c-vectors gets c-vectors that follow B_0 and a
+    matrix that follows B.
 
     If the parent's reflections were already read, the child's are written
     at once: t_k and every unmoved t_j are kept, and each moved t_j is
     conjugated by t_k.  Otherwise the child derives none here.
     """
     matrix = seed.matrix.mutate(k)  # validates k before c_k is read
-    ck = seed.cvectors[k - 1]
-    positive = root_sign(ck) > 0
-    v = ck if positive else tuple([-x for x in ck])
-    mv = seed.gram.image(v)
-    vv = sum(map(operator.mul, v, mv))
-    new_cvecs = []
+    cvecs = _mutate_cvectors(seed.cvectors, k, seed.gram)
+    child = YSeed(matrix, cvecs, seed.gram, seed.path + (k,))
     read = seed.__dict__.get("reflections")
-    refls = None if read is None else list(read)
-    for j, (cj, row) in enumerate(zip(seed.cvectors, seed.matrix.rows), 1):
-        bjk = row[k - 1]
-        if j == k:
-            # -c_k is v when c_k is negative
-            new_cvecs.append(tuple([-x for x in cj]) if positive else v)
-        elif (bjk < 0) if positive else (bjk > 0):
-            if vv != 2:
-                raise NotARealRoot(f"<v, v> = {vv} for v = {v}")
-            coef = sum(map(operator.mul, cj, mv))
-            new_cvecs.append(tuple([x - coef * y for x, y in zip(cj, v)]))
-            if refls is not None:
-                refls[j - 1] = conjugate(read[j - 1], read[k - 1])
-        else:
-            new_cvecs.append(cj)
-    child = YSeed(matrix, tuple(new_cvecs), seed.gram, seed.path + (k,))
-    if refls is not None:
-        # the cached_property's own slot, so child.reflections reads it
-        child.__dict__["reflections"] = tuple(refls)
+    if read is not None:
+        # the step keeps each unreflected c-vector as the same object; the
+        # cached_property's own slot, so child.reflections reads it
+        child.__dict__["reflections"] = tuple(
+            t if j == k - 1 or new is old else conjugate(t, read[k - 1])
+            for j, (t, new, old) in enumerate(zip(read, cvecs, seed.cvectors))
+        )
     return child
 
 
@@ -360,7 +399,7 @@ def speyer_thomas_check(
     m = gram.rows
     for group in (positives, negatives):
         for a in range(len(group) - 1):
-            image = gram.image(roots[group[a]])
+            image = gram._image(roots[group[a]])
             for j in group[a + 1 :]:
                 if sum(map(operator.mul, roots[j], image)) > 0:
                     return False

@@ -49,6 +49,7 @@ from arcroots.roots import (
     initial_seed,
     inner,
     mutate_seed,
+    mutate_seed_matrix,
     reflection_to_root,
     root_to_reflection,
     speyer_thomas_check,
@@ -141,18 +142,19 @@ def test_explore_mutates_each_matrix_once_per_tree_edge(monkeypatch):
 
 
 def test_explore_forms_each_image_once_per_walk(monkeypatch):
-    # mutate_seed, seven, st and bad_pairs ask the walk's one pairing for
-    # 3,071 images on B3 at depth 8, and it forms one per distinct vector:
-    # 793 image objects come back, each as often as its vector is asked
-    # for.  A second walk has a pairing of its own and forms them again
+    # seven, st and bad_pairs ask the walk's one pairing for 2,306 images
+    # on B3 at depth 8, and it forms one per distinct vector: 749 image
+    # objects come back, each as often as its vector is asked for.  It
+    # keeps 793, the other 44 formed by the mutation step for its pivots.
+    # A second walk has a pairing of its own and forms them again
     asked = []
-    image = GramMatrix.image
+    image = GramMatrix._image
 
     def counting(self, u):
         asked.append((self, image(self, u)))
         return asked[-1][1]
 
-    monkeypatch.setattr(GramMatrix, "image", counting)
+    monkeypatch.setattr(GramMatrix, "_image", counting)
     counts = []
     for _ in range(2):
         asked.clear()
@@ -160,7 +162,7 @@ def test_explore_forms_each_image_once_per_walk(monkeypatch):
         (gram,) = {id(g): g for g, _ in asked}.values()
         formed = {id(mu) for _, mu in asked}
         counts.append((len(asked), len(formed), len(gram._images)))
-    assert counts == [(3071, 793, 793), (3071, 793, 793)]
+    assert counts == [(2306, 749, 793), (2306, 749, 793)]
 
 
 def test_explore_tests_each_matrix_for_cycles_once(monkeypatch):
@@ -360,6 +362,7 @@ def test_schur_by_search_rejects_a_letter_above_the_rank(monkeypatch):
 
     monkeypatch.setattr(explore_module, "_walk", forbidden)
     monkeypatch.setattr(explore_module, "_mutate_cvectors", forbidden)
+    monkeypatch.setattr(explore_module, "mutate_seed", forbidden)
     with pytest.raises(ValueError, match="^letter or ray 4 exceeds the rank 3$"):
         schur_by_search(canonical_reflection((1, 4, 1)), B3, 2)
 
@@ -857,16 +860,31 @@ def test_schur_by_search_logs_its_work(caplog, monkeypatch):
     assert "found at path (1,)" in caplog.text
 
 
-def _counting_mutations(monkeypatch):
+def _counting(monkeypatch, name):
+    """Patch explore's name with a wrapper that records each call's
+    arguments, and return the record."""
     calls = []
-    mutate = explore_module.mutate_seed
+    f = getattr(explore_module, name)
 
-    def counting(seed, k):
-        calls.append(seed.path + (k,))
-        return mutate(seed, k)
+    def counting(*args):
+        calls.append(args)
+        return f(*args)
 
-    monkeypatch.setattr(explore_module, "mutate_seed", counting)
+    monkeypatch.setattr(explore_module, name, counting)
     return calls
+
+
+def _recording_starts(monkeypatch):
+    """The initial seed of each walk that explore starts, as it starts it."""
+    starts = []
+    make = explore_module.initial_seed
+
+    def recording(matrix):
+        starts.append(make(matrix))
+        return starts[-1]
+
+    monkeypatch.setattr(explore_module, "initial_seed", recording)
+    return starts
 
 
 def _replayed(path):
@@ -878,70 +896,75 @@ def _replayed(path):
 
 def test_schur_search_builds_only_the_seeds_it_visits(monkeypatch):
     # the search steps once per seed it visits past the root and builds no
-    # YSeed; complete_arc replays the path it found, one mutate_seed per letter
-    calls = _counting_mutations(monkeypatch)
-    steps = 0
-    step = explore_module._mutate_cvectors
-
-    def counting_step(*args):
-        nonlocal steps
-        steps += 1
-        return step(*args)
-
-    monkeypatch.setattr(explore_module, "_mutate_cvectors", counting_step)
+    # YSeed; complete_arc replays the path it found by the stacked exchange
+    # rule, one mutate_seed_matrix per letter, and never calls mutate_seed
+    builds = _counting(monkeypatch, "mutate_seed")
+    replays = _counting(monkeypatch, "mutate_seed_matrix")
+    steps = _counting(monkeypatch, "_mutate_cvectors")
     found = 0
     for r in rank3_reflections_up_to_length_7():
-        calls.clear()
-        steps = 0
+        del replays[:], steps[:]
         out = schur_by_search(r, B3, 6)
-        assert len(calls) == 0 and steps == out.seeds_visited - 1, r.word
+        assert len(replays) == 0 and len(steps) == out.seeds_visited - 1, r.word
         if out.found:
             found += 1
-            steps = 0
+            del steps[:]
             seed = complete_arc(reflection_to_arc(r), B3, 6)
-            assert len(calls) == len(out.path), r.word
-            assert steps == out.seeds_visited - 1, r.word
+            assert len(replays) == len(out.path), r.word
+            assert len(steps) == out.seeds_visited - 1, r.word
             assert seed == _replayed(out.path)
     assert found == 33  # the other two lie deeper than 6
+    assert builds == []
 
 
 def test_schur_search_reads_each_pivot_once_per_walk(monkeypatch):
     # the 35 positives of the depth-14 sweep: one step per seed past the
-    # root, and one _pivot call per distinct pivot c-vector of each walk
-    steps = pivots = 0
-    step, pivot = explore_module._mutate_cvectors, explore_module._pivot
-
-    def counting_step(*args):
-        nonlocal steps
-        steps += 1
-        return step(*args)
-
-    def counting_pivot(*args):
-        nonlocal pivots
-        pivots += 1
-        return pivot(*args)
-
-    monkeypatch.setattr(explore_module, "_mutate_cvectors", counting_step)
-    monkeypatch.setattr(explore_module, "_pivot", counting_pivot)
+    # root, and one pivot read per distinct pivot c-vector of each walk,
+    # kept on the walk's pairing
+    steps = _counting(monkeypatch, "_mutate_cvectors")
+    starts = _recording_starts(monkeypatch)
     found = visited = total_steps = total_pivots = 0
     for r in rank3_reflections_up_to_length_7():
-        steps = pivots = 0
+        del steps[:], starts[:]
         out = schur_by_search(r, B3, 14)
-        assert steps == out.seeds_visited - 1, r.word
+        (root,) = starts
+        assert len(steps) == out.seeds_visited - 1, r.word
+        assert all(gram is root.gram for _, _, gram in steps), r.word
         if out.found:
             found += 1
             visited += out.seeds_visited
-            total_steps += steps
-            total_pivots += pivots
+            total_steps += len(steps)
+            total_pivots += len(root.gram._pivots)
     assert (found, visited, total_steps, total_pivots) == (35, 2259, 2224, 1170)
     # a second search starts from an empty memo
     r = canonical_reflection((3, 2, 1, 2, 3))
-    counts = []
+    del starts[:]
     for _ in range(2):
-        pivots = 0
         schur_by_search(r, B3, 14)
-        counts.append(pivots)
-    assert counts[0] == counts[1] > 0
+    first, second = starts
+    assert first.gram is not second.gram
+    assert len(first.gram._pivots) == len(second.gram._pivots) > 0
+
+
+def test_explore_reads_each_pivot_once_per_walk(monkeypatch):
+    # B3 to depth 8: the 765 mutations pivot on 368 distinct c-vectors, each
+    # read once into the walk's pairing, and a second walk reads them again
+    starts = _recording_starts(monkeypatch)
+    steps = []
+    step = roots._mutate_cvectors
+
+    def counting(cvectors, k, gram):
+        steps.append(cvectors[k - 1])
+        return step(cvectors, k, gram)
+
+    monkeypatch.setattr(roots, "_mutate_cvectors", counting)
+    for _ in range(2):
+        del steps[:]
+        assert explore(B3, 8, checks=ALL_CHECKS).violations == ()
+        pivots = starts[-1].gram._pivots
+        assert len(steps) == 765
+        assert set(pivots) == set(steps) and len(pivots) == 368
+    assert starts[0].gram is not starts[1].gram
 
 
 def test_complete_arc_raises_when_the_replay_lacks_the_root(monkeypatch):
@@ -1038,6 +1061,22 @@ def test_fan_checks_match_their_compositions_where_they_fail(case):
 
 
 @pytest.mark.parametrize("initial,depth", _walk_trees())
+def test_cvector_step_matches_the_stacked_exchange_rule(initial, depth):
+    # the one c-vector step against its independent oracle, seed by seed:
+    # a walk by mutate_seed_matrix, which reads each side from the matrix
+    # column, gives the step's c-vectors and ExchangeMatrix.mutate's matrix
+    root = initial_seed(initial)
+    oracle = explore_module._breadth_first(
+        root, depth, initial.vertices(), lambda seed: seed.path, mutate_seed_matrix, None
+    )
+    pairs = list(zip(iter_seeds(root, depth), explore_module._walk(root, depth), oracle))
+    assert len(pairs) == tree_count(initial.n, depth)
+    for seed, (cvecs, path), slow in pairs:
+        assert (cvecs, path) == (slow.cvectors, slow.path) == (seed.cvectors, seed.path)
+        assert seed.matrix == slow.matrix, path
+
+
+@pytest.mark.parametrize("initial,depth", _walk_trees())
 def test_cvector_walk_matches_iter_seeds(initial, depth):
     # the Schur search's walk yields iter_seeds's c-vectors and paths in
     # iter_seeds's order, and on every seed b_jk = c_j^T B_0 c_k, the
@@ -1091,19 +1130,19 @@ BAD_STEPS = [
 
 @pytest.mark.parametrize("seed,k,error", BAD_STEPS, ids=["incoherent", "imaginary"])
 def test_cvector_step_raises_where_mutate_seed_does(seed, k, error):
-    # a mixed c_k raises when its pivot is read; an imaginary one is read,
-    # and the step raises once it reflects some c_j in it
+    # a mixed c_k raises when its pivot is read, and is not kept; an
+    # imaginary one is read and kept, and the step raises once it reflects
+    # some c_j in it
+    gram = roots.cartan_companion(B3)
     with pytest.raises(error):
-        mutate_seed(seed, k)
+        mutate_seed(replace(seed, gram=gram), k)
     ck = seed.cvectors[k - 1]
+    with pytest.raises(error):
+        roots._mutate_cvectors(seed.cvectors, k, gram)
     if error is SignIncoherent:
-        with pytest.raises(SignIncoherent):
-            explore_module._pivot(ck, B3.rows, GRAM3.rows)
-        return
-    pivot = explore_module._pivot(ck, B3.rows, GRAM3.rows)
-    assert pivot == ((1, 1, 1), (4, 0, -4), (-2, -2, -2), -6)
-    with pytest.raises(NotARealRoot):
-        explore_module._mutate_cvectors(seed.cvectors, k, pivot)
+        assert gram._pivots == {}
+    else:
+        assert gram._pivots == {ck: ((1, 1, 1), (4, 0, -4), (-2, -2, -2), -6)}
 
 
 def _eager_seeds(root, depth, expand):
@@ -1142,7 +1181,7 @@ def test_lazy_walk_matches_the_eager_walk(root, depth):
 
 
 def test_a_capped_dot_walk_builds_no_seed_past_the_cap(monkeypatch):
-    calls = _counting_mutations(monkeypatch)
+    calls = _counting(monkeypatch, "mutate_seed")
     with pytest.raises(CapExceeded):
         exchange_tree_dot(initial_seed(B3), 40, node_cap=10)
     assert len(calls) <= 10

@@ -245,7 +245,6 @@ def test_every_private_definition_has_a_caller_in_the_package():
 
 # Definitions that only the tests call, each with the reason it stays.
 NO_PROGRAM_CALLER = {
-    "mutate_seed_matrix": "test oracle: mutate_seed's c-vectors from the matrix rule",
     "node_path": "test oracle: the geodesic that separates is checked against",
     "reflect": "test oracle: descent and ascent one simple reflection at a time",
     "separates": "test oracle: separating_nodes pair by pair",

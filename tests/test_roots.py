@@ -14,7 +14,7 @@ from arcroots.errors import (
     NotNormalized,
     SignIncoherent,
 )
-from arcroots.explore import ALL_CHECKS, explore, iter_seeds
+from arcroots.explore import ALL_CHECKS, CHECKS, explore, iter_seeds
 from arcroots.quiver import ExchangeMatrix, natural_order, random_acyclic_two_complete
 from arcroots.roots import (
     GramMatrix,
@@ -190,6 +190,33 @@ def test_all_negative_seed_reached():
         seed = mutate_seed(seed, k)
     assert seed.matrix == B3
     assert seed.cvectors == ((-1, 0, 0), (0, -1, 0), (0, 0, -1))
+
+
+def test_pairing_gives_back_its_exchange_matrix():
+    # for a normalized B_0, b0_ij = -m_ij above the diagonal and m_ij
+    # below: the step reads the initial matrix from the pairing alone
+    rng = random.Random(1998)
+    for n in range(2, 9):
+        for _ in range(5):
+            matrix = random_acyclic_two_complete(n, rng)
+            assert cartan_companion(matrix)._b0 == matrix.rows
+    for n in range(1, 6):
+        all_two = tuple(tuple(0 if i == j else 2 if i < j else -2 for j in range(n)) for i in range(n))
+        assert all_weights_two_gram(n)._b0 == all_two
+
+
+def test_mutate_seed_reads_the_side_from_the_initial_matrix():
+    # a hand-built seed whose matrix (B3 mutated at 1) disagrees with its
+    # identity c-vectors: the c-vectors follow the pairing's B_0 = B3 and
+    # the matrix follows B, where the matrix-column rule reflects c_1
+    seed = YSeed(B3.mutate(1), S0.cvectors, cartan_companion(B3), ())
+    child = mutate_seed(seed, 2)
+    assert child.cvectors == ((1, 0, 0), (0, -1, 0), (0, 2, 1))
+    assert child.matrix == B3.mutate(1).mutate(2)
+    assert mutate_seed_matrix(seed, 2).cvectors == ((1, 2, 0), (0, -1, 0), (0, 2, 1))
+    # the seven check compares the two: |<c_1, c_3>| = 6 != |b_13| = 2
+    assert CHECKS["seven"](mutate_seed_matrix(seed, 2)) is True
+    assert CHECKS["seven"](child) is False
 
 
 def test_mutate_seed_agrees_with_matrix_oracle_fuzz():
@@ -683,7 +710,7 @@ def test_speyer_thomas_verdict_ignores_the_input_order():
 
 
 def test_gram_image_matches_the_double_sum():
-    # image(u)_i = <e_i, u>, read against inner's double sum, with entries
+    # _image(u)_i = <e_i, u>, read against inner's double sum, with entries
     # of both signs and beyond 2**63; a vector asked for twice gets the
     # image kept from the first request
     rng = random.Random(2013)
@@ -693,11 +720,11 @@ def test_gram_image_matches_the_double_sum():
         bound = rng.choice([9, 2**70])
         u = tuple(rng.randint(-bound, bound) for _ in range(n))
         v = tuple(rng.randint(-bound, bound) for _ in range(n))
-        mu = gram.image(u)
+        mu = gram._image(u)
         assert type(mu) is tuple
         assert mu == tuple(inner(unit_vector(n, i), u, gram) for i in range(1, n + 1))
         assert sum(x * y for x, y in zip(v, mu)) == inner(v, u, gram)
-        assert gram.image(u) is mu
+        assert gram._image(u) is mu
 
 
 @pytest.mark.parametrize(
@@ -712,7 +739,7 @@ def test_gram_image_matches_the_double_sum():
 def test_gram_image_refuses_what_it_cannot_keep(u, message):
     gram = all_weights_two_gram(3)
     with pytest.raises(ValueError, match=message):
-        gram.image(u)
+        gram._image(u)
     assert gram._images == {}
 
 
