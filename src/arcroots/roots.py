@@ -35,6 +35,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property, cmp_to_key
+from itertools import permutations
 
 from .errors import NotAcyclic, NotARealRoot, NotNormalized, SignIncoherent
 from .quiver import ExchangeMatrix, Vertex, _int_rows, _int_vector, natural_order, require_vertex
@@ -49,7 +50,10 @@ class GramMatrix:
 
     The pairing forms each vector's image M u once, on the first request,
     and keeps it, and what mutation reads of each pivot, for its own
-    lifetime; equality and hashing read the rows alone."""
+    lifetime; equality and hashing read the rows alone.  Mutation reads
+    the initial matrix B_0 from the pairing, so a pairing that seeds
+    mutate in must be the Cartan companion of a normalized B_0: one with
+    a positive off-diagonal entry raises NotNormalized there."""
 
     rows: tuple[tuple[int, ...], ...]
     _images: dict[Root, Root] = field(
@@ -80,8 +84,12 @@ class GramMatrix:
     @cached_property
     def _b0(self) -> tuple[tuple[int, ...], ...]:
         """The normalized exchange matrix whose Cartan companion this is:
-        -m_ij above the diagonal, m_ij below it and 0 on it."""
+        -m_ij above the diagonal, m_ij below it and 0 on it.  Raises
+        NotNormalized if some m_ij > 0, which no such matrix gives."""
         m = self.rows
+        for i, j in permutations(range(self.n), 2):
+            if m[i][j] > 0:
+                raise NotNormalized(f"m[{i + 1}][{j + 1}] = {m[i][j]} > 0: no Cartan companion")
         return tuple(
             tuple(-m[i][j] if i < j else 0 if i == j else m[i][j] for j in range(self.n))
             for i in range(self.n)
@@ -163,7 +171,8 @@ def unit_vector(n: int, i: Vertex) -> Root:
 @dataclass(frozen=True)
 class YSeed:
     """Exchange matrix with c-vectors, the pairing of the initial seed, and
-    the mutation path that produced it."""
+    the mutation path that produced it.  The pairing is the Cartan
+    companion of the initial matrix, which mutation reads back from it."""
 
     matrix: ExchangeMatrix
     cvectors: tuple[Root, ...]
@@ -239,8 +248,9 @@ def _mutate_cvectors(cvectors: tuple[Root, ...], k: Vertex, gram: GramMatrix) ->
     v = positive_form(c_k) and w = B_0 v, c_k is negated and c_j is
     reflected in v, to c_j - <c_j, v> v, exactly when c_j . w < 0.  An
     unreflected c_j is kept as the same object.  Raises SignIncoherent if
-    c_k mixes signs, and NotARealRoot if some c_j is to be reflected while
-    <v, v> != 2.  What the step reads of c_k (v, w, M v and <v, v>) is
+    c_k mixes signs, NotARealRoot if some c_j is to be reflected while
+    <v, v> != 2, and NotNormalized if the pairing is no Cartan companion
+    (GramMatrix._b0).  What the step reads of c_k (v, w, M v and <v, v>) is
     kept on the pairing, keyed by c_k, and M v among its images, where the
     checks find it; a c_k that mixes signs is not kept.
     """
@@ -249,12 +259,7 @@ def _mutate_cvectors(cvectors: tuple[Root, ...], k: Vertex, gram: GramMatrix) ->
     if pivot is None:
         v = ck if root_sign(ck) > 0 else tuple([-x for x in ck])
         w = tuple([sum(map(operator.mul, row, v)) for row in gram._b0])
-        mv = gram._images.get(v)
-        if mv is None:
-            # formed here, not by _image: v comes from checked c-vectors,
-            # and _image's first-request check cost about 4% of a Schur
-            # walk on CPython 3.11
-            mv = gram._images[v] = tuple([sum(map(operator.mul, row, v)) for row in gram.rows])
+        mv = gram._image(v)
         pivot = gram._pivots[ck] = (v, w, mv, sum(map(operator.mul, v, mv)))
     v, w, mv, vv = pivot
     new_c = list(cvectors)

@@ -142,11 +142,11 @@ def test_explore_mutates_each_matrix_once_per_tree_edge(monkeypatch):
 
 
 def test_explore_forms_each_image_once_per_walk(monkeypatch):
-    # seven, st and bad_pairs ask the walk's one pairing for 2,306 images
-    # on B3 at depth 8, and it forms one per distinct vector: 749 image
-    # objects come back, each as often as its vector is asked for.  It
-    # keeps 793, the other 44 formed by the mutation step for its pivots.
-    # A second walk has a pairing of its own and forms them again
+    # the mutation step (one request per pivot it reads), seven, st and
+    # bad_pairs ask the walk's one pairing for 2,674 images on B3 at depth
+    # 8, and it forms one per distinct vector: 793 image objects come back,
+    # each as often as its vector is asked for.  A second walk has a
+    # pairing of its own and forms them again
     asked = []
     image = GramMatrix._image
 
@@ -162,7 +162,7 @@ def test_explore_forms_each_image_once_per_walk(monkeypatch):
         (gram,) = {id(g): g for g, _ in asked}.values()
         formed = {id(mu) for _, mu in asked}
         counts.append((len(asked), len(formed), len(gram._images)))
-    assert counts == [(2306, 749, 793), (2306, 749, 793)]
+    assert counts == [(2674, 793, 793), (2674, 793, 793)]
 
 
 def test_explore_tests_each_matrix_for_cycles_once(monkeypatch):
@@ -874,13 +874,26 @@ def _counting(monkeypatch, name):
     return calls
 
 
+class _CountingMemo(dict):
+    """A pivot memo that counts the pivots written into it: each one the
+    step computed because it did not find it kept."""
+
+    writes = 0
+
+    def __setitem__(self, key, value):
+        self.writes += 1
+        super().__setitem__(key, value)
+
+
 def _recording_starts(monkeypatch):
-    """The initial seed of each walk that explore starts, as it starts it."""
+    """The initial seed of each walk that explore starts, as it starts it,
+    its pairing given an empty _CountingMemo for its pivots."""
     starts = []
     make = explore_module.initial_seed
 
     def recording(matrix):
         starts.append(make(matrix))
+        object.__setattr__(starts[-1].gram, "_pivots", _CountingMemo())
         return starts[-1]
 
     monkeypatch.setattr(explore_module, "initial_seed", recording)
@@ -920,7 +933,8 @@ def test_schur_search_builds_only_the_seeds_it_visits(monkeypatch):
 def test_schur_search_reads_each_pivot_once_per_walk(monkeypatch):
     # the 35 positives of the depth-14 sweep: one step per seed past the
     # root, and one pivot read per distinct pivot c-vector of each walk,
-    # kept on the walk's pairing
+    # kept on the walk's pairing; a step that found its pivot kept must
+    # not compute it again
     steps = _counting(monkeypatch, "_mutate_cvectors")
     starts = _recording_starts(monkeypatch)
     found = visited = total_steps = total_pivots = 0
@@ -934,7 +948,8 @@ def test_schur_search_reads_each_pivot_once_per_walk(monkeypatch):
             found += 1
             visited += out.seeds_visited
             total_steps += len(steps)
-            total_pivots += len(root.gram._pivots)
+            total_pivots += root.gram._pivots.writes
+            assert root.gram._pivots.writes == len(root.gram._pivots), r.word
     assert (found, visited, total_steps, total_pivots) == (35, 2259, 2224, 1170)
     # a second search starts from an empty memo
     r = canonical_reflection((3, 2, 1, 2, 3))
@@ -943,12 +958,13 @@ def test_schur_search_reads_each_pivot_once_per_walk(monkeypatch):
         schur_by_search(r, B3, 14)
     first, second = starts
     assert first.gram is not second.gram
-    assert len(first.gram._pivots) == len(second.gram._pivots) > 0
+    assert first.gram._pivots.writes == second.gram._pivots.writes > 0
 
 
 def test_explore_reads_each_pivot_once_per_walk(monkeypatch):
     # B3 to depth 8: the 765 mutations pivot on 368 distinct c-vectors, each
-    # read once into the walk's pairing, and a second walk reads them again
+    # computed once into the walk's pairing, and a second walk computes
+    # them again
     starts = _recording_starts(monkeypatch)
     steps = []
     step = roots._mutate_cvectors
@@ -963,7 +979,7 @@ def test_explore_reads_each_pivot_once_per_walk(monkeypatch):
         assert explore(B3, 8, checks=ALL_CHECKS).violations == ()
         pivots = starts[-1].gram._pivots
         assert len(steps) == 765
-        assert set(pivots) == set(steps) and len(pivots) == 368
+        assert set(pivots) == set(steps) and pivots.writes == len(pivots) == 368
     assert starts[0].gram is not starts[1].gram
 
 
@@ -1061,34 +1077,24 @@ def test_fan_checks_match_their_compositions_where_they_fail(case):
 
 
 @pytest.mark.parametrize("initial,depth", _walk_trees())
-def test_cvector_step_matches_the_stacked_exchange_rule(initial, depth):
-    # the one c-vector step against its independent oracle, seed by seed:
-    # a walk by mutate_seed_matrix, which reads each side from the matrix
-    # column, gives the step's c-vectors and ExchangeMatrix.mutate's matrix
-    root = initial_seed(initial)
-    oracle = explore_module._breadth_first(
-        root, depth, initial.vertices(), lambda seed: seed.path, mutate_seed_matrix, None
-    )
-    pairs = list(zip(iter_seeds(root, depth), explore_module._walk(root, depth), oracle))
-    assert len(pairs) == tree_count(initial.n, depth)
-    for seed, (cvecs, path), slow in pairs:
-        assert (cvecs, path) == (slow.cvectors, slow.path) == (seed.cvectors, seed.path)
-        assert seed.matrix == slow.matrix, path
-
-
-@pytest.mark.parametrize("initial,depth", _walk_trees())
 def test_cvector_walk_matches_iter_seeds(initial, depth):
     # the Schur search's walk yields iter_seeds's c-vectors and paths in
     # iter_seeds's order, and on every seed b_jk = c_j^T B_0 c_k, the
-    # tropical duality that its sign test reads
+    # tropical duality that its sign test reads.  A walk by
+    # mutate_seed_matrix, the independent oracle that reads each side
+    # from the matrix column, gives the same c-vectors, paths and matrices
     root = initial_seed(initial)
     b0 = initial.rows
     seeds = list(iter_seeds(root, depth))
     nodes = list(explore_module._walk(root, depth))
-    assert len(nodes) == len(seeds) == tree_count(initial.n, depth)
+    oracle = list(explore_module._breadth_first(
+        root, depth, initial.vertices(), lambda seed: seed.path, mutate_seed_matrix, None
+    ))
+    assert len(nodes) == len(seeds) == len(oracle) == tree_count(initial.n, depth)
     by_path = {path: cvecs for cvecs, path in nodes}
-    for seed, (cvecs, path) in zip(seeds, nodes):
-        assert (cvecs, path) == (seed.cvectors, seed.path)
+    for seed, (cvecs, path), slow in zip(seeds, nodes, oracle):
+        assert (cvecs, path) == (seed.cvectors, seed.path) == (slow.cvectors, slow.path)
+        assert seed.matrix == slow.matrix, path
         if path:
             # the heights the search prunes by: position k keeps its own,
             # every other position keeps its vector or grows

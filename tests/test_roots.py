@@ -205,6 +205,16 @@ def test_pairing_gives_back_its_exchange_matrix():
         assert all_weights_two_gram(n)._b0 == all_two
 
 
+def test_mutate_seed_refuses_a_pairing_that_is_no_cartan_companion():
+    # GramMatrix accepts a positive off-diagonal entry, which no normalized
+    # B_0 gives, so mutation has no initial matrix to read from it
+    gram = GramMatrix(((2, 0, 1), (0, 2, -2), (1, -2, 2)))
+    seed = YSeed(B3, S0.cvectors, gram, ())
+    with pytest.raises(NotNormalized, match=r"^m\[1\]\[3\] = 1 > 0: no Cartan companion$"):
+        mutate_seed(seed, 2)
+    assert gram._pivots == {}
+
+
 def test_mutate_seed_reads_the_side_from_the_initial_matrix():
     # a hand-built seed whose matrix (B3 mutated at 1) disagrees with its
     # identity c-vectors: the c-vectors follow the pairing's B_0 = B3 and
