@@ -295,11 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_refl2arc)
 
     p = sub.add_parser("root2refl", help="root vector to reflection word")
-    p.add_argument(
-        "--root",
-        required=True,
-        help="comma-separated coordinates; write a negative root as --root=-1,0,0",
-    )
+    p.add_argument("--root", required=True, help="comma-separated coordinates, like 2,1,0 or -1,0,0")
     p.add_argument("--quiver", default=None, help="pairing from this quiver instead of all weights 2")
     p.set_defaults(func=cmd_root2refl)
 
@@ -332,9 +328,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glued_roots(argv: Sequence[str]) -> list[str]:
+    """argv with "--root TOKEN" written as "--root=TOKEN" wherever TOKEN is
+    a comma list of integers led by "-": argparse would read a negative
+    root such as -1,0,0 as an option and exit 2."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--root" and re.fullmatch(r"-[0-9]+(,-?[0-9]+)*", arg):
+            out[-1] = "--root=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_glued_roots(sys.argv[1:] if argv is None else argv))
     logging.getLogger("arcroots").setLevel(args.log_level)
     try:
         return args.func(args)

@@ -307,11 +307,6 @@ class SearchOutcome:
     truncated: bool
 
 
-def _height(v: Root) -> int:
-    """Sum of the absolute values of the entries."""
-    return sum(map(abs, v))
-
-
 # a seed of the c-vector walk: its c-vectors and its path
 Node = tuple[tuple[Root, ...], tuple[Vertex, ...]]
 
@@ -322,8 +317,9 @@ def _walk(
     step alone: the same seeds in the same order, each as a (c-vectors,
     path) Node, and expand is asked about the same seeds.  No exchange
     matrix is built past the root's.  Many steps of one walk pivot on the
-    same c-vector; the root's pairing keeps what each distinct pivot
-    reads, so a walk from a fresh initial_seed starts from an empty memo.
+    same c-vector, or on its negative; the root's pairing keeps what each
+    distinct pivot reads under both signs, so a walk from a fresh
+    initial_seed starts from an empty memo.
     """
     gram = root.gram
 
@@ -366,10 +362,15 @@ def schur_by_search(target: Reflection, initial: ExchangeMatrix, depth: int) -> 
     root = initial_seed(initial)
     u = positive_form(reflection_to_root(target, root.gram))
     minus_u = tuple(-x for x in u)
-    h = _height(u)
+    h = sum(map(abs, u))  # the height of u
 
     def live(cvecs: tuple[Root, ...]) -> bool:
-        return any(c == minus_u or _height(c) < h for c in cvecs)
+        # asked once per seed walked: a plain loop, with no generator and
+        # no call per vector, is a measurable share of a search
+        for c in cvecs:
+            if c == minus_u or sum(map(abs, c)) < h:
+                return True
+        return False
 
     pruned = 0
 

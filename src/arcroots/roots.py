@@ -8,6 +8,9 @@ of self-pairing 2 preserves the pairing.  The pairing forms the image M u
 of each vector once, on the first request, and keeps it for its lifetime;
 initial_seed builds one pairing per walk and every seed of the walk shares
 it, so mutation and the checks read each distinct c-vector's image once.
+The images are formed unchecked: every vector asked for is a c-vector of a
+YSeed, a root that speyer_thomas_check has checked, or a pivot read from
+such a c-vector, so each is a tuple of n ints where it enters the program.
 inner stays the independent oracle and never reads the kept images.  With
 E the Euler form, M = E + E^T, and the pairing gives back B = E^T - E.
 
@@ -50,17 +53,21 @@ class GramMatrix:
 
     The pairing forms each vector's image M u once, on the first request,
     and keeps it, and what mutation reads of each pivot, for its own
-    lifetime; equality and hashing read the rows alone.  Mutation reads
-    the initial matrix B_0 from the pairing, so a pairing that seeds
-    mutate in must be the Cartan companion of a normalized B_0: one with
-    a positive off-diagonal entry raises NotNormalized there."""
+    lifetime; equality and hashing read the rows alone.  The rows are
+    checked here, and the vectors whose images are asked for where they
+    enter the program (GramMatrix._image).  Mutation reads the initial
+    matrix B_0 from the pairing, so a pairing that seeds mutate in must be
+    the Cartan companion of a normalized B_0: one with a positive
+    off-diagonal entry raises NotNormalized there."""
 
     rows: tuple[tuple[int, ...], ...]
     _images: dict[Root, Root] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    # c_k -> (v = positive_form(c_k), B_0 v, M v, <v, v>)
-    _pivots: dict[Root, tuple[Root, Root, Root, int]] = field(
+    # c_k and -c_k -> (v = positive_form(c_k), B_0 v, M v, <v, v>, the
+    # other key): the read depends on v alone, and the other key is the
+    # mutated seed's new c_k
+    _pivots: dict[Root, tuple[Root, Root, Root, int, Root]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -98,14 +105,15 @@ class GramMatrix:
     def _image(self, u: Root) -> Root:
         """M u, the tuple whose entry i is <e_i, u>, so <v, u> is the dot
         product of v with it; formed on the first request for u and kept
-        for the pairing's lifetime.  u is a tuple of n ints, and a vector
-        asked for the first time is checked (ValueError naming a bad
-        length or entry), so the kept images are exact."""
+        for the pairing's lifetime.
+
+        Precondition: u is a tuple of n ints.  It is not checked here:
+        every caller passes a vector checked where it entered the program
+        (a YSeed's c-vectors, speyer_thomas_check's roots, or the pivot
+        that the c-vector step reads from a seed's c_k), so the kept
+        images are exact."""
         mu = self._images.get(u)
         if mu is None:
-            if len(u) != self.n:
-                raise ValueError(f"vector length {len(u)} != pairing rank {self.n}")
-            u = _int_vector(u, "u")
             mu = self._images[u] = tuple([sum(map(operator.mul, row, u)) for row in self.rows])
         return mu
 
@@ -250,23 +258,32 @@ def _mutate_cvectors(cvectors: tuple[Root, ...], k: Vertex, gram: GramMatrix) ->
     unreflected c_j is kept as the same object.  Raises SignIncoherent if
     c_k mixes signs, NotARealRoot if some c_j is to be reflected while
     <v, v> != 2, and NotNormalized if the pairing is no Cartan companion
-    (GramMatrix._b0).  What the step reads of c_k (v, w, M v and <v, v>) is
-    kept on the pairing, keyed by c_k, and M v among its images, where the
-    checks find it; a c_k that mixes signs is not kept.
+    (GramMatrix._b0).
+
+    What the step reads of c_k (v, w, M v and <v, v>) depends on v alone,
+    so a pivot read is kept on the pairing under both c_k and -c_k, each
+    entry holding the other key, which is the new c_k; M v is kept among
+    the pairing's images, where the checks find it.  A c_k that mixes
+    signs is not kept.  Position k is not tested: c_k . w = ±v^T B_0 v is
+    0 for every c_k, since B_0 is skew-symmetric, so c_k is never
+    reflected in itself.
     """
-    ck = cvectors[k - 1]
+    ki = k - 1
+    ck = cvectors[ki]
     pivot = gram._pivots.get(ck)
     if pivot is None:
-        v = ck if root_sign(ck) > 0 else tuple([-x for x in ck])
+        neg = tuple([-x for x in ck])
+        v = ck if root_sign(ck) > 0 else neg
         w = tuple([sum(map(operator.mul, row, v)) for row in gram._b0])
         mv = gram._image(v)
-        pivot = gram._pivots[ck] = (v, w, mv, sum(map(operator.mul, v, mv)))
-    v, w, mv, vv = pivot
+        vv = sum(map(operator.mul, v, mv))
+        gram._pivots[neg] = (v, w, mv, vv, ck)
+        pivot = gram._pivots[ck] = (v, w, mv, vv, neg)
+    v, w, mv, vv, new_ck = pivot
     new_c = list(cvectors)
-    new_c[k - 1] = tuple([-x for x in ck])
+    new_c[ki] = new_ck
     for j, cj in enumerate(cvectors):
-        # c_k . w = ±v^T B_0 v is 0, so position k is never reflected
-        if sum(map(operator.mul, cj, w)) < 0:
+        if j != ki and sum(map(operator.mul, cj, w)) < 0:
             if vv != 2:
                 raise NotARealRoot(f"<v, v> = {vv} for v = {v}")
             coef = sum(map(operator.mul, cj, mv))
@@ -334,9 +351,12 @@ def root_to_reflection(u: Root, gram: GramMatrix) -> Reflection:
     the indices picked, in order, form the prefix and the surviving simple
     root is the core.  Negative roots are negated first.  Raises
     NotARealRoot when <u, u> != 2 or the descent stalls, and ValueError
-    naming the entry when some entry of u is not an int.
+    naming the entry when some entry of u is not an int, or naming both
+    lengths when u's length is not the pairing's rank.
     """
     u = _int_vector(u, "u")
+    if len(u) != gram.n:
+        raise ValueError(f"root length {len(u)} != pairing rank {gram.n}")
     if inner(u, u, gram) != 2:
         raise NotARealRoot(f"<u, u> = {inner(u, u, gram)} for u = {u}")
     try:

@@ -100,9 +100,28 @@ def test_root2refl(capsys, quiver_file):
 
 
 def test_root2refl_rank_mismatch(capsys, quiver_file):
-    code, _, err = run(capsys, "root2refl", "--root", "1,0", "--quiver", quiver_file)
-    assert code == 2
-    assert "rank" in err
+    # the length is checked before the pairing reads the root
+    for root in ("1,0", "2,1"):
+        code, out, err = run(capsys, "root2refl", "--root", root, "--quiver", quiver_file)
+        assert (code, out, err) == (2, "", "error: root length 2 != pairing rank 3\n")
+
+
+@pytest.mark.parametrize(
+    "root,word",
+    [("-1,0,0", [1]), ("-2,-1,0", [1, 2, 1]), ("-1", [1]), ("0,-1,0", [2])],
+)
+def test_root2refl_takes_a_negative_root_after_a_space(capsys, root, word):
+    # argparse alone would read a value led by "-1," as an option
+    for argv in (["--root", root], [f"--root={root}"]):
+        code, out, err = run(capsys, "root2refl", *argv)
+        assert (code, json.loads(out), err) == (0, word, "")
+
+
+def test_root2refl_still_refuses_an_option_as_the_root(capsys, quiver_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["root2refl", "--root", "--quiver", quiver_file])
+    assert exc.value.code == 2
+    assert "--root: expected one argument" in capsys.readouterr().err
 
 
 def test_root2refl_imaginary_root(capsys):

@@ -142,8 +142,8 @@ def test_explore_mutates_each_matrix_once_per_tree_edge(monkeypatch):
 
 
 def test_explore_forms_each_image_once_per_walk(monkeypatch):
-    # the mutation step (one request per pivot it reads), seven, st and
-    # bad_pairs ask the walk's one pairing for 2,674 images on B3 at depth
+    # the mutation step (one request per pivot it computes), seven, st and
+    # bad_pairs ask the walk's one pairing for 2,617 images on B3 at depth
     # 8, and it forms one per distinct vector: 793 image objects come back,
     # each as often as its vector is asked for.  A second walk has a
     # pairing of its own and forms them again
@@ -162,7 +162,31 @@ def test_explore_forms_each_image_once_per_walk(monkeypatch):
         (gram,) = {id(g): g for g, _ in asked}.values()
         formed = {id(mu) for _, mu in asked}
         counts.append((len(asked), len(formed), len(gram._images)))
-    assert counts == [(2674, 793, 793), (2674, 793, 793)]
+    assert counts == [(2617, 793, 793), (2617, 793, 793)]
+
+
+def test_every_image_request_is_a_tuple_of_n_ints(monkeypatch):
+    # _image checks nothing itself: each vector it is asked for was checked
+    # where it entered the program (a YSeed's c-vectors, the roots of
+    # speyer_thomas_check, or the pivot the step reads from a checked c_k)
+    image = GramMatrix._image
+    asked = Counter()
+
+    def guarded(self, u):
+        assert type(u) is tuple and len(u) == self.n, u
+        assert all(type(x) is int for x in u), u
+        asked[phase] += 1
+        return image(self, u)
+
+    monkeypatch.setattr(GramMatrix, "_image", guarded)
+    phase = "explore"
+    assert explore(B3, 6, checks=ALL_CHECKS).violations == ()
+    phase = "search"
+    targets = list(rank3_reflections_up_to_length_7())
+    assert len(targets) == 45
+    for r in targets:
+        schur_by_search(r, B3, 14)
+    assert asked["explore"] > 0 and asked["search"] > 0, asked
 
 
 def test_explore_tests_each_matrix_for_cycles_once(monkeypatch):
@@ -875,14 +899,24 @@ def _counting(monkeypatch, name):
 
 
 class _CountingMemo(dict):
-    """A pivot memo that counts the pivots written into it: each one the
-    step computed because it did not find it kept."""
+    """A pivot memo that counts the entries written into it.  The step
+    computes a pivot only when it finds no entry for c_k, and keeps each
+    one it computes under c_k and -c_k."""
 
     writes = 0
 
     def __setitem__(self, key, value):
         self.writes += 1
         super().__setitem__(key, value)
+
+    def computations(self):
+        """The pivots computed into the memo: two writes each, and no key
+        written twice, so a step that recomputed a kept pivot, or never
+        read the memo, would show here."""
+        assert self.writes == len(self) and self.writes % 2 == 0
+        for key, entry in self.items():
+            assert entry[4] == tuple(-x for x in key) and self[entry[4]][4] == key
+        return self.writes // 2
 
 
 def _recording_starts(monkeypatch):
@@ -932,9 +966,9 @@ def test_schur_search_builds_only_the_seeds_it_visits(monkeypatch):
 
 def test_schur_search_reads_each_pivot_once_per_walk(monkeypatch):
     # the 35 positives of the depth-14 sweep: one step per seed past the
-    # root, and one pivot read per distinct pivot c-vector of each walk,
-    # kept on the walk's pairing; a step that found its pivot kept must
-    # not compute it again
+    # root, and one pivot computation per distinct pivot up to sign in
+    # each walk, kept on the walk's pairing under c_k and -c_k; a step
+    # that finds its pivot kept under either sign must not compute it again
     steps = _counting(monkeypatch, "_mutate_cvectors")
     starts = _recording_starts(monkeypatch)
     found = visited = total_steps = total_pivots = 0
@@ -948,9 +982,8 @@ def test_schur_search_reads_each_pivot_once_per_walk(monkeypatch):
             found += 1
             visited += out.seeds_visited
             total_steps += len(steps)
-            total_pivots += root.gram._pivots.writes
-            assert root.gram._pivots.writes == len(root.gram._pivots), r.word
-    assert (found, visited, total_steps, total_pivots) == (35, 2259, 2224, 1170)
+            total_pivots += root.gram._pivots.computations()
+    assert (found, visited, total_steps, total_pivots) == (35, 2259, 2224, 1000)
     # a second search starts from an empty memo
     r = canonical_reflection((3, 2, 1, 2, 3))
     del starts[:]
@@ -962,9 +995,9 @@ def test_schur_search_reads_each_pivot_once_per_walk(monkeypatch):
 
 
 def test_explore_reads_each_pivot_once_per_walk(monkeypatch):
-    # B3 to depth 8: the 765 mutations pivot on 368 distinct c-vectors, each
-    # computed once into the walk's pairing, and a second walk computes
-    # them again
+    # B3 to depth 8: the 765 mutations pivot on 311 distinct c-vectors up
+    # to sign, each computed once into the walk's pairing and kept under
+    # both signs, and a second walk computes them again
     starts = _recording_starts(monkeypatch)
     steps = []
     step = roots._mutate_cvectors
@@ -979,7 +1012,8 @@ def test_explore_reads_each_pivot_once_per_walk(monkeypatch):
         assert explore(B3, 8, checks=ALL_CHECKS).violations == ()
         pivots = starts[-1].gram._pivots
         assert len(steps) == 765
-        assert set(pivots) == set(steps) and pivots.writes == len(pivots) == 368
+        assert set(pivots) == set(steps) | {tuple(-x for x in c) for c in steps}
+        assert pivots.computations() == 311
     assert starts[0].gram is not starts[1].gram
 
 
@@ -1137,8 +1171,8 @@ BAD_STEPS = [
 @pytest.mark.parametrize("seed,k,error", BAD_STEPS, ids=["incoherent", "imaginary"])
 def test_cvector_step_raises_where_mutate_seed_does(seed, k, error):
     # a mixed c_k raises when its pivot is read, and is not kept; an
-    # imaginary one is read and kept, and the step raises once it reflects
-    # some c_j in it
+    # imaginary one is read and kept under both signs, and the step raises
+    # once it reflects some c_j in it
     gram = roots.cartan_companion(B3)
     with pytest.raises(error):
         mutate_seed(replace(seed, gram=gram), k)
@@ -1148,7 +1182,8 @@ def test_cvector_step_raises_where_mutate_seed_does(seed, k, error):
     if error is SignIncoherent:
         assert gram._pivots == {}
     else:
-        assert gram._pivots == {ck: ((1, 1, 1), (4, 0, -4), (-2, -2, -2), -6)}
+        read = ((1, 1, 1), (4, 0, -4), (-2, -2, -2), -6)
+        assert gram._pivots == {ck: (*read, (-1, -1, -1)), (-1, -1, -1): (*read, ck)}
 
 
 def _eager_seeds(root, depth, expand):
