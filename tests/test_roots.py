@@ -804,6 +804,52 @@ def test_gram_image_matches_the_double_sum():
         assert gram._image(u) is mu
 
 
+@pytest.mark.parametrize(
+    "u,messages",
+    [
+        (
+            (1, 0),
+            (
+                r"^rank mismatch between matrix, c-vectors, and pairing$",
+                r"^expected 3 roots of length 3 and 3 reflections$",
+                r"^root length 2 != pairing rank 3$",
+            ),
+        ),
+        (
+            (1.0, 0, 0),
+            (
+                r"^c\[1\]\[1\] = 1\.0 is not an integer$",
+                r"^root\[1\]\[1\] = 1\.0 is not an integer$",
+                r"^u\[1\] = 1\.0 is not an integer$",
+            ),
+        ),
+        (
+            (0, True, 0),
+            (
+                r"^c\[1\]\[2\] = True is not an integer$",
+                r"^root\[1\]\[2\] = True is not an integer$",
+                r"^u\[2\] = True is not an integer$",
+            ),
+        ),
+    ],
+    ids=["short", "float", "bool"],
+)
+def test_gram_image_refuses_what_it_cannot_keep(u, messages):
+    # _image checks nothing itself: a vector it could not keep exactly is
+    # refused where it enters the program, as a c-vector of a YSeed, a root
+    # of speyer_thomas_check or of root_to_reflection, and the pairing
+    # forms and keeps nothing for it
+    gram = all_weights_two_gram(3)
+    seed_message, st_message, root_message = messages
+    with pytest.raises(ValueError, match=seed_message):
+        YSeed(B3, (u, (0, 1, 0), (0, 0, 1)), gram, ())
+    with pytest.raises(ValueError, match=st_message):
+        speyer_thomas_check((u, (0, 1, 0), (0, 0, 1)), S0.reflections, gram)
+    with pytest.raises(ValueError, match=root_message):
+        root_to_reflection(u, gram)
+    assert gram._images == {} and gram._pivots == {}
+
+
 def test_seeds_of_one_walk_share_the_image_memo():
     # one pairing per initial_seed, kept by every seed of its walk; a
     # second initial seed of the same matrix starts with no images
