@@ -1,8 +1,10 @@
 """Golden outputs of the command line.
 
-Each invocation runs in-process on fixed B3 and B4 quiver files, and its
-exit code and the sha256 of its standard output and standard error are
-pinned.  A change that claims to leave the command line's output
+Each invocation runs in-process on fixed quiver files, and its exit code
+and the sha256 of its standard output and standard error are pinned.  B3,
+B4 and B9 have every weight 2; w325 has weights 2, 3 and 5 and is not
+normalized as written, so its pins fix the map from the file's matrix to
+the pairing where |b_ij| != 2.  A change that claims to leave the command line's output
 byte-identical must pass this file unchanged.
 """
 
@@ -17,6 +19,7 @@ QUIVERS = {
     "b3.json": [[0, 2, 2], [-2, 0, 2], [-2, -2, 0]],
     "b4.json": [[0 if i == j else (2 if j > i else -2) for j in range(4)] for i in range(4)],
     "b9.json": [[0 if i == j else (2 if j > i else -2) for j in range(9)] for i in range(9)],
+    "w325.json": [[0, 2, 3], [-2, 0, -5], [-3, 5, 0]],
 }
 
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"  # sha256 of no output
@@ -195,6 +198,49 @@ CASES = [
         "export-dot cayley-fragment --quiver b4.json --path 1,2,3",
         0,
         "d7e007a469f2183718da36e635d3ea62a26ced533f627643b732e08805605b56",
+        EMPTY,
+    ),
+    (
+        # [3, 1, 3]: the root and the word are read in the normalized
+        # labels (1 -> 3 -> 2 becomes 1 -> 2 -> 3), not in the file's own,
+        # where <u, u> = -2 for (1, 0, 2).  Pinned so that a refactor of
+        # the pairing cannot move it and a change of frame moves it on
+        # purpose (ROADMAP item 11).
+        "root2refl-w325",
+        "root2refl --root 1,0,2 --quiver w325.json",
+        0,
+        "7f47dfc72e71c0269fc9ceb609971a03d894a58d573bb1f7a39b1fd5204b29b8",
+        EMPTY,
+    ),
+    (
+        # "is_yseed": true
+        "check-tuple-words-w325",
+        "check-tuple --words 1 2 3 --quiver w325.json",
+        0,
+        "b17992c55494c8ac173d04af7d989949b2e31c851b92fa0a7064ce4e5070fa75",
+        EMPTY,
+    ),
+    (
+        # 10 seeds, max_weight 82, no violations
+        "explore-w325-d2",
+        "explore --quiver w325.json --depth 2 --verify all",
+        0,
+        "32ba8e140d9314272e2ed8265a27ae5bcca79eae34b41c3566dc756585278bdb",
+        EMPTY,
+    ),
+    (
+        # found at path [2, 1, 2, 1] after 23 seeds
+        "schur-w325",
+        "schur --word 2,1,2 --quiver w325.json --depth 8",
+        0,
+        "2e56022bdde46998d232c60851930e6d4055e35cb1de91e62d4cc84445741361",
+        EMPTY,
+    ),
+    (
+        "complete-arc-w325",
+        "complete-arc --crossings 2 --endpoint 1 --quiver w325.json --depth 8",
+        0,
+        "b46193f0b9ed0c6108c9a5f5d37ff4bc6ca929005bcf5d3a9f990c179d4c32f3",
         EMPTY,
     ),
 ]
