@@ -11,8 +11,9 @@ it, so mutation and the checks read each distinct c-vector's image once.
 The images are formed unchecked: every vector asked for is a c-vector of a
 YSeed, a root that speyer_thomas_check has checked, or a pivot read from
 such a c-vector, so each is a tuple of n ints where it enters the program.
-inner stays the independent oracle and never reads the kept images.  With
-E the Euler form, M = E + E^T, and the pairing gives back B = E^T - E.
+inner stays the independent oracle and never reads the kept images.  The
+pairing keeps the initial matrix B_0 it is built from and forms from it,
+once, the Euler form E and M = E + E^T, so B_0 = E^T - E.
 
 A Y-seed is an exchange matrix together with n c-vectors.  Mutation at k
 negates c_k and reflects the other c-vectors in c_k, but only those on one
@@ -38,7 +39,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property, cmp_to_key
-from itertools import permutations
 
 from .errors import NotAcyclic, NotARealRoot, NotNormalized, SignIncoherent
 from .quiver import ExchangeMatrix, Vertex, _int_rows, _int_vector, natural_order, require_vertex
@@ -49,18 +49,23 @@ Root = tuple[int, ...]
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Symmetric integer pairing matrix with diagonal 2, built as ExchangeMatrix is.
+    """The pairing of a normalized acyclic initial matrix B_0, which it keeps.
+
+    Built from B_0 alone, which it checks: NotAcyclic for a directed cycle,
+    then NotNormalized for some b_ij < 0 above the diagonal; the
+    ExchangeMatrix has already checked the entries.  The Euler form E (1 on
+    the diagonal, -b_ij above it, 0 below) and the Cartan companion
+    M = E + E^T (rows) are formed once, here, so B_0 = E^T - E.  Equality
+    and hashing read B_0 alone.
 
     The pairing forms each vector's image M u once, on the first request,
     and keeps it, and what mutation reads of each pivot, for its own
-    lifetime; equality and hashing read the rows alone.  The rows are
-    checked here, and the vectors whose images are asked for where they
-    enter the program (GramMatrix._image).  Mutation reads the initial
-    matrix B_0 from the pairing, so a pairing that seeds mutate in must be
-    the Cartan companion of a normalized B_0: one with a positive
-    off-diagonal entry raises NotNormalized there."""
+    lifetime; the vectors whose images are asked for are checked where they
+    enter the program (GramMatrix._image)."""
 
-    rows: tuple[tuple[int, ...], ...]
+    b0: ExchangeMatrix
+    rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    euler: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _images: dict[Root, Root] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -72,35 +77,23 @@ class GramMatrix:
     )
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", _int_rows(self.rows, "m"))
-        n = len(self.rows)
-        for row in self.rows:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
+        if not self.b0.is_acyclic():
+            raise NotAcyclic("Cartan companion needs an acyclic matrix")
+        b, n = self.b0.rows, self.b0.n
         for i in range(n):
-            if self.rows[i][i] != 2:
-                raise ValueError("diagonal entries must be 2")
-            for j in range(n):
-                if self.rows[i][j] != self.rows[j][i]:
-                    raise ValueError("matrix must be symmetric")
+            for j in range(i + 1, n):
+                if b[i][j] < 0:
+                    raise NotNormalized(f"b[{i + 1}][{j + 1}] < 0")
+        e = tuple(
+            tuple(1 if i == j else -b[i][j] if i < j else 0 for j in range(n)) for i in range(n)
+        )
+        m = tuple(tuple(e[i][j] + e[j][i] for j in range(n)) for i in range(n))
+        object.__setattr__(self, "euler", e)
+        object.__setattr__(self, "rows", m)
 
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    @cached_property
-    def _b0(self) -> tuple[tuple[int, ...], ...]:
-        """The normalized exchange matrix whose Cartan companion this is:
-        -m_ij above the diagonal, m_ij below it and 0 on it.  Raises
-        NotNormalized if some m_ij > 0, which no such matrix gives."""
-        m = self.rows
-        for i, j in permutations(range(self.n), 2):
-            if m[i][j] > 0:
-                raise NotNormalized(f"m[{i + 1}][{j + 1}] = {m[i][j]} > 0: no Cartan companion")
-        return tuple(
-            tuple(-m[i][j] if i < j else 0 if i == j else m[i][j] for j in range(self.n))
-            for i in range(self.n)
-        )
 
     def _image(self, u: Root) -> Root:
         """M u, the tuple whose entry i is <e_i, u>, so <v, u> is the dot
@@ -119,24 +112,14 @@ class GramMatrix:
 
 
 def cartan_companion(matrix: ExchangeMatrix) -> GramMatrix:
-    """Symmetrized companion of a normalized acyclic exchange matrix."""
-    if not matrix.is_acyclic():
-        raise NotAcyclic("Cartan companion needs an acyclic matrix")
-    for i in range(matrix.n):
-        for j in range(i + 1, matrix.n):
-            if matrix.rows[i][j] < 0:
-                raise NotNormalized(f"b[{i + 1}][{j + 1}] < 0")
-    rows = tuple(
-        tuple(2 if i == j else -abs(matrix.rows[i][j]) for j in range(matrix.n))
-        for i in range(matrix.n)
-    )
-    return GramMatrix(rows)
+    """The pairing of a normalized acyclic exchange matrix, which checks it."""
+    return GramMatrix(matrix)
 
 
 def all_weights_two_gram(n: int) -> GramMatrix:
-    return GramMatrix(
-        tuple(tuple(2 if i == j else -2 for j in range(n)) for i in range(n))
-    )
+    """The pairing of the rank-n normalized matrix with every weight 2."""
+    rows = tuple(tuple(0 if i == j else 2 if i < j else -2 for j in range(n)) for i in range(n))
+    return GramMatrix(ExchangeMatrix(rows))
 
 
 def inner(u: Root, v: Root, gram: GramMatrix) -> int:
@@ -179,8 +162,8 @@ def unit_vector(n: int, i: Vertex) -> Root:
 @dataclass(frozen=True)
 class YSeed:
     """Exchange matrix with c-vectors, the pairing of the initial seed, and
-    the mutation path that produced it.  The pairing is the Cartan
-    companion of the initial matrix, which mutation reads back from it."""
+    the mutation path that produced it.  The pairing keeps the initial
+    matrix B_0, which mutation reads."""
 
     matrix: ExchangeMatrix
     cvectors: tuple[Root, ...]
@@ -252,13 +235,12 @@ def _mutate_cvectors(cvectors: tuple[Root, ...], k: Vertex, gram: GramMatrix) ->
     pairing alone: the package's one c-vector step.
 
     By tropical duality (Nakanishi-Zelevinsky) a seed's matrix is
-    b_jk = c_j^T B_0 c_k, B_0 the pairing's matrix (GramMatrix._b0).  With
+    b_jk = c_j^T B_0 c_k, B_0 the initial matrix the pairing keeps.  With
     v = positive_form(c_k) and w = B_0 v, c_k is negated and c_j is
     reflected in v, to c_j - <c_j, v> v, exactly when c_j . w < 0.  An
     unreflected c_j is kept as the same object.  Raises SignIncoherent if
-    c_k mixes signs, NotARealRoot if some c_j is to be reflected while
-    <v, v> != 2, and NotNormalized if the pairing is no Cartan companion
-    (GramMatrix._b0).
+    c_k mixes signs and NotARealRoot if some c_j is to be reflected while
+    <v, v> != 2.
 
     What the step reads of c_k (v, w, M v and <v, v>) depends on v alone,
     so a pivot read is kept on the pairing under both c_k and -c_k, each
@@ -274,7 +256,7 @@ def _mutate_cvectors(cvectors: tuple[Root, ...], k: Vertex, gram: GramMatrix) ->
     if pivot is None:
         neg = tuple([-x for x in ck])
         v = ck if root_sign(ck) > 0 else neg
-        w = tuple([sum(map(operator.mul, row, v)) for row in gram._b0])
+        w = tuple([sum(map(operator.mul, row, v)) for row in gram.b0.rows])
         mv = gram._image(v)
         vv = sum(map(operator.mul, v, mv))
         gram._pivots[neg] = (v, w, mv, vv, ck)
@@ -404,9 +386,9 @@ def speyer_thomas_check(
     some ordering with all positive roots before all negative roots has
     reflection product s_1 s_2 .. s_n.  Such an ordering is a complete
     exceptional sequence (Igusa-Schiffler): v precedes u exactly when the
-    Euler form <u, v> = u^T E v is 0, E the upper half of the pairing with
-    1 on the diagonal.  No two distinct reflections of the universal
-    Coxeter group commute, so no two are orthogonal and the order is unique.
+    Euler form <u, v> = u^T E v is 0, with E kept on the pairing.  No two
+    distinct reflections of the universal Coxeter group commute, so no two
+    are orthogonal and the order is unique.
 
     Each pair in (1) is read against the image M u of its earlier root,
     which the pairing forms once and keeps: <u, v> is the dot product of v
@@ -421,7 +403,6 @@ def speyer_thomas_check(
     signs = [root_sign(u) for u in roots]
     positives = [i for i in range(n) if signs[i] > 0]
     negatives = [i for i in range(n) if signs[i] < 0]
-    m = gram.rows
     for group in (positives, negatives):
         for a in range(len(group) - 1):
             image = gram._image(roots[group[a]])
@@ -432,7 +413,7 @@ def speyer_thomas_check(
     target = tuple(range(1, n + 1))
     if mul(*(words[i] for i in positives + negatives)) == target:
         return True
-    ev = [[v[i] + sum(map(operator.mul, m[i][i + 1 :], v[i + 1 :])) for i in range(n)] for v in roots]
+    ev = [[sum(map(operator.mul, row, v)) for row in gram.euler] for v in roots]
     after = cmp_to_key(lambda a, b: 1 if sum(map(operator.mul, roots[a], ev[b])) == 0 else -1)
     positives.sort(key=after)
     negatives.sort(key=after)

@@ -202,8 +202,9 @@ CASES = [
     ),
     (
         # [3, 1, 3]: the root and the word are read in the normalized
-        # labels (1 -> 3 -> 2 becomes 1 -> 2 -> 3), not in the file's own,
-        # where <u, u> = -2 for (1, 0, 2).  Pinned so that a refactor of
+        # labels, where the file's vertices 1, 3, 2 (source to sink)
+        # become 1, 2, 3, not in the file's own, where <u, u> = -2 for
+        # (1, 0, 2).  Pinned so that a refactor of
         # the pairing cannot move it and a change of frame moves it on
         # purpose (ROADMAP item 11).
         "root2refl-w325",

@@ -46,35 +46,30 @@ def test_cartan_companion():
     assert GRAM3.rows == ((2, -2, -2), (-2, 2, -2), (-2, -2, 2))
     rank2 = cartan_companion(ExchangeMatrix.from_rows([[0, 3], [-3, 0]]))
     assert rank2.rows == ((2, -3), (-3, 2))
+    assert all_weights_two_gram(1).rows == ((2,),)
 
 
 def test_cartan_companion_rejects_bad_input():
-    with pytest.raises(NotAcyclic):
-        cartan_companion(B3.mutate(2))
-    with pytest.raises(NotNormalized):
-        cartan_companion(B3.mutate(1))
-
-
-def test_gram_matrix_validation():
-    with pytest.raises(ValueError):
-        GramMatrix(((2, -1), (-2, 2)))
-    with pytest.raises(ValueError):
-        GramMatrix(((1, 0), (0, 1)))
-    with pytest.raises(ValueError, match="matrix must be square"):
-        GramMatrix(((2,), (2, -1)))
-
-
-def test_gram_matrix_checks_every_entry_before_its_shape():
+    # the pairing's own checks, acyclic before normalized: a cycle with a
+    # negative entry above the diagonal is refused as cyclic
+    cyclic = ExchangeMatrix.from_rows([[0, 2, -2], [-2, 0, 2], [2, -2, 0]])
+    for matrix in (cyclic, B3.mutate(2)):
+        with pytest.raises(NotAcyclic, match=r"^Cartan companion needs an acyclic matrix$"):
+            cartan_companion(matrix)
+    for rows, entry in (
+        (B3.mutate(1).rows, r"b\[1\]\[2\]"),
+        ([[0, 2, 2], [-2, 0, -2], [-2, 2, 0]], r"b\[2\]\[3\]"),
+    ):
+        with pytest.raises(NotNormalized, match=f"^{entry} < 0$"):
+            GramMatrix(ExchangeMatrix(rows))
+    # B_0's entries are the ExchangeMatrix's to check, named as in B
     for rows, name in (
-        ([[2, -2.0], [-2, 2]], r"m\[1\]\[2\] = -2\.0"),
-        ([[True, 0], [0, 2]], r"m\[1\]\[1\] = True"),
-        ([[2], [-2, 2.0]], r"m\[2\]\[2\] = 2\.0"),
+        ([[0, 2.0], [-2, 0]], r"b\[1\]\[2\] = 2\.0"),
+        ([[0, True], [-1, 0]], r"b\[1\]\[2\] = True"),
+        ([[0, 2], [-2, 0.0]], r"b\[2\]\[2\] = 0\.0"),
     ):
         with pytest.raises(ValueError, match=f"^{name} is not an integer$"):
-            GramMatrix(rows)
-    listed = GramMatrix([[2, -2], [-2, 2]])
-    assert listed == all_weights_two_gram(2) and hash(listed) == hash(all_weights_two_gram(2))
-    assert type(listed.rows[0]) is tuple
+            cartan_companion(ExchangeMatrix.from_rows(rows))
 
 
 def test_inner_and_reflect():
@@ -193,27 +188,32 @@ def test_all_negative_seed_reached():
     assert seed.cvectors == ((-1, 0, 0), (0, -1, 0), (0, 0, -1))
 
 
-def test_pairing_gives_back_its_exchange_matrix():
-    # for a normalized B_0, b0_ij = -m_ij above the diagonal and m_ij
-    # below: the step reads the initial matrix from the pairing alone
+def test_pairing_keeps_its_initial_matrix_and_reads_m_and_e_from_it():
+    # the pairing keeps exactly the B_0 it was built from, is equal and
+    # hashes as B_0 is, and forms from it the Euler form E and the
+    # companion M as tuples: M = E + E^T and B_0 = E^T - E
+    listed = cartan_companion(ExchangeMatrix.from_rows([[0, 2], [-2, 0]]))
+    assert listed == all_weights_two_gram(2) and hash(listed) == hash(all_weights_two_gram(2))
+    assert listed != cartan_companion(ExchangeMatrix.from_rows([[0, 3], [-3, 0]]))
     rng = random.Random(1998)
-    for n in range(2, 9):
+    grams = []
+    for n in range(1, 9):
         for _ in range(5):
             matrix = random_acyclic_two_complete(n, rng)
-            assert cartan_companion(matrix)._b0 == matrix.rows
-    for n in range(1, 6):
-        all_two = tuple(tuple(0 if i == j else 2 if i < j else -2 for j in range(n)) for i in range(n))
-        assert all_weights_two_gram(n)._b0 == all_two
-
-
-def test_mutate_seed_refuses_a_pairing_that_is_no_cartan_companion():
-    # GramMatrix accepts a positive off-diagonal entry, which no normalized
-    # B_0 gives, so mutation has no initial matrix to read from it
-    gram = GramMatrix(((2, 0, 1), (0, 2, -2), (1, -2, 2)))
-    seed = YSeed(B3, S0.cvectors, gram, ())
-    with pytest.raises(NotNormalized, match=r"^m\[1\]\[3\] = 1 > 0: no Cartan companion$"):
-        mutate_seed(seed, 2)
-    assert gram._pivots == {}
+            gram = cartan_companion(matrix)
+            assert gram.b0 is matrix
+            grams.append(gram)
+    grams += [all_weights_two_gram(n) for n in range(1, 7)]
+    for gram in grams:
+        n, e, b = gram.n, gram.euler, gram.b0.rows
+        assert all(type(row) is tuple for row in (*gram.rows, *e))
+        assert gram.rows == tuple(tuple(e[i][j] + e[j][i] for j in range(n)) for i in range(n))
+        assert b == tuple(tuple(e[j][i] - e[i][j] for j in range(n)) for i in range(n))
+        assert all(e[i][i] == 1 and e[j][i] == 0 for i in range(n) for j in range(i + 1, n))
+    for n in range(1, 7):
+        assert all_weights_two_gram(n).b0.rows == tuple(
+            tuple(0 if i == j else 2 if i < j else -2 for j in range(n)) for i in range(n)
+        )
 
 
 def test_mutate_seed_reads_the_side_from_the_initial_matrix():
@@ -742,7 +742,7 @@ def test_inner_matches_the_double_sum():
     rng = random.Random(8)
     for _ in range(200):
         n = rng.randint(1, 6)
-        gram = cartan_companion(random_acyclic_two_complete(n, rng)) if n > 1 else GramMatrix(((2,),))
+        gram = cartan_companion(random_acyclic_two_complete(n, rng))
         u = tuple(rng.randint(-9, 9) for _ in range(n))
         v = tuple(rng.randint(-9, 9) for _ in range(n))
         want = sum(u[i] * gram.rows[i][j] * v[j] for i in range(n) for j in range(n))
@@ -793,7 +793,7 @@ def test_gram_image_matches_the_double_sum():
     rng = random.Random(2013)
     for _ in range(300):
         n = rng.randint(1, 7)
-        gram = cartan_companion(random_acyclic_two_complete(n, rng)) if n > 1 else GramMatrix(((2,),))
+        gram = cartan_companion(random_acyclic_two_complete(n, rng))
         bound = rng.choice([9, 2**70])
         u = tuple(rng.randint(-bound, bound) for _ in range(n))
         v = tuple(rng.randint(-bound, bound) for _ in range(n))
@@ -865,7 +865,7 @@ def test_seeds_of_one_walk_share_the_image_memo():
     assert first.gram._images == formed
     # the images are no part of the pairing's value
     assert second.gram == first.gram and hash(second.gram) == hash(first.gram)
-    assert repr(second.gram) == repr(first.gram) == f"GramMatrix(rows={GRAM3.rows!r})"
+    assert repr(second.gram) == repr(first.gram) == f"GramMatrix(b0={B3!r})"
 
 
 @pytest.mark.parametrize(
