@@ -50,26 +50,46 @@ def test_cartan_companion():
 
 
 def test_cartan_companion_rejects_bad_input():
+    with pytest.raises(NotAcyclic):
+        cartan_companion(B3.mutate(2))
+    with pytest.raises(NotNormalized):
+        cartan_companion(B3.mutate(1))
+
+
+def test_gram_matrix_validation():
     # the pairing's own checks, acyclic before normalized: a cycle with a
     # negative entry above the diagonal is refused as cyclic
     cyclic = ExchangeMatrix.from_rows([[0, 2, -2], [-2, 0, 2], [2, -2, 0]])
     for matrix in (cyclic, B3.mutate(2)):
         with pytest.raises(NotAcyclic, match=r"^Cartan companion needs an acyclic matrix$"):
-            cartan_companion(matrix)
+            GramMatrix(matrix)
     for rows, entry in (
         (B3.mutate(1).rows, r"b\[1\]\[2\]"),
         ([[0, 2, 2], [-2, 0, -2], [-2, 2, 0]], r"b\[2\]\[3\]"),
     ):
         with pytest.raises(NotNormalized, match=f"^{entry} < 0$"):
             GramMatrix(ExchangeMatrix(rows))
-    # B_0's entries are the ExchangeMatrix's to check, named as in B
+    # the shape is the ExchangeMatrix's to check, before any pairing exists
+    with pytest.raises(ValueError, match="^matrix must be square$"):
+        GramMatrix(ExchangeMatrix(((0,), (-2, 0))))
+    with pytest.raises(ValueError, match="^matrix must be skew-symmetric$"):
+        GramMatrix(ExchangeMatrix(((0, 2), (-1, 0))))
+
+
+def test_gram_matrix_checks_every_entry_before_its_shape():
+    # B_0's entries are the ExchangeMatrix's to check, named as in B, and
+    # a bad entry is named before a short row is refused
     for rows, name in (
         ([[0, 2.0], [-2, 0]], r"b\[1\]\[2\] = 2\.0"),
         ([[0, True], [-1, 0]], r"b\[1\]\[2\] = True"),
-        ([[0, 2], [-2, 0.0]], r"b\[2\]\[2\] = 0\.0"),
+        ([[0], [-2, 0.0]], r"b\[2\]\[2\] = 0\.0"),
     ):
         with pytest.raises(ValueError, match=f"^{name} is not an integer$"):
             cartan_companion(ExchangeMatrix.from_rows(rows))
+    listed = cartan_companion(ExchangeMatrix.from_rows([[0, 2], [-2, 0]]))
+    assert listed == all_weights_two_gram(2) and hash(listed) == hash(all_weights_two_gram(2))
+    assert listed != cartan_companion(ExchangeMatrix.from_rows([[0, 3], [-3, 0]]))
+    assert type(listed.rows[0]) is tuple and type(listed.b0.rows[0]) is tuple
 
 
 def test_inner_and_reflect():
@@ -188,21 +208,24 @@ def test_all_negative_seed_reached():
     assert seed.cvectors == ((-1, 0, 0), (0, -1, 0), (0, 0, -1))
 
 
-def test_pairing_keeps_its_initial_matrix_and_reads_m_and_e_from_it():
-    # the pairing keeps exactly the B_0 it was built from, is equal and
-    # hashes as B_0 is, and forms from it the Euler form E and the
-    # companion M as tuples: M = E + E^T and B_0 = E^T - E
-    listed = cartan_companion(ExchangeMatrix.from_rows([[0, 2], [-2, 0]]))
-    assert listed == all_weights_two_gram(2) and hash(listed) == hash(all_weights_two_gram(2))
-    assert listed != cartan_companion(ExchangeMatrix.from_rows([[0, 3], [-3, 0]]))
+def test_pairing_gives_back_its_exchange_matrix():
+    # the pairing keeps exactly the B_0 it was built from: the step reads
+    # the initial matrix from the pairing alone
     rng = random.Random(1998)
-    grams = []
-    for n in range(1, 9):
+    for n in range(2, 9):
         for _ in range(5):
             matrix = random_acyclic_two_complete(n, rng)
-            gram = cartan_companion(matrix)
-            assert gram.b0 is matrix
-            grams.append(gram)
+            assert cartan_companion(matrix).b0 is matrix
+    for n in range(1, 6):
+        all_two = tuple(tuple(0 if i == j else 2 if i < j else -2 for j in range(n)) for i in range(n))
+        assert all_weights_two_gram(n).b0.rows == all_two
+
+
+def test_pairing_keeps_its_initial_matrix_and_reads_m_and_e_from_it():
+    # from B_0 the pairing forms the Euler form E and the companion M as
+    # tuples: M = E + E^T and B_0 = E^T - E
+    rng = random.Random(1998)
+    grams = [cartan_companion(random_acyclic_two_complete(n, rng)) for n in range(1, 9) for _ in range(5)]
     grams += [all_weights_two_gram(n) for n in range(1, 7)]
     for gram in grams:
         n, e, b = gram.n, gram.euler, gram.b0.rows
@@ -210,10 +233,6 @@ def test_pairing_keeps_its_initial_matrix_and_reads_m_and_e_from_it():
         assert gram.rows == tuple(tuple(e[i][j] + e[j][i] for j in range(n)) for i in range(n))
         assert b == tuple(tuple(e[j][i] - e[i][j] for j in range(n)) for i in range(n))
         assert all(e[i][i] == 1 and e[j][i] == 0 for i in range(n) for j in range(i + 1, n))
-    for n in range(1, 7):
-        assert all_weights_two_gram(n).b0.rows == tuple(
-            tuple(0 if i == j else 2 if i < j else -2 for j in range(n)) for i in range(n)
-        )
 
 
 def test_mutate_seed_reads_the_side_from_the_initial_matrix():
