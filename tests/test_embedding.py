@@ -258,6 +258,15 @@ def _longest_cvector_arc(path):
     return max(map(reflection_to_arc, seed.reflections), key=lambda a: len(a.crossings))
 
 
+# sha256 of each long arc's first witness, as sorted-key JSON; the pins
+# above reach arcs of at most 6 crossings
+LONG_WITNESS_SHA256 = {
+    87: "f51c23780181e42995020095f74eea43b7c6a05b917e5c842e520c236f6b4165",
+    378: "315c752506bcfeba5c0ea4efa7a1f8b03c417bbe696f13aecafd810caeae9fae",
+    1595: "29d2f06351f463c24a0f4f0e007b03d366abba31fb62667f16b3e625e5ebdd49",
+}
+
+
 @pytest.mark.parametrize(
     "repeats,crossings,branches", [(3, 87, 4437), (4, 378, 97052), (5, 1595, 1478997)]
 )
@@ -267,6 +276,8 @@ def test_long_cvector_arcs_keep_their_branch_counts(repeats, crossings, branches
     rep = probe_embedding(a)
     assert rep.embeddable and witness_is_valid(a, rep.witness)
     assert rep.branches == branches
+    witness = json.dumps(rep.witness.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(witness).hexdigest() == LONG_WITNESS_SHA256[crossings]
 
 
 def test_debug_line_reports_the_relabelling(caplog):
@@ -281,6 +292,22 @@ def test_debug_line_reports_the_relabelling(caplog):
     )
     assert yes.startswith("embedding found for 2,1,2,3,")
     assert yes.endswith("; 3914 gaps scanned, 354 relabelled")
+
+
+def test_work_on_the_benchmark_arcs_is_pinned(caplog):
+    # total placements tried, gaps scanned and gaps relabelled over the
+    # benchmark's shape of arc, so a change to the search's upkeep is seen
+    # to do the same work
+    caplog.set_level(logging.DEBUG, logger="arcroots.embedding")
+    branches = sum(probe_embedding(a).branches for a in schur_root_arcs())
+    scanned = relabelled = 0
+    for rec in caplog.records:
+        tail = rec.getMessage().rsplit("; ", 1)[1].split()
+        scanned += int(tail[0])
+        relabelled += int(tail[3])
+    # six of the 1,258 arcs cross nothing and log no line
+    assert (len(caplog.records), branches) == (1252, 116020)
+    assert (scanned, relabelled) == (115343, 50535)
 
 
 def _stack_depth():
