@@ -16,14 +16,10 @@ rejected as soon as both of its endpoints are placed; the search is
 nevertheless exhaustive.  The placed chords never cross, so they cut the
 disc into faces, and a new chord is clear exactly when its far end lies
 in the face of the point where the curve enters the boundary.  The
-search keeps one face label per boundary gap across levels.  A new
-point copies the label of the gap it lands in, a placed chord splits
-one face by relabelling that face's gaps on its side with fewer
-indices, and an undo stack restores the labels on a take-back.  Every
-chord, the last one to the endpoint puncture included, is then one
-label comparison.  The search runs as one flat loop: each level of its
-stack is an integer cursor into the level's options, and a count of
-points per ray gives every puncture's index without a walk.
+search keeps one face label per boundary gap, so every chord is one
+label comparison; it runs as one flat loop over a stack of integer
+cursors, one per level, and reads the witness off that stack only at
+the leaf that succeeds.  probe_embedding's docstring gives the upkeep.
 """
 
 from __future__ import annotations
@@ -110,19 +106,17 @@ def probe_embedding(a: Arc, cap: int | None = None) -> EmbeddingReport:
     search_space is the unpruned 2^l * prod(m_s!) product.
 
     The cut boundary is kept across levels as one face label per gap, in
-    _boundary's order; the points themselves are never listed, because
-    every index follows from the heights.  Placing crossing j inserts
-    its two points, each new gap copying the label of the gap it splits,
-    and its chord splits the face of the entering point in two: the
-    gaps of that face on the side of the chord with fewer indices get a
-    fresh label.  An undo stack keeps, per placed crossing, the two
-    point indices, the relabelled gaps and their old label, so a
-    take-back restores the labels and deletes the points.  A placement
-    is then clear exactly when its slot's gap carries the entering
-    point's label, and the last chord, from the last exit point to the
-    endpoint puncture, when those two points' gaps carry the same label.
-    Each stack level keeps an integer cursor into its options, and a
-    count of points per ray gives each puncture's index.
+    _boundary's order; every point's index follows from the cursors and
+    a count of points per ray.  Placing crossing j inserts its two
+    points, each new gap copying the label of the gap it splits, and one
+    loop over the gaps on the side of its chord with fewer indices gives
+    those of the entering point's face a fresh label.  The undo entry
+    keeps the two point indices, the relabelled gaps and the old label;
+    a level back at its placed crossing restores them before trying its
+    next option.  A placement is clear exactly when its slot's gap
+    carries the entering point's label, and the last chord, to the
+    endpoint puncture, when its two ends' gaps do.  Only a leaf that
+    succeeds builds the witness, from each level's cursor.
 
     Uncapped unless cap is given; then more than cap crossings raise
     CapExceeded, and a cap that is not an int at least 0 (a bool, 0.5,
@@ -137,8 +131,8 @@ def probe_embedding(a: Arc, cap: int | None = None) -> EmbeddingReport:
     because a take-back can undo a split that is then redone: those two
     arcs took 827 and 3,402 splits, scanning 82,675 and 1,287,349 gaps
     and relabelling 1,703 and 6,817.  The debug log line gives both
-    totals for every call.  They take about 0.01 s and 0.11 s of CPU
-    with CPython 3.11 on an x86_64 host.
+    totals for every call.  They take about 0.007 s and 0.11 s of CPU
+    with CPython 3.11 on an x86_64 host, nearly all in the option scan.
     """
     crossings = a.crossings
     l = len(crossings)
@@ -151,8 +145,6 @@ def probe_embedding(a: Arc, cap: int | None = None) -> EmbeddingReport:
         return EmbeddingReport(True, EmbeddingWitness((), ()), 0, space)
     n = max(a.endpoint, max(crossings))
 
-    sides: list[str] = []
-    heights: dict[int, list[int]] = {s: [] for s in set(crossings)}
     # count[s] is the number of points on ray s; ray s's puncture comes
     # after b, each higher ray's points and puncture, and s's right side,
     # so its index is 1 + n - s + 2 * sum(count[s + 1:]) + count[s]
@@ -162,16 +154,6 @@ def probe_embedding(a: Arc, cap: int | None = None) -> EmbeddingReport:
     labels = [0] * (n + 1)
     undo: list[tuple[int, int, list[int], int]] = []
     branches = scanned = relabelled = fresh = 0
-
-    def take_back(j: int) -> None:
-        r, left, moved, face = undo.pop()
-        for i in moved:
-            labels[i] = face
-        del labels[left], labels[r]
-        s = crossings[j]
-        heights[s].remove(j)
-        count[s] -= 1
-        sides.pop()
 
     # Depth first with an explicit stack, one level per placed crossing,
     # so no arc is too long for the interpreter's recursion limit.  Each
@@ -185,6 +167,13 @@ def probe_embedding(a: Arc, cap: int | None = None) -> EmbeddingReport:
     witness = None
     while stack:
         j = len(stack) - 1
+        if len(undo) > j:
+            # back at level j with crossing j placed: take it back
+            r, left, moved, face = undo.pop()
+            for i in moved:
+                labels[i] = face
+            del labels[left], labels[r]
+            count[crossings[j]] -= 1
         cursor = stack[j]
         start, p, e, h = cursor
         face = labels[e]
@@ -192,11 +181,9 @@ def probe_embedding(a: Arc, cap: int | None = None) -> EmbeddingReport:
             if labels[p + pos if pos <= h else p + h - pos] == face:
                 break
         else:
-            # every option at level j failed: take back crossing j - 1
+            # every option at level j failed: back to level j - 1
             branches += 2 * h + 2 - start
             stack.pop()
-            if j:
-                take_back(j - 1)
             continue
         branches += pos + 1 - start
         cursor[0] = pos + 1
@@ -208,8 +195,6 @@ def probe_embedding(a: Arc, cap: int | None = None) -> EmbeddingReport:
         lr = pos <= h
         at = pos if lr else pos - h - 1
         s = crossings[j]
-        sides.append("LR" if lr else "RL")
-        heights[s].insert(at, j)
         count[s] += 1
         r, left = p - at, p + at + 2
         labels.insert(r, labels[r - 1])
@@ -222,10 +207,13 @@ def probe_embedding(a: Arc, cap: int | None = None) -> EmbeddingReport:
             gaps = range(lo, hi)
         else:
             gaps = [*range(hi, len(labels)), *range(lo)]
-        moved = [i for i in gaps if labels[i] == face]
+        # one plain loop: before CPython 3.12 a comprehension is a frame
         fresh += 1
-        for i in moved:
-            labels[i] = fresh
+        moved = []
+        for i in gaps:
+            if labels[i] == face:
+                labels[i] = fresh
+                moved.append(i)
         undo.append((r, left, moved, face))
         scanned += len(gaps)
         relabelled += len(moved)
@@ -236,12 +224,13 @@ def probe_embedding(a: Arc, cap: int | None = None) -> EmbeddingReport:
             continue
         t = a.endpoint
         if labels[x] == labels[1 + n - t + 2 * sum(count[t + 1 :]) + count[t]]:
-            witness = EmbeddingWitness(
-                tuple(sides),
-                tuple(sorted((s, tuple(o)) for s, o in heights.items())),
-            )
+            # each level's cursor is one past the option it placed
+            sides = tuple("LR" if c <= h + 1 else "RL" for c, _, _, h in stack)
+            heights: dict[int, list[int]] = {s: [] for s in sorted(set(crossings))}
+            for j, (c, _, _, h) in enumerate(stack):
+                heights[crossings[j]].insert(c - 1 if c <= h + 1 else c - h - 2, j)
+            witness = EmbeddingWitness(sides, tuple((s, tuple(o)) for s, o in heights.items()))
             break
-        take_back(j)
 
     log.debug(
         "%s for %s: search tree of %d placements, leaf space %d;"
@@ -271,16 +260,26 @@ def witness_is_valid(a: Arc, witness: EmbeddingWitness) -> bool:
 
     The chords of a witnessed embedding must open and close like
     balanced brackets along the circle; this re-derives the verdict
-    without the face labels the search keeps.  A witness that names a
-    ray twice, or a ray the arc never crosses, is malformed.
+    without the face labels the search keeps.  A malformed witness (not
+    built of tuples, a ray or index that is no int or is a bool, a ray
+    named twice or never crossed) gives False, never an exception.
     """
     l = len(a.crossings)
-    if len(witness.sides) != l or any(s not in ("LR", "RL") for s in witness.sides):
+    sides, entries = witness.sides, witness.heights
+    if not (isinstance(sides, tuple) and len(sides) == l and isinstance(entries, tuple)):
         return False
-    rays = [ray for ray, _ in witness.heights]
+    if any(s not in ("LR", "RL") for s in sides):
+        return False
+    if not all(isinstance(e, tuple) and len(e) == 2 and isinstance(e[1], tuple) for e in entries):
+        return False
+    # ints but no bools, as require_int has it, or True passes as ray 1
+    rays = [ray for ray, _ in entries]
+    numbers = rays + [j for _, order in entries for j in order]
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in numbers):
+        return False
     if len(set(rays)) != len(rays) or not set(rays) <= set(a.crossings):
         return False
-    heights = dict(witness.heights)
+    heights = dict(entries)
     placed = [j for order in heights.values() for j in order]
     if sorted(placed) != list(range(l)):
         return False
@@ -290,7 +289,7 @@ def witness_is_valid(a: Arc, witness: EmbeddingWitness) -> bool:
 
     n = max((a.endpoint, *a.crossings))
     owner: dict[Token, int] = {("b", 0): 0, ("p", a.endpoint): l}
-    for j, side in enumerate(witness.sides):
+    for j, side in enumerate(sides):
         owner[_entry(side, j)] = j
         owner[_exit(side, j)] = j + 1
 

@@ -351,6 +351,17 @@ def test_rechecker_rejects_malformed_witnesses():
     assert not witness_is_valid(a, EmbeddingWitness(("LR",), ((2, (0,)), (2, ()))))
     assert not witness_is_valid(a, EmbeddingWitness(("LR",), ((1, ()), (2, (0,)))))
     assert not witness_is_valid(a, EmbeddingWitness(("LR",), ((2, (0,)), (3, ()))))
+    # malformed entries and coerced numbers, on an arc where bools and
+    # floats equal the valid ray 1 and index 0
+    b = Arc((1,), 2)
+    assert witness_is_valid(b, EmbeddingWitness(("LR",), ((1, (0,)),)))
+    assert not witness_is_valid(b, EmbeddingWitness(("LR",), ((1,),)))
+    assert not witness_is_valid(b, EmbeddingWitness(("LR",), ((1, (0.0,)),)))
+    assert not witness_is_valid(b, EmbeddingWitness(("LR",), ((True, (0,)),)))
+    assert not witness_is_valid(b, EmbeddingWitness(("LR",), ((1, (False,)),)))
+    assert not witness_is_valid(b, EmbeddingWitness(["LR"], ((1, (0,)),)))
+    assert not witness_is_valid(b, EmbeddingWitness(("LR",), ((1, 0),)))
+    assert not witness_is_valid(b, EmbeddingWitness(("LR",), None))
     assert witness_is_valid(a, EmbeddingWitness(("LR",), ((2, (0,)),)))
 
 
