@@ -207,8 +207,8 @@ def probe_embedding(a: Arc, cap: int | None = None) -> EmbeddingReport:
             gaps = range(lo, hi)
         else:
             gaps = [*range(hi, len(labels)), *range(lo)]
-        # one plain loop: before CPython 3.12 a comprehension is a frame
         fresh += 1
+        # one plain loop: before CPython 3.12 a comprehension is a frame
         moved = []
         for i in gaps:
             if labels[i] == face:
@@ -224,12 +224,14 @@ def probe_embedding(a: Arc, cap: int | None = None) -> EmbeddingReport:
             continue
         t = a.endpoint
         if labels[x] == labels[1 + n - t + 2 * sum(count[t + 1 :]) + count[t]]:
-            # each level's cursor is one past the option it placed
-            sides = tuple("LR" if c <= h + 1 else "RL" for c, _, _, h in stack)
-            heights: dict[int, list[int]] = {s: [] for s in sorted(set(crossings))}
+            # replay the placements; a level's cursor is one past its option
+            sides = []
+            heights: dict[int, list[int]] = {s: [] for s in set(crossings)}
             for j, (c, _, _, h) in enumerate(stack):
+                sides.append("LR" if c <= h + 1 else "RL")
                 heights[crossings[j]].insert(c - 1 if c <= h + 1 else c - h - 2, j)
-            witness = EmbeddingWitness(sides, tuple((s, tuple(o)) for s, o in heights.items()))
+            per_ray = tuple(sorted((s, tuple(o)) for s, o in heights.items()))
+            witness = EmbeddingWitness(tuple(sides), per_ray)
             break
 
     log.debug(
@@ -260,9 +262,8 @@ def witness_is_valid(a: Arc, witness: EmbeddingWitness) -> bool:
 
     The chords of a witnessed embedding must open and close like
     balanced brackets along the circle; this re-derives the verdict
-    without the face labels the search keeps.  A malformed witness (not
-    built of tuples, a ray or index that is no int or is a bool, a ray
-    named twice or never crossed) gives False, never an exception.
+    without the face labels the search keeps.  A malformed witness gives
+    False and never raises; a bool or a float is no ray or index.
     """
     l = len(a.crossings)
     sides, entries = witness.sides, witness.heights
@@ -272,17 +273,16 @@ def witness_is_valid(a: Arc, witness: EmbeddingWitness) -> bool:
         return False
     if not all(isinstance(e, tuple) and len(e) == 2 and isinstance(e[1], tuple) for e in entries):
         return False
-    # ints but no bools, as require_int has it, or True passes as ray 1
     rays = [ray for ray, _ in entries]
-    numbers = rays + [j for _, order in entries for j in order]
-    if any(isinstance(x, bool) or not isinstance(x, int) for x in numbers):
+    placed = [j for _, order in entries for j in order]
+    # ints but no bools, as require_int has it, or True passes as ray 1
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in rays + placed):
         return False
     if len(set(rays)) != len(rays) or not set(rays) <= set(a.crossings):
         return False
-    heights = dict(entries)
-    placed = [j for order in heights.values() for j in order]
     if sorted(placed) != list(range(l)):
         return False
+    heights = dict(entries)
     for ray, order in heights.items():
         if any(a.crossings[j] != ray for j in order):
             return False
